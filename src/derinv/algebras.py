@@ -15,11 +15,13 @@ for prime fields and coefficient lists for e > 1.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .errors import (
     NotAssociative,
     SchemaVersionMismatch,
     SingularMatrix,
+    SizeCapExceeded,
 )
 from .fields import CODE_DTYPE, Field, GF
 from .linalg import Mat, Subspace
@@ -43,6 +46,66 @@ from .linalg import Mat, Subspace
 ALGEBRA_SCHEMA_VERSION = 1
 
 MultSpec = Mapping[tuple[int, int], Mapping[int, int]]
+
+DEFAULT_SIZE_CAP = 2**27
+SIZE_CAP_ENV = "KK_SIZE_CAP"
+
+
+def resolve_size_cap(size_cap: int | None = None) -> int:
+    if size_cap is not None:
+        return size_cap
+    env = os.environ.get(SIZE_CAP_ENV)
+    return int(env) if env else DEFAULT_SIZE_CAP
+
+
+def _check_cap(entries: int, cap: int, what: str) -> None:
+    if entries > cap:
+        raise SizeCapExceeded(entries, cap, what)
+
+
+def memo(entries: Callable[..., int] | None = None, what: Callable[..., str] | None = None):
+    """Cache fn(algebra, *args) in algebra._cache under (fn.__name__, *args).
+
+    A capped function takes a trailing size_cap, by position or by name,
+    and gives its entry count and message as entries(algebra, *args) and
+    what(algebra, *args).  The cap is checked before the cache lookup, so
+    a capped call raises SizeCapExceeded whether or not the result is
+    already cached.
+    """
+
+    def decorate(fn):
+        name = fn.__name__
+        if entries is None:
+
+            @functools.wraps(fn)
+            def cached(algebra, *args):
+                key = (name, *args)
+                out = algebra._cache.get(key)
+                if out is None:
+                    out = algebra._cache[key] = fn(algebra, *args)
+                return out
+
+            return cached
+
+        # key arguments are the ones between the algebra and size_cap
+        nkey = fn.__code__.co_varnames.index("size_cap") - 1
+
+        @functools.wraps(fn)
+        def cached(algebra, *args, size_cap=None):
+            if len(args) > nkey:
+                args, (size_cap,) = args[:nkey], args[nkey:]
+            n, cap = entries(algebra, *args), resolve_size_cap(size_cap)
+            if n > cap:
+                raise SizeCapExceeded(n, cap, what(algebra, *args))
+            key = (name, *args)
+            out = algebra._cache.get(key)
+            if out is None:
+                out = algebra._cache[key] = fn(algebra, *args, size_cap)
+            return out
+
+        return cached
+
+    return decorate
 
 
 class SymmetrizingForm:
@@ -128,34 +191,28 @@ class Algebra:
         return tuple(sorted(entries))
 
     @property
+    @memo()
     def mult_matrix(self) -> Mat:
         """Dense (d^2, d) matrix, row (i*d+j) = coordinates of b_i b_j."""
-        mm = self._cache.get("mult_matrix")
-        if mm is None:
-            d = self.dim
-            arr = np.zeros((d * d, d), dtype=CODE_DTYPE)
-            for i, j, k, c in self._mult:
-                arr[i * d + j, k] = c
-            mm = Mat(self.field, arr)
-            self._cache["mult_matrix"] = mm
-        return mm
+        d = self.dim
+        arr = np.zeros((d * d, d), dtype=CODE_DTYPE)
+        for i, j, k, c in self._mult:
+            arr[i * d + j, k] = c
+        return Mat(self.field, arr)
 
     @property
     def mult_tensor(self) -> np.ndarray:
         """Read-only view of the same data with axes (i, j, k)."""
         return self.mult_matrix.data.reshape(self.dim, self.dim, self.dim)
 
+    @memo()
     def sparse_mult(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(I, J, K, V) arrays of the nonzero structure constants."""
-        sp = self._cache.get("sparse")
-        if sp is None:
-            if self._mult:
-                arr = np.array(self._mult, dtype=np.int64)
-            else:
-                arr = np.zeros((0, 4), dtype=np.int64)
-            sp = (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(CODE_DTYPE))
-            self._cache["sparse"] = sp
-        return sp
+        if self._mult:
+            arr = np.array(self._mult, dtype=np.int64)
+        else:
+            arr = np.zeros((0, 4), dtype=np.int64)
+        return (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(CODE_DTYPE))
 
     # -- validation --
 
@@ -249,31 +306,25 @@ class Algebra:
 
     # -- canonical subspaces --
 
+    @memo()
     def center(self) -> Subspace:
-        z = self._cache.get("center")
-        if z is None:
-            f, d = self.field, self.dim
-            k = Mat.identity(f, d)  # rows span the current candidate space
-            for i in range(d):
-                if k.rows == 0:
-                    break
-                op = self.left_mult_matrix(i) - self.right_mult_matrix(i)
-                restricted = op @ k.T  # d x k
-                ker = restricted.kernel()  # coefficients in current basis
-                k = ker @ k
-            z = Subspace.from_rows(f, k) if k.rows else Subspace.zero(f, d)
-            self._cache["center"] = z
-        return z
+        f, d = self.field, self.dim
+        k = Mat.identity(f, d)  # rows span the current candidate space
+        for i in range(d):
+            if k.rows == 0:
+                break
+            op = self.left_mult_matrix(i) - self.right_mult_matrix(i)
+            restricted = op @ k.T  # d x k
+            ker = restricted.kernel()  # coefficients in current basis
+            k = ker @ k
+        return Subspace.from_rows(f, k) if k.rows else Subspace.zero(f, d)
 
+    @memo()
     def commutator_space(self) -> Subspace:
-        ka = self._cache.get("commutator_space")
-        if ka is None:
-            d = self.dim
-            t = self.mult_tensor
-            diffs = self.field.vsub(t, t.transpose(1, 0, 2)).reshape(d * d, d)
-            ka = Subspace.from_rows(self.field, Mat(self.field, diffs))
-            self._cache["commutator_space"] = ka
-        return ka
+        d = self.dim
+        t = self.mult_tensor
+        diffs = self.field.vsub(t, t.transpose(1, 0, 2)).reshape(d * d, d)
+        return Subspace.from_rows(self.field, Mat(self.field, diffs))
 
     def __repr__(self) -> str:
         tag = f" {self.kind['name']}" if self.kind and "name" in self.kind else ""

@@ -20,6 +20,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -395,6 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     except (DerinvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        # The command's algebras are unreachable now, but their cached HH
+        # bases point back at them, so only the cyclic collector frees them.
+        # Collecting here keeps a process that calls main() repeatedly from
+        # carrying several algebras' caches until the next full collection.
+        gc.collect()
 
 
 if __name__ == "__main__":

@@ -11,10 +11,6 @@ class DimensionMismatch(DerinvError):
     """Operands live in different ambient spaces or over different fields."""
 
 
-class NoSolution(DerinvError):
-    """A linear system that was required to be consistent is not."""
-
-
 class SingularMatrix(DerinvError):
     """Matrix inversion requested for a rank-deficient matrix."""
 

@@ -18,7 +18,7 @@ used here; any monic irreducible of degree e is accepted.  Table:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -249,14 +249,6 @@ class Field:
             return ((x.astype(np.int32) * y) % self.p).astype(CODE_DTYPE)
         return self._mul_t[x, y]
 
-    def vinv(self, x: np.ndarray) -> np.ndarray:
-        if np.any(x == 0):
-            raise ZeroDivisionError("inverse of 0")
-        if self.e == 1:
-            flat = np.array([pow(int(v), self.p - 2, self.p) for v in np.ravel(x)], dtype=CODE_DTYPE)
-            return flat.reshape(np.shape(x))
-        return self._inv_t[x]
-
     def vfrob(self, x: np.ndarray, n: int = 1) -> np.ndarray:
         if self.e == 1:
             return x
@@ -328,7 +320,7 @@ class Field:
         return f"GF({self.p}^{self.e})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def GF(p: int, e: int = 1) -> Field:
     """Cached field with the default (Conway) modulus."""
     return Field(p, e)

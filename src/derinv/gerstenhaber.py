@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra
+from .algebras import Algebra, _check_cap, resolve_size_cap
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -46,13 +46,7 @@ from .errors import (
     ParityViolation,
 )
 from .fields import CODE_DTYPE
-from .hochschild import (
-    Cochain,
-    _check_cap,
-    hh_cohomology,
-    multiplication_cochain,
-    resolve_size_cap,
-)
+from .hochschild import Cochain, hh_cohomology, multiplication_cochain
 from .linalg import Mat
 
 # bracket(f, multiplication_cochain) equals this constant times the
@@ -89,6 +83,12 @@ class TruncatedCoalgebra:
         return [(j, r - j) for j in range(r + 1)]
 
 
+def _check_component_cap(f: Cochain, r: int, size_cap: int | None) -> None:
+    d = f.algebra.dim
+    _check_cap(d ** (r - f.arity + 1) * d**r, resolve_size_cap(size_cap),
+               f"coderivation component at length {r}")
+
+
 def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> Mat:
     """D_f restricted to tensor length r, a (d^(r-m+1), d^r) matrix."""
     if r < 0:
@@ -100,7 +100,7 @@ def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> M
     if out_len < 0:
         raise DegreeMismatch(f"arity {m} has no component on tensor length {r}")
     rows, cols = d**out_len, d**r
-    _check_cap(rows * cols, resolve_size_cap(size_cap), f"coderivation component at length {r}")
+    _check_component_cap(f, r, size_cap)
     acc = np.zeros((rows, cols), dtype=CODE_DTYPE)
     block_pos = f.matrix.data
     block_neg = fld.vneg(block_pos)
@@ -136,6 +136,8 @@ class Coderivation:
     def component(self, r: int, size_cap: int | None = None) -> Mat:
         if r > self.base.max_len:
             raise DegreeMismatch(f"tensor length {r} above retained maximum {self.base.max_len}")
+        # cap before the cached parts, as every memo entry point does
+        _check_component_cap(self.cochain, r, size_cap)
         part = self._parts.get(r)
         if part is None:
             part = coderivation_component(self.cochain, r, size_cap)

@@ -15,8 +15,9 @@ it is kept total and flagged instead of refused.  At m = 0 the map
 coincides with the classical kappa_n on A/KA.
 
 All computations run on the canonical class representatives from
-``hochschild`` and are exact; degrees whose bar matrices would exceed
-the size cap raise SizeCapExceeded before allocating.
+``hochschild`` and are exact.  Each cached entry point here is capped by
+the bar matrices of degree p^n m, the widest it touches, and raises
+SizeCapExceeded before allocating or reading its cache.
 """
 
 from __future__ import annotations
@@ -25,17 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra
+from .algebras import Algebra, memo
 from .errors import InvariantViolation, SizeCapExceeded
 from .hochschild import (
     HomologyBasis,
-    _check_cap,
     cup_power,
     hh_cohomology,
     hh_homology,
     pairing,
     pairing_gram,
-    resolve_size_cap,
 )
 from .linalg import Mat, SemilinearOperator, Subspace, orthogonal_complement
 
@@ -80,18 +79,17 @@ def _is_zero_regime(algebra: Algebra, m: int, n: int) -> bool:
     return algebra.field.p != 2 and m % 2 == 1 and n >= 1
 
 
-def _precheck_target(algebra: Algebra, m: int, n: int, size_cap: int | None) -> None:
-    # mirror of the bound the cold path hits inside hh_* at degree p^n m,
-    # applied before any cache lookup so capped calls behave the same hot
-    # or cold
-    deg = algebra.field.p**n * m
-    _check_cap(
-        algebra.dim ** (2 * deg + 3),
-        resolve_size_cap(size_cap),
-        f"bar matrices in degree {deg}",
-    )
+# the cold path reaches hh_* in degree p^n m, whose bar matrices have
+# d^(2 p^n m + 3) entries
+def _target_entries(a: Algebra, m: int, n: int) -> int:
+    return a.dim ** (2 * a.field.p**n * m + 3)
 
 
+def _target_what(a: Algebra, m: int, n: int) -> str:
+    return f"bar matrices in degree {a.field.p**n * m}"
+
+
+@memo(_target_entries, _target_what)
 def power_class_matrix(algebra: Algebra, m: int, n: int,
                        size_cap: int | None = None) -> Mat:
     """Class-level matrix of f -> f^(p^n), HH^m -> HH^(p^n m) coordinates.
@@ -103,19 +101,12 @@ def power_class_matrix(algebra: Algebra, m: int, n: int,
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
-    _precheck_target(algebra, m, n, size_cap)
-    key = ("power_class_matrix", m, n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     f = algebra.field
     exp = f.p**n
     coh_m = hh_cohomology(algebra, m, size_cap)
     coh_d = hh_cohomology(algebra, exp * m, size_cap)
     if coh_m.dim == 0:
-        out = Mat.zeros(f, coh_d.dim, 0)
-        algebra._cache[key] = out
-        return out
+        return Mat.zeros(f, coh_d.dim, 0)
     cols = np.zeros((coh_d.dim, coh_m.dim), dtype=np.int8)
     for a in range(coh_m.dim):
         fp = cup_power(coh_m.cochain(a), exp, size_cap)
@@ -133,24 +124,18 @@ def power_class_matrix(algebra: Algebra, m: int, n: int,
             raise InvariantViolation(
                 f"p^{n}-th cup power is not additive on HH^{m} classes ({a}, {b})"
             )
-    algebra._cache[key] = out
     return out
 
 
+@memo(_target_entries, _target_what)
 def t_nm_space(algebra: Algebra, m: int, n: int,
                size_cap: int | None = None) -> Subspace:
     """T_n^(m) = classes in HH^m whose p^n-th cup power vanishes."""
-    _precheck_target(algebra, m, n, size_cap)
-    key = ("t_nm", m, n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     mat = power_class_matrix(algebra, m, n, size_cap)
-    out = SemilinearOperator(mat, n).kernel()
-    algebra._cache[key] = out
-    return out
+    return SemilinearOperator(mat, n).kernel()
 
 
+@memo(_target_entries, _target_what)
 def kappa_nm(algebra: Algebra, m: int, n: int,
              size_cap: int | None = None) -> HigherKappa:
     """Adjoint of the p^n-th cup power, HH_{p^n m} -> HH_m.
@@ -162,11 +147,6 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
-    _precheck_target(algebra, m, n, size_cap)
-    key = ("higher_kappa", m, n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     algebra.require_form()
     f = algebra.field
     exp = f.p**n
@@ -184,12 +164,10 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
                 lhs[a, c] = pairing(fp, hom_d.rep_vector(c))
         rhs = f.vfrob(f.varr(lhs), -n)
         mat = Mat(f, f.matmul(gram.inverse().data, rhs))
-    out = HigherKappa(
+    return HigherKappa(
         algebra, m, n, hom_d, hom_m,
         SemilinearOperator(mat, -n), _is_zero_regime(algebra, m, n),
     )
-    algebra._cache[key] = out
-    return out
 
 
 def _defining_relation_holds(kappa: HigherKappa, size_cap: int | None):

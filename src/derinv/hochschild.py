@@ -34,43 +34,34 @@ coboundary matrices.
 Bar matrices are assembled straight from the sparse structure constants:
 each term of b or delta places c[u, v, w] at index arrays broadcast over
 the untouched tensor factors, adding into one dense int8 array.  Matrices
-in degree m have d^(2m+1) or d^(2m+3) entries; every assembly checks the
-entry count against a cap (KK_SIZE_CAP in the environment, default 2^27)
-and raises SizeCapExceeded instead of allocating.
+in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached entry point
+here is an `algebras.memo` function that checks the entry count against a
+cap (KK_SIZE_CAP in the environment, default 2^27) before its cache, and
+raises SizeCapExceeded instead of allocating.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra
+from .algebras import (  # DEFAULT_SIZE_CAP and SIZE_CAP_ENV are re-exported
+    DEFAULT_SIZE_CAP,
+    SIZE_CAP_ENV,
+    Algebra,
+    _check_cap,
+    memo,
+    resolve_size_cap,
+)
 from .errors import (
     DegeneratePairing,
     DerinvError,
     DimensionMismatch,
     InvariantViolation,
-    SizeCapExceeded,
 )
 from .fields import CODE_DTYPE, Field
 from .linalg import Mat, Subspace, field_kron
-
-DEFAULT_SIZE_CAP = 2**27
-SIZE_CAP_ENV = "KK_SIZE_CAP"
-
-
-def resolve_size_cap(size_cap: int | None = None) -> int:
-    if size_cap is not None:
-        return size_cap
-    env = os.environ.get(SIZE_CAP_ENV)
-    return int(env) if env else DEFAULT_SIZE_CAP
-
-
-def _check_cap(entries: int, cap: int, what: str) -> None:
-    if entries > cap:
-        raise SizeCapExceeded(entries, cap, what)
 
 
 def _add_term(f: Field, flat: np.ndarray, ncols: int, rows, cols, vals) -> None:
@@ -96,18 +87,13 @@ def _sparse_terms(algebra: Algebra):
     return u, v, w, c, f.vneg(c)
 
 
+@memo(lambda a, m: a.dim**m * a.dim ** (m + 1), lambda a, m: f"boundary matrix b_{m}")
 def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     """Bar boundary b_m as a (d^m, d^(m+1)) matrix; m >= 1."""
     if m < 1:
         raise ValueError("boundary is defined for m >= 1")
     f, d = algebra.field, algebra.dim
     rows_n, cols_n = d**m, d ** (m + 1)
-    # cap before cache: capped calls must behave the same hot or cold
-    _check_cap(rows_n * cols_n, resolve_size_cap(size_cap), f"boundary matrix b_{m}")
-    key = ("boundary", m)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     u, v, w, c, neg_c = _sparse_terms(algebra)
     flat = np.zeros(rows_n * cols_n, dtype=CODE_DTYPE)
     # inner contractions: (P, a_i, a_{i+1}, S) -> (P, a_i a_{i+1}, S), sign (-1)^i
@@ -121,22 +107,17 @@ def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Ma
     mid = np.arange(d ** (m - 1)).reshape(1, 1, -1)
     _add_term(f, flat, cols_n, w * d ** (m - 1) + mid,
               (v * d ** (m - 1) + mid) * d + u, neg_c if m % 2 else c)
-    out = Mat(f, flat.reshape(rows_n, cols_n))
-    algebra._cache[key] = out
-    return out
+    return Mat(f, flat.reshape(rows_n, cols_n))
 
 
+@memo(lambda a, m: a.dim ** (m + 2) * a.dim ** (m + 1),
+      lambda a, m: f"coboundary matrix on degree {m}")
 def coboundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     """Hochschild coboundary on m-cochains, a (d^(m+2), d^(m+1)) matrix."""
     if m < 0:
         raise ValueError("m must be >= 0")
     f, d = algebra.field, algebra.dim
     rows_n, cols_n = d ** (m + 2), d ** (m + 1)
-    _check_cap(rows_n * cols_n, resolve_size_cap(size_cap), f"coboundary matrix on degree {m}")
-    key = ("coboundary", m)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     u, v, w, c, neg_c = _sparse_terms(algebra)
     flat = np.zeros(rows_n * cols_n, dtype=CODE_DTYPE)
     n = d**m
@@ -154,9 +135,7 @@ def coboundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> 
     # right action: f(a1 ..) a_{m+1}, sign (-1)^(m+1); c[f-out, a_{m+1}, out]
     _add_term(f, flat, cols_n, (w * n + rest) * d + v, u * n + rest,
               c if m % 2 else neg_c)
-    out = Mat(f, flat.reshape(rows_n, cols_n))
-    algebra._cache[key] = out
-    return out
+    return Mat(f, flat.reshape(rows_n, cols_n))
 
 
 class Cochain:
@@ -316,17 +295,18 @@ def _quotient_basis(algebra: Algebra, degree: int, kind: str,
     return HomologyBasis(algebra, degree, kind, cycles, boundaries, rep_pivots, reps)
 
 
+# the widest matrix either quotient touches has d^(2m+3) entries: b_{m+1},
+# or the coboundary on degree m
+def _hh_entries(a: Algebra, m: int) -> int:
+    return a.dim ** (2 * m + 3)
+
+
+@memo(_hh_entries, lambda a, m: f"boundary matrix b_{m + 1}")
 def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> HomologyBasis:
     """HH_m as a quotient of the degree-m cycle space of the bar complex."""
     if m < 0:
         raise ValueError("m must be >= 0")
     f, d = algebra.field, algebra.dim
-    # the widest matrix touched is b_{m+1} with d^(2m+3) entries
-    _check_cap(d ** (2 * m + 3), resolve_size_cap(size_cap), f"boundary matrix b_{m + 1}")
-    key = ("hh_homology", m)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     if m == 0:
         cycles = Subspace.full(f, d)
         b1 = boundary_matrix(algebra, 1, size_cap)
@@ -338,11 +318,10 @@ def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homolo
         cycles = Subspace(f, bm.cols, bm.kernel())
         bnext = boundary_matrix(algebra, m + 1, size_cap)
         boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
-    out = _quotient_basis(algebra, m, "homology", cycles, boundaries)
-    algebra._cache[key] = out
-    return out
+    return _quotient_basis(algebra, m, "homology", cycles, boundaries)
 
 
+@memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
 def hh_cohomology(algebra: Algebra, m: int, size_cap: int | None = None) -> HomologyBasis:
     """HH^m as a quotient of the degree-m cocycle space.
 
@@ -351,20 +330,9 @@ def hh_cohomology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homo
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    d = algebra.dim
-    _check_cap(
-        d ** (2 * m + 3), resolve_size_cap(size_cap), f"coboundary matrix on degree {m}"
-    )
-    key = ("hh_cohomology", m)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     if algebra.form is None:
-        out = _cohomology_from_coboundaries(algebra, m, size_cap)
-    else:
-        out = _cohomology_from_form(algebra, m, size_cap)
-    algebra._cache[key] = out
-    return out
+        return _cohomology_from_coboundaries(algebra, m, size_cap)
+    return _cohomology_from_form(algebra, m, size_cap)
 
 
 def _cohomology_from_coboundaries(algebra: Algebra, m: int,
@@ -414,16 +382,13 @@ def pairing(f: Cochain, chain: np.ndarray) -> int:
     return fld.vdot(chain, weights)
 
 
+@memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
 def pairing_gram(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     """Gram matrix of the HH^m x HH_m pairing on canonical representatives.
 
     Square and invertible for a symmetric algebra; raises
     DegeneratePairing otherwise.
     """
-    key = ("pairing_gram", m)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     algebra.require_form()
     coh = hh_cohomology(algebra, m, size_cap)
     hom = hh_homology(algebra, m, size_cap)
@@ -437,7 +402,6 @@ def pairing_gram(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
         raise DegeneratePairing(f"HH^{m} and HH_{m} have different dimensions {g.rows} vs {g.cols}")
     if g.rows and g.rank() < g.rows:
         raise DegeneratePairing(f"degree {m} pairing matrix is singular")
-    algebra._cache[key] = g
     return g
 
 

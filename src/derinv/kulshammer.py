@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra
+from .algebras import Algebra, memo
 from .errors import (
     DegeneratePairing,
     DimensionMismatch,
@@ -68,10 +68,8 @@ class QuotientModKA:
         return f.matmul(coords.reshape(1, -1), self.reps.data).reshape(-1)
 
 
+@memo()
 def quotient_mod_ka(algebra: Algebra) -> QuotientModKA:
-    q = algebra._cache.get("quotient_mod_ka")
-    if q is not None:
-        return q
     f, d = algebra.field, algebra.dim
     ka = algebra.commutator_space()
     _, _, pivots = ka.basis.rref()  # basis is already RREF; this just reads pivots
@@ -95,9 +93,7 @@ def quotient_mod_ka(algebra: Algebra) -> QuotientModKA:
             raise InvariantViolation(
                 f"symmetric algebra must have dim Z = dim A/KA, got {center_basis.rows} vs {qdim}"
             )
-    q = QuotientModKA(algebra, ka, free, Mat(f, proj), Mat(f, reps), center_basis, induced)
-    algebra._cache["quotient_mod_ka"] = q
-    return q
+    return QuotientModKA(algebra, ka, free, Mat(f, proj), Mat(f, reps), center_basis, induced)
 
 
 def _basis_p_powers(algebra: Algebra, rows: np.ndarray, n: int) -> np.ndarray:
@@ -105,19 +101,16 @@ def _basis_p_powers(algebra: Algebra, rows: np.ndarray, n: int) -> np.ndarray:
     return np.stack([algebra.p_power(r, n) for r in rows]) if rows.shape[0] else rows.copy()
 
 
-def t_n_space(algebra: Algebra, n: int, check: bool = True) -> Subspace:
+@memo()
+def t_n_space(algebra: Algebra, n: int) -> Subspace:
     """T_n = {x : x^(p^n) in KA}, the kernel of the class-level power map."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = ("t_n", n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     f, d = algebra.field, algebra.dim
     q = quotient_mod_ka(algebra)
     powers = _basis_p_powers(algebra, np.eye(d, dtype=CODE_DTYPE), n)  # d x d
     m = f.matmul(q.proj_matrix.data, powers.T)  # column i = class of b_i^(p^n)
-    if check and n > 0:
+    if n > 0:
         rng = np.random.default_rng(0x5EED + n)
         for _ in range(min(8, d * d)):
             i, j = rng.integers(0, d, size=2)
@@ -125,19 +118,14 @@ def t_n_space(algebra: Algebra, n: int, check: bool = True) -> Subspace:
             rhs = f.vadd(m[:, i], m[:, j])
             if not np.array_equal(lhs, rhs):
                 raise InvariantViolation(f"power map not additive mod KA at basis pair ({i},{j})")
-    space = SemilinearOperator(Mat(f, m), n).kernel()
-    algebra._cache[key] = space
-    return space
+    return SemilinearOperator(Mat(f, m), n).kernel()
 
 
+@memo()
 def t_n_center_space(algebra: Algebra, n: int) -> Subspace:
     """T_n(Z) = {z central : z^(p^n) = 0}, as an ambient subspace."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = ("t_n_center", n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     f = algebra.field
     zb = algebra.center().basis
     if zb.rows == 0:
@@ -145,27 +133,21 @@ def t_n_center_space(algebra: Algebra, n: int) -> Subspace:
     powers = _basis_p_powers(algebra, zb.data, n)  # zdim x d
     op = SemilinearOperator(Mat(f, powers.T), n)  # coords -> z^(p^n)
     coords = op.kernel()
-    space = coords.map_rows(zb.T) if coords.dim else Subspace.zero(f, algebra.dim)
-    algebra._cache[key] = space
-    return space
+    return coords.map_rows(zb.T) if coords.dim else Subspace.zero(f, algebra.dim)
 
 
+@memo()
 def p_n_space(algebra: Algebra, n: int) -> Subspace:
     """P_n(Z) = span{z^(p^n) : z central}; a subspace because Z is commutative."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = ("p_n_center", n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     zb = algebra.center().basis
     powers = _basis_p_powers(algebra, zb.data, n)
-    space = Subspace.from_rows(algebra.field, Mat(algebra.field, powers))
-    algebra._cache[key] = space
-    return space
+    return Subspace.from_rows(algebra.field, Mat(algebra.field, powers))
 
 
-def zeta_n(algebra: Algebra, n: int, check: bool = True) -> SemilinearOperator:
+@memo()
+def zeta_n(algebra: Algebra, n: int) -> SemilinearOperator:
     """The adjoint zeta_n on Z(A) in center coordinates; twist is -n.
 
     Column j holds the center coordinates of the unique w with
@@ -173,10 +155,6 @@ def zeta_n(algebra: Algebra, n: int, check: bool = True) -> SemilinearOperator:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = ("zeta", n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     form = algebra.require_form()
     f, d = algebra.field, algebra.dim
     center = algebra.center()
@@ -186,17 +164,12 @@ def zeta_n(algebra: Algebra, n: int, check: bool = True) -> SemilinearOperator:
     cols = []
     for j in range(zb.rows):
         w = semilinear_solve(form.gram, rhs_rows[j], n)
-        if check:
-            residue, coeffs = center.reduce(w)
-            if residue.any():
-                raise InvariantViolation(f"zeta_{n} of center basis {j} is not central")
-        else:
-            _, coeffs = center.reduce(w)
+        residue, coeffs = center.reduce(w)
+        if residue.any():
+            raise InvariantViolation(f"zeta_{n} of center basis {j} is not central")
         cols.append(coeffs)
     wz = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=CODE_DTYPE)
-    op = SemilinearOperator(Mat(f, wz), -n)
-    algebra._cache[key] = op
-    return op
+    return SemilinearOperator(Mat(f, wz), -n)
 
 
 def zeta_image(algebra: Algebra, n: int) -> Subspace:
@@ -209,6 +182,7 @@ def zeta_image(algebra: Algebra, n: int) -> Subspace:
     return coords.map_rows(zb.T)
 
 
+@memo()
 def kappa_n(algebra: Algebra, n: int) -> SemilinearOperator:
     """The adjoint kappa_n on A/KA in class coordinates; twist is -n.
 
@@ -217,10 +191,6 @@ def kappa_n(algebra: Algebra, n: int) -> SemilinearOperator:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = ("kappa", n)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     form = algebra.require_form()
     f = algebra.field
     q = quotient_mod_ka(algebra)
@@ -232,9 +202,7 @@ def kappa_n(algebra: Algebra, n: int) -> SemilinearOperator:
     zpowers = _basis_p_powers(algebra, q.center_basis.data, n)  # zdim x d
     rhs = f.matmul(f.matmul(zpowers, form.gram.data), q.reps.data.T)  # zdim x qdim
     c = p.inverse() @ Mat(f, rhs).frobenius(-n)
-    op = SemilinearOperator(c, -n)
-    algebra._cache[key] = op
-    return op
+    return SemilinearOperator(c, -n)
 
 
 def kappa_image(algebra: Algebra, n: int) -> Subspace:
@@ -253,30 +221,28 @@ def quotient_image(algebra: Algebra, space: Subspace) -> Subspace:
     return space.map_rows(q.proj_matrix)
 
 
-def t_chain(algebra: Algebra, max_n: int, check: bool = True) -> list[Subspace]:
+def t_chain(algebra: Algebra, max_n: int) -> list[Subspace]:
     """[T_0, ..., T_max_n]; T_0 = KA and the chain ascends."""
     chain = [t_n_space(algebra, n) for n in range(max_n + 1)]
-    if check:
-        if chain[0] != algebra.commutator_space():
-            raise InvariantViolation("T_0 != KA")
-        for n in range(max_n):
-            if not chain[n + 1].contains_subspace(chain[n]):
-                raise InvariantViolation(f"T_{n} not contained in T_{n + 1}")
+    if chain[0] != algebra.commutator_space():
+        raise InvariantViolation("T_0 != KA")
+    for n in range(max_n):
+        if not chain[n + 1].contains_subspace(chain[n]):
+            raise InvariantViolation(f"T_{n} not contained in T_{n + 1}")
     return chain
 
 
-def zeta_image_chain(algebra: Algebra, max_n: int, check: bool = True) -> list[Subspace]:
+def zeta_image_chain(algebra: Algebra, max_n: int) -> list[Subspace]:
     """[im zeta_1, ..., im zeta_max_n]: a descending chain of ideals of Z(A)."""
     chain = [zeta_image(algebra, n) for n in range(1, max_n + 1)]
-    if check:
-        gram = algebra.require_form().gram
-        for idx, space in enumerate(chain):
-            n = idx + 1
-            if space != orthogonal_complement(gram, t_n_space(algebra, n)):
-                raise InvariantViolation(f"im zeta_{n} != T_{n}-perp")
-        for idx in range(len(chain) - 1):
-            if not chain[idx].contains_subspace(chain[idx + 1]):
-                raise InvariantViolation(f"im zeta_{idx + 1} does not contain im zeta_{idx + 2}")
+    gram = algebra.require_form().gram
+    for idx, space in enumerate(chain):
+        n = idx + 1
+        if space != orthogonal_complement(gram, t_n_space(algebra, n)):
+            raise InvariantViolation(f"im zeta_{n} != T_{n}-perp")
+    for idx in range(len(chain) - 1):
+        if not chain[idx].contains_subspace(chain[idx + 1]):
+            raise InvariantViolation(f"im zeta_{idx + 1} does not contain im zeta_{idx + 2}")
     return chain
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoSolution, SingularForm, SingularMatrix
+from .errors import DimensionMismatch, SingularForm, SingularMatrix
 from .fields import CODE_DTYPE, Field
 
 
@@ -262,16 +262,6 @@ def field_kron(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def vstack(mats: Sequence[Mat]) -> Mat:
-    f = mats[0].field
-    return Mat(f, np.concatenate([m.data for m in mats], axis=0))
-
-
-def hstack(mats: Sequence[Mat]) -> Mat:
-    f = mats[0].field
-    return Mat(f, np.concatenate([m.data for m in mats], axis=1))
-
-
 # -- subspaces --
 
 
@@ -308,9 +298,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def pivots(self) -> np.ndarray:
         """Leading column of each basis row."""
@@ -453,9 +440,3 @@ def semilinear_solve(gram: Mat, rhs: np.ndarray, twist: int) -> np.ndarray:
     assert sol is not None
     return sol
 
-
-def solve_strict(m: Mat, b: np.ndarray) -> np.ndarray:
-    x = m.solve(b)
-    if x is None:
-        raise NoSolution("inconsistent linear system")
-    return x

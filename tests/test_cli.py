@@ -1,11 +1,12 @@
 """Exit codes, report schemas, and file round trips for the derinv CLI."""
 
+import gc
 import json
 
 import pytest
 
 from derinv import cli
-from derinv.algebras import load_algebra, save_algebra
+from derinv.algebras import Algebra, load_algebra, save_algebra
 
 
 @pytest.fixture
@@ -153,6 +154,24 @@ class TestDegreeCommands:
     def test_hh_cap_exit_3(self, capsys, c4_file, monkeypatch):
         monkeypatch.setenv("KK_SIZE_CAP", "1000")
         assert cli.main(["hh", c4_file, "-m", "3"]) == 3
+
+    def test_command_frees_its_algebra(self, capsys, c4_file):
+        # cached HH bases point back at their algebra, so without a
+        # collection a finished command leaves it alive while the
+        # collector is paused
+        def live():
+            return sum(isinstance(o, Algebra) for o in gc.get_objects())
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = live()
+            code, _ = run(capsys, "hh", c4_file, "-m", "1")
+            assert code == 0
+            assert live() <= before
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_kappam_report(self, capsys, c4_file):
         code, doc = run_json(capsys, "kappam", c4_file, "-m", "1", "-n", "1")

@@ -1,10 +1,20 @@
 """Cup-power adjoints on higher Hochschild homology."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from derinv.algebras import Algebra, change_basis
+from derinv import GF
+from derinv.algebras import (
+    Algebra,
+    change_basis,
+    cyclic_table,
+    make_group_algebra,
+    make_truncated_polynomial,
+)
 from derinv.errors import FormRequired, SizeCapExceeded
+from derinv.gerstenhaber import coderivation
 from derinv.higher import (
     HigherKappa,
     kappa_nm,
@@ -12,7 +22,16 @@ from derinv.higher import (
     t_nm_space,
     verify_properties,
 )
-from derinv.hochschild import Cochain, cup_power, hh_cohomology, pairing
+from derinv.hochschild import (
+    Cochain,
+    boundary_matrix,
+    coboundary_matrix,
+    cup_power,
+    hh_cohomology,
+    hh_homology,
+    pairing,
+    pairing_gram,
+)
 from derinv.kulshammer import kappa_n, t_n_center_space
 from derinv.linalg import Mat, field_kron
 
@@ -215,7 +234,44 @@ class TestBasisChangeConjugacy:
         assert t_nm_space(a, m, n).dim == t_nm_space(b, m, n).dim
 
 
+def _cold_c4():
+    return make_group_algebra(GF(2), cyclic_table(4))
+
+
+def _cold_component():
+    a = make_truncated_polynomial(GF(3), 3)
+    d_f = coderivation(Cochain(a, 2, Mat(a.field, np.ones((3, 9), dtype=np.int8))), 5)
+    return partial(d_f.component, 5)
+
+
+# each entry builds a call on a cold algebra (or coderivation) whose
+# cap of 1000 entries is exceeded: 1024 entries in degree 1 or 2 of C4,
+# 4^7 in degree p^n m = 2, and 3^4 * 3^5 for the length-5 component
+_COLD_CALLS = {
+    "boundary_matrix": lambda: partial(boundary_matrix, _cold_c4(), 2),
+    "coboundary_matrix": lambda: partial(coboundary_matrix, _cold_c4(), 1),
+    "hh_homology": lambda: partial(hh_homology, _cold_c4(), 1),
+    "hh_cohomology": lambda: partial(hh_cohomology, _cold_c4(), 1),
+    "pairing_gram": lambda: partial(pairing_gram, _cold_c4(), 1),
+    "power_class_matrix": lambda: partial(power_class_matrix, _cold_c4(), 1, 1),
+    "t_nm_space": lambda: partial(t_nm_space, _cold_c4(), 1, 1),
+    "kappa_nm": lambda: partial(kappa_nm, _cold_c4(), 1, 1),
+    "Coderivation.component": _cold_component,
+}
+
+
 class TestCapsAndErrors:
+    @pytest.mark.parametrize("name", list(_COLD_CALLS))
+    def test_cap_same_cold_and_warm(self, name):
+        call = _COLD_CALLS[name]()
+        with pytest.raises(SizeCapExceeded) as cold:
+            call(size_cap=1000)
+        call(size_cap=None)
+        with pytest.raises(SizeCapExceeded) as warm:
+            call(size_cap=1000)
+        assert (warm.value.entries, warm.value.cap, str(warm.value)) == (
+            cold.value.entries, cold.value.cap, str(cold.value))
+
     def test_size_cap_propagates(self, trunc3_3):
         with pytest.raises(SizeCapExceeded):
             kappa_nm(trunc3_3, 1, 2)
