@@ -35,6 +35,7 @@ from .hochschild import (
     hh_homology,
     pairing,
     pairing_gram,
+    _pairing_matrix,
 )
 from .linalg import Mat, SemilinearOperator, Subspace, orthogonal_complement
 
@@ -157,12 +158,8 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
     if coh_m.dim == 0 or hom_d.dim == 0:
         mat = Mat.zeros(f, hom_m.dim, hom_d.dim)
     else:
-        lhs = np.zeros((coh_m.dim, hom_d.dim), dtype=np.int64)
-        for a in range(coh_m.dim):
-            fp = cup_power(coh_m.cochain(a), exp, size_cap)
-            for c in range(hom_d.dim):
-                lhs[a, c] = pairing(fp, hom_d.rep_vector(c))
-        rhs = f.vfrob(f.varr(lhs), -n)
+        powers = np.stack([cup_power(fc, exp, size_cap).flat() for fc in coh_m.cochains()])
+        rhs = f.vfrob(_pairing_matrix(algebra, powers, hom_d.reps.data), -n)
         mat = Mat(f, f.matmul(gram.inverse().data, rhs))
     return HigherKappa(
         algebra, m, n, hom_d, hom_m,

@@ -33,11 +33,22 @@ coboundary matrices.
 
 Bar matrices are assembled straight from the sparse structure constants:
 each term of b or delta places c[u, v, w] at index arrays broadcast over
-the untouched tensor factors, adding into one dense int8 array.  Matrices
-in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached entry point
-here is an `algebras.memo` function that checks the entry count against a
-cap (KK_SIZE_CAP in the environment, default 2^27) before its cache, and
-raises SizeCapExceeded instead of allocating.
+the untouched tensor factors.  hh_homology never builds a dense b_m.  It
+keeps the nonzero entries of b_m and b_{m+1} as index arrays and
+eliminates each connected component of their support graph on its own.
+For a group algebra the components follow the conjugacy class of the
+cyclic product g_0 .. g_m (Burghelea's splitting of HH_*(kG)); for
+k[x]/(x^n) they follow the total degree.  Column supports of the blocks
+are disjoint, so their RREF rows sorted by leading column are the global
+RREF, and the class representatives are those of the dense matrices.
+boundary_matrix scatters the same entries into a dense int8 array, and
+coboundary_matrix adds its terms into one.
+
+Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
+entry point here is an `algebras.memo` function that checks that count
+against a cap (KK_SIZE_CAP in the environment, default 2^27) before its
+cache, and raises SizeCapExceeded instead of allocating.  The cap counts
+the dense entries even where only blocks are allocated.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from .errors import (
     InvariantViolation,
 )
 from .fields import CODE_DTYPE, Field
-from .linalg import Mat, Subspace, field_kron
+from .linalg import Mat, Subspace, _block_image, _block_kernel, field_kron
 
 
 def _add_term(f: Field, flat: np.ndarray, ncols: int, rows, cols, vals) -> None:
@@ -87,27 +98,53 @@ def _sparse_terms(algebra: Algebra):
     return u, v, w, c, f.vneg(c)
 
 
-@memo(lambda a, m: a.dim**m * a.dim ** (m + 1), lambda a, m: f"boundary matrix b_{m}")
-def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
-    """Bar boundary b_m as a (d^m, d^(m+1)) matrix; m >= 1."""
-    if m < 1:
-        raise ValueError("boundary is defined for m >= 1")
+def _bar_coo(algebra: Algebra, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of b_m as (rows, cols, vals), each (row, col) once, m >= 1.
+
+    Entries come in row-major order.  Up to m + 1 terms meet at one
+    entry; they are summed with Field.vadd.
+    """
     f, d = algebra.field, algebra.dim
-    rows_n, cols_n = d**m, d ** (m + 1)
+    cols_n = d ** (m + 1)
     u, v, w, c, neg_c = _sparse_terms(algebra)
-    flat = np.zeros(rows_n * cols_n, dtype=CODE_DTYPE)
+    terms = []
     # inner contractions: (P, a_i, a_{i+1}, S) -> (P, a_i a_{i+1}, S), sign (-1)^i
     for i in range(m):
         pre = np.arange(d**i).reshape(-1, 1, 1)
         s = d ** (m - 1 - i)
         suf = np.arange(s).reshape(1, 1, -1)
-        _add_term(f, flat, cols_n, (pre * d + w) * s + suf,
-                  ((pre * d + u) * d + v) * s + suf, neg_c if i % 2 else c)
+        terms.append(((pre * d + w) * s + suf, ((pre * d + u) * d + v) * s + suf,
+                      neg_c if i % 2 else c))
     # cyclic term: a_m a_0 x a_1 .. a_{m-1}, sign (-1)^m
     mid = np.arange(d ** (m - 1)).reshape(1, 1, -1)
-    _add_term(f, flat, cols_n, w * d ** (m - 1) + mid,
-              (v * d ** (m - 1) + mid) * d + u, neg_c if m % 2 else c)
-    return Mat(f, flat.reshape(rows_n, cols_n))
+    terms.append((w * d ** (m - 1) + mid, (v * d ** (m - 1) + mid) * d + u,
+                   neg_c if m % 2 else c))
+    flat = [[x.reshape(-1) for x in np.broadcast_arrays(*t)] for t in terms]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
+    key = rows * cols_n + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, key.size])
+    total = vals[start]
+    for k in range(1, int(count.max(initial=1))):
+        hit = count > k
+        total[hit] = f.vadd(total[hit], vals[start[hit] + k])
+    nonzero = total != 0
+    key = key[start[nonzero]]
+    return key // cols_n, key % cols_n, total[nonzero]
+
+
+@memo(lambda a, m: a.dim**m * a.dim ** (m + 1), lambda a, m: f"boundary matrix b_{m}")
+def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
+    """Bar boundary b_m as a (d^m, d^(m+1)) matrix; m >= 1."""
+    if m < 1:
+        raise ValueError("boundary is defined for m >= 1")
+    d = algebra.dim
+    rows, cols, vals = _bar_coo(algebra, m)
+    out = np.zeros((d**m, d ** (m + 1)), dtype=CODE_DTYPE)
+    out[rows, cols] = vals
+    return Mat(algebra.field, out)
 
 
 @memo(lambda a, m: a.dim ** (m + 2) * a.dim ** (m + 1),
@@ -285,9 +322,14 @@ def _quotient_basis(algebra: Algebra, degree: int, kind: str,
     if boundaries.dim:
         if not piv_b.issubset(set(int(c) for c in piv_z)):
             raise InvariantViolation("boundary space not inside cycle space")
-        # one-shot reduction of every boundary row against the cycle RREF
-        combo = f.matmul(boundaries.basis.data[:, piv_z], cycles.basis.data)
-        if not np.array_equal(combo, boundaries.basis.data):
+        # a vector lies in the cycle space iff it is the combination of the
+        # cycle rows given by its entries at their pivots; those rows are the
+        # identity there, so only the free columns need the product
+        free = np.ones(cycles.ambient_dim, dtype=bool)
+        free[piv_z] = False
+        b = boundaries.basis.data
+        combo = f.matmul(b[:, piv_z], cycles.basis.data[:, free])
+        if not np.array_equal(combo, b[:, free]):
             raise InvariantViolation("boundary space not inside cycle space")
     keep = [i for i, c in enumerate(piv_z) if int(c) not in piv_b]
     reps = Mat(f, cycles.basis.data[keep]) if keep else Mat.zeros(f, 0, cycles.ambient_dim)
@@ -309,15 +351,12 @@ def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homolo
     f, d = algebra.field, algebra.dim
     if m == 0:
         cycles = Subspace.full(f, d)
-        b1 = boundary_matrix(algebra, 1, size_cap)
-        boundaries = Subspace.from_rows(f, Mat(f, b1.data.T))
-        if boundaries != algebra.commutator_space():
-            raise InvariantViolation("image of b_1 differs from the commutator space")
     else:
-        bm = boundary_matrix(algebra, m, size_cap)
-        cycles = Subspace(f, bm.cols, bm.kernel())
-        bnext = boundary_matrix(algebra, m + 1, size_cap)
-        boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
+        kernel = _block_kernel(f, (d**m, d ** (m + 1)), _bar_coo(algebra, m))
+        cycles = Subspace(f, d ** (m + 1), kernel)
+    boundaries = _block_image(f, (d ** (m + 1), d ** (m + 2)), _bar_coo(algebra, m + 1))
+    if m == 0 and boundaries != algebra.commutator_space():
+        raise InvariantViolation("image of b_1 differs from the commutator space")
     return _quotient_basis(algebra, m, "homology", cycles, boundaries)
 
 
@@ -352,22 +391,37 @@ def _cohomology_from_form(algebra: Algebra, m: int,
                           size_cap: int | None) -> HomologyBasis:
     # With Phi_m = G x I_{d^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
     # cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
-    f, d = algebra.field, algebra.dim
+    f = algebra.field
     hom = hh_homology(algebra, m, size_cap)
     ginv = algebra.form.gram.inverse().data
-    n = d**m
 
     def transported_perp(space: Subspace) -> Subspace:
-        # a row x of space^perp read as a d x d^m matrix maps to G^-1 @ x
-        rows = space.annihilator_rows()
-        k = rows.shape[0]
-        stacked = rows.reshape(k, d, n).transpose(1, 0, 2).reshape(d, k * n)
-        moved = f.matmul(ginv, stacked).reshape(d, k, n).transpose(1, 0, 2)
-        return Subspace.from_rows(f, Mat(f, moved.reshape(k, d * n)))
+        moved = _left_multiply(f, ginv, space.annihilator_rows())
+        return Subspace.from_rows(f, Mat(f, moved))
 
     cycles = transported_perp(hom.boundaries)
     boundaries = transported_perp(hom.cycles)
     return _quotient_basis(algebra, m, "cohomology", cycles, boundaries)
+
+
+def _left_multiply(f: Field, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row x, read as a d x (len x / d) matrix, replaced by g @ x; one product."""
+    k, d = rows.shape[0], g.shape[1]
+    n = rows.shape[1] // d
+    stacked = rows.reshape(k, d, n).transpose(1, 0, 2).reshape(d, k * n)
+    out = f.matmul(g, stacked).reshape(g.shape[0], k, n).transpose(1, 0, 2)
+    return out.reshape(k, g.shape[0] * n)
+
+
+def _pairing_matrix(algebra: Algebra, cochains: np.ndarray, chains: np.ndarray) -> np.ndarray:
+    """[pairing(F_i, x_j)] for flat cochains F_i and chains x_j of one degree.
+
+    The weights G @ F_i of all cochains come from one product, and their
+    dot products with all chains from a second.
+    """
+    f = algebra.field
+    weights = _left_multiply(f, algebra.require_form().gram.data, cochains)
+    return f.matmul(weights, chains.T)
 
 
 def pairing(f: Cochain, chain: np.ndarray) -> int:
@@ -392,12 +446,7 @@ def pairing_gram(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     algebra.require_form()
     coh = hh_cohomology(algebra, m, size_cap)
     hom = hh_homology(algebra, m, size_cap)
-    f = algebra.field
-    rows = []
-    for i in range(coh.dim):
-        fc = coh.cochain(i)
-        rows.append([pairing(fc, hom.rep_vector(j)) for j in range(hom.dim)])
-    g = Mat(f, np.array(rows, dtype=np.int64).reshape(coh.dim, hom.dim))
+    g = Mat(algebra.field, _pairing_matrix(algebra, coh.reps.data, hom.reps.data))
     if g.rows != g.cols:
         raise DegeneratePairing(f"HH^{m} and HH_{m} have different dimensions {g.rows} vs {g.cols}")
     if g.rows and g.rank() < g.rows:

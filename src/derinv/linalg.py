@@ -5,7 +5,9 @@ is leftmost-pivot RREF with unit leading entries, so the reduced form of
 a row space is canonical and subspaces compare by array equality.  For
 GF(2) rows are bit-packed into 64-bit words during elimination;
 everything else runs on the generic table/modular path.  Matrix
-products go through float64 BLAS, which is exact at these sizes.
+products go through float64 BLAS, which is exact at these sizes.  A
+sparse matrix given by its nonzero entries is eliminated one connected
+component of its support at a time, with the same canonical result.
 """
 
 from __future__ import annotations
@@ -254,6 +256,131 @@ def _null_rows(f: Field, R: np.ndarray, pivots: Sequence[int], n: int) -> np.nda
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = f.vneg(R[: piv.size][:, free]).T
     return basis
+
+
+# -- sparse matrices, one connected component at a time --
+#
+# A sparse matrix is (rows, cols, vals) index arrays with each (row, col)
+# at most once and no zero value.  Rows and columns are the nodes of its
+# support graph and every entry is an edge; the matrix is block diagonal
+# over the connected components, so its kernel and its image are direct
+# sums of those of the dense blocks.
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label of the connected component of each of n nodes, edges a[i] -- b[i].
+
+    Min-label hooking with pointer jumping: each round hooks every root
+    onto the smallest root next to its tree, then flattens the trees.
+    The label of a component is its smallest node.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort of a nonempty keys array, as (order, bounds, pos).
+
+    Run k of equal keys is order[bounds[k]:bounds[k + 1]], and pos[i] is
+    the place of item i within its run.
+    """
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    bounds = np.flatnonzero(np.r_[True, k[1:] != k[:-1], True])
+    pos = np.empty(keys.size, dtype=np.int64)
+    pos[order] = np.arange(keys.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    return order, bounds, pos
+
+
+def _blocks(shape: tuple[int, int], coo, transpose: bool):
+    """Dense blocks of a sparse matrix, one per component of its support.
+
+    Yields (rows, cols, block): the component's row and column indices,
+    ascending, and its entries as a dense array, transposed if asked.
+    Rows and columns without entries belong to no block.
+    """
+    rows, cols, vals = coo
+    if not rows.size:
+        return
+    nr = shape[0]
+    label = _components(nr + shape[1], rows, nr + cols)
+    used_r, used_c = np.unique(rows), np.unique(cols)
+    # every component holds an entry, a row and a column, so the three
+    # sorts by label list the components in the same order
+    r_order, r_bounds, r_pos = _runs(label[used_r])
+    c_order, c_bounds, c_pos = _runs(label[nr + used_c])
+    e_order, e_bounds, _ = _runs(label[rows])
+    local_r = np.empty(nr, dtype=np.int64)
+    local_r[used_r] = r_pos
+    local_c = np.empty(shape[1], dtype=np.int64)
+    local_c[used_c] = c_pos
+    for k in range(e_bounds.size - 1):
+        r = used_r[r_order[r_bounds[k]:r_bounds[k + 1]]]
+        c = used_c[c_order[c_bounds[k]:c_bounds[k + 1]]]
+        e = e_order[e_bounds[k]:e_bounds[k + 1]]
+        if transpose:
+            block = np.zeros((c.size, r.size), dtype=CODE_DTYPE)
+            block[local_c[cols[e]], local_r[rows[e]]] = vals[e]
+        else:
+            block = np.zeros((r.size, c.size), dtype=CODE_DTYPE)
+            block[local_r[rows[e]], local_c[cols[e]]] = vals[e]
+        yield r, c, block
+
+
+def _embed_rref(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Rows of several RREFs with disjoint column supports, as one RREF.
+
+    Each part is (cols, R): R in RREF over the ascending columns cols of
+    an n-dimensional space.  The rows are embedded and sorted by leading
+    column, which gives the unique RREF of the sum of the row spaces.
+    """
+    parts = [(c, R) for c, R in parts if R.shape[0]]
+    if not parts:
+        return np.zeros((0, n), dtype=CODE_DTYPE)
+    lead = np.concatenate([c[np.argmax(R != 0, axis=1)] for c, R in parts])
+    where = np.empty(lead.size, dtype=np.int64)
+    where[np.argsort(lead)] = np.arange(lead.size)
+    out = np.zeros((lead.size, n), dtype=CODE_DTYPE)
+    start = 0
+    for c, R in parts:
+        out[np.ix_(where[start:start + R.shape[0]], c)] = R
+        start += R.shape[0]
+    return out
+
+
+def _block_kernel(f: Field, shape: tuple[int, int], coo) -> Mat:
+    """Canonical RREF basis of the right null space of a sparse matrix.
+
+    The same rows as Mat.kernel of the dense matrix; a column without
+    entries contributes its unit vector.
+    """
+    empty = np.ones(shape[1], dtype=bool)
+    empty[coo[1]] = False
+    empty = np.flatnonzero(empty)
+    parts = [(empty, np.eye(empty.size, dtype=CODE_DTYPE))]
+    parts += [(c, Mat(f, block).kernel().data)
+              for _, c, block in _blocks(shape, coo, transpose=False)]
+    return Mat(f, _embed_rref(shape[1], parts))
+
+
+def _block_image(f: Field, shape: tuple[int, int], coo) -> "Subspace":
+    """Column space of a sparse matrix, the same as Subspace.from_rows of its transpose."""
+    parts = []
+    for r, _, block in _blocks(shape, coo, transpose=True):
+        R, rank, _ = _rref_array(f, block)
+        parts.append((r, R[:rank]))
+    return Subspace(f, shape[0], Mat(f, _embed_rref(shape[0], parts)))
 
 
 def field_kron(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ Everything here avoids the library's solver paths on purpose: membership
 is tested by rank comparison, maps are found by exhausting all field
 vectors, and homology dimensions for k[x]/(x^2) come from the small
 2-periodic resolution.  Only usable for tiny algebras.
+
+The exception is oracle_hh_homology: it is the dense elimination of the
+whole bar matrices, which the block-wise hh_homology replaced, kept as
+the reference for it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from derinv.fields import Field
+from derinv.hochschild import _quotient_basis, boundary_matrix
 from derinv.linalg import Mat, Subspace
 
 
@@ -302,3 +307,21 @@ def oracle_coderivation_column(algebra, fmat: np.ndarray, m: int,
             dest = _flat(d, tup[: i - 1] + (k,) + tup[i - 1 + m :])
             out[dest] = fld.add(int(out[dest]), int(val[k]))
     return out
+
+
+def oracle_hh_homology(algebra, m: int):
+    """HH_m from the dense bar matrices: ker b_m and the row space of b_{m+1}^T.
+
+    Calls boundary_matrix past its cache, so the dense matrices are freed
+    with the result.
+    """
+    f, d = algebra.field, algebra.dim
+    dense = boundary_matrix.__wrapped__
+    if m == 0:
+        cycles = Subspace.full(f, d)
+    else:
+        bm = dense(algebra, m, None)
+        cycles = Subspace(f, bm.cols, bm.kernel())
+    bnext = dense(algebra, m + 1, None)
+    boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
+    return _quotient_basis(algebra, m, "homology", cycles, boundaries)

@@ -1,5 +1,7 @@
 """Bar-complex (co)homology, the form pairing, and the cup product."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from derinv.algebras import algebra_from_json, algebra_to_json, change_basis
 from derinv.errors import (
     DerinvError,
     DimensionMismatch,
+    InvariantViolation,
     SizeCapExceeded,
 )
 from derinv.hochschild import (
     Cochain,
     _cohomology_from_coboundaries,
+    _quotient_basis,
     boundary_matrix,
     coboundary,
     coboundary_matrix,
@@ -29,7 +33,7 @@ from derinv.hochschild import (
     SIZE_CAP_ENV,
 )
 from derinv.kulshammer import quotient_mod_ka
-from derinv.linalg import Mat
+from derinv.linalg import Mat, Subspace
 
 import oracles
 
@@ -374,6 +378,65 @@ def test_form_cohomology_matches_coboundary_path_after_basis_change(request, fix
     gram = moved.form.gram
     assert gram @ gram != Mat.identity(f, d)
     _assert_form_path_matches(moved)
+
+
+def _assert_homology_matches_oracle(a, degrees):
+    for m in degrees:
+        block, dense = hh_homology(a, m), oracles.oracle_hh_homology(a, m)
+        assert block.cycles == dense.cycles, m
+        assert block.boundaries == dense.boundaries, m
+        assert block.reps == dense.reps, m
+        assert block.rep_pivots == dense.rep_pivots, m
+
+
+@pytest.mark.parametrize("fixture", FORM_CORPUS)
+def test_homology_matches_dense_oracle(request, fixture):
+    """HH_m from the blocks of b_m equals HH_m from the dense bar matrices."""
+    a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
+    cap = resolve_size_cap()
+    _assert_homology_matches_oracle(a, [m for m in range(4) if a.dim ** (2 * m + 3) <= cap])
+
+
+@pytest.mark.parametrize("fixture", ["c3_3", "trunc3_3"])
+def test_homology_matches_dense_oracle_in_degree_six(request, fixture):
+    a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
+    _assert_homology_matches_oracle(a, [6])
+
+
+def test_homology_matches_dense_oracle_after_basis_change(trunc4_3):
+    # a random basis joins the total degrees of k[x]/(x^4) into one block
+    f, d = trunc4_3.field, trunc4_3.dim
+    rng = np.random.default_rng(23)
+    while True:
+        g = Mat(f, rand_codes(rng, f, (d, d)))
+        if g.rank() == d:
+            break
+    _assert_homology_matches_oracle(change_basis(trunc4_3, g), range(4))
+
+
+def test_quotient_checks_free_columns_of_boundaries(trunc3_3):
+    f = trunc3_3.field
+    cycles = Subspace.from_rows(f, [[1, 0, 2, 0], [0, 1, 1, 0]])
+    inside = Subspace.from_rows(f, [[1, 2, 1, 0]])
+    assert _quotient_basis(trunc3_3, 1, "homology", cycles, inside).rep_pivots == (1,)
+    # pivot 0 is a cycle pivot, but column 2 needs a 1, not a 2
+    outside = Subspace.from_rows(f, [[1, 2, 2, 0]])
+    with pytest.raises(InvariantViolation):
+        _quotient_basis(trunc3_3, 1, "homology", cycles, outside)
+
+
+def test_homology_builds_no_dense_bar_matrix(c8):
+    # the dense b_3 and b_4 of GF(2)[C8] take 2 MiB and 128 MiB, and the
+    # dense path peaked at 626 MiB on this call
+    a = algebra_from_json(algebra_to_json(c8))
+    tracemalloc.start()
+    try:
+        hh_homology(a, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not [k for k in a._cache if k[0] == "boundary_matrix"]
+    assert peak < 256 * 2**20
 
 
 class TestPairing:

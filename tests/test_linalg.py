@@ -214,3 +214,27 @@ def test_gf2_packed_vs_generic_rref(seed, cols):
     g = _rref_generic(f, a)
     p = _rref_gf2(a)
     assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(2, 2)]), st.integers(0, 2**32 - 1), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_block_helpers_match_dense_elimination(f, seed, nblocks):
+    # a block-diagonal matrix with empty rows and columns, its rows and
+    # columns shuffled; the helpers see only its nonzero entries
+    from derinv.linalg import _block_image, _block_kernel
+
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(rng.integers(1, 6, size=2)) for _ in range(nblocks)]
+    nr = sum(r for r, _ in shapes) + int(rng.integers(0, 3))
+    nc = sum(c for _, c in shapes) + int(rng.integers(0, 3))
+    dense = np.zeros((nr, nc), dtype=np.int8)
+    r0 = c0 = 0
+    for r, c in shapes:
+        block = rng.integers(0, f.q, size=(r, c)) * (rng.random((r, c)) < rng.random())
+        dense[r0:r0 + r, c0:c0 + c] = block
+        r0, c0 = r0 + r, c0 + c
+    dense = dense[rng.permutation(nr)][:, rng.permutation(nc)]
+    rows, cols = np.nonzero(dense)
+    coo = (rows, cols, dense[rows, cols])
+    assert _block_kernel(f, dense.shape, coo) == Mat(f, dense).kernel()
+    assert _block_image(f, dense.shape, coo) == Subspace.from_rows(f, Mat(f, dense.T))
