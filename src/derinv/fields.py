@@ -27,6 +27,8 @@ from .errors import DerinvError, DimensionMismatch
 
 CODE_DTYPE = np.int8
 MAX_ORDER = 127  # codes must fit int8
+# float64 entries that Field.matmul makes of its left operand at once
+_PANEL = 1 << 20
 
 # Ascending coefficient tuples, constant term first, monic leading 1.
 CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
@@ -255,27 +257,40 @@ class Field:
         return self._frob_pows[n % self.e][x]
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product of code arrays (2-D each)."""
+        """Exact matrix product of code arrays (2-D each).
+
+        a is taken one row panel at a time, and the float64 copies of a
+        panel (e digit planes of it when e > 1) hold at most _PANEL
+        entries, so the temporaries of a tall a stay bounded.
+        """
         if a.shape[-1] != b.shape[0]:
             raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
-        if self.e == 1:
-            prod = a.astype(np.float64) @ b.astype(np.float64)
-            return np.mod(np.rint(prod).astype(np.int64), self.p).astype(CODE_DTYPE)
         p, e = self.p, self.e
-        da = [((a.astype(np.int64) // p ** s) % p).astype(np.float64) for s in range(e)]
-        db = [((b.astype(np.int64) // p ** t) % p).astype(np.float64) for t in range(e)]
-        planes = [np.zeros((a.shape[0], b.shape[1]), dtype=np.int64) for _ in range(e)]
-        for s in range(e):
-            for t in range(e):
-                q = np.rint(da[s] @ db[t]).astype(np.int64) % p
-                red = self._alpha_red[s + t]
-                for u in range(e):
-                    if red[u]:
-                        planes[u] += red[u] * q
-        out = np.zeros_like(planes[0])
-        for u in range(e):
-            out += (planes[u] % p) * p ** u
-        return out.astype(CODE_DTYPE)
+        out = np.empty((a.shape[0], b.shape[1]), dtype=CODE_DTYPE)
+        step = max(1, _PANEL // (e * max(1, a.shape[1], b.shape[1])))
+        if e == 1:
+            bf = b.astype(np.float64)
+            for i in range(0, a.shape[0], step):
+                prod = a[i:i + step].astype(np.float64) @ bf
+                out[i:i + step] = np.mod(np.rint(prod).astype(np.int64), p)
+            return out
+        db = [((b.astype(np.int16) // p ** t) % p).astype(np.float64) for t in range(e)]
+        for i in range(0, a.shape[0], step):
+            panel = a[i:i + step].astype(np.int16)
+            da = [((panel // p ** s) % p).astype(np.float64) for s in range(e)]
+            planes = [np.zeros((panel.shape[0], b.shape[1]), dtype=np.int64) for _ in range(e)]
+            for s in range(e):
+                for t in range(e):
+                    q = np.rint(da[s] @ db[t]).astype(np.int64) % p
+                    red = self._alpha_red[s + t]
+                    for u in range(e):
+                        if red[u]:
+                            planes[u] += red[u] * q
+            acc = np.zeros_like(planes[0])
+            for u in range(e):
+                acc += (planes[u] % p) * p ** u
+            out[i:i + step] = acc
+        return out
 
     def vdot(self, x: np.ndarray, y: np.ndarray) -> int:
         return int(self.matmul(x.reshape(1, -1), y.reshape(-1, 1))[0, 0])

@@ -5,8 +5,18 @@ is leftmost-pivot RREF with unit leading entries, so the reduced form of
 a row space is canonical and subspaces compare by array equality.  For
 GF(2) rows are bit-packed into 64-bit words during elimination;
 everything else runs on the generic table/modular path.  Matrix
-products go through float64 BLAS, which is exact at these sizes.  A
-sparse matrix given by its nonzero entries is eliminated one connected
+products go through float64 BLAS, which is exact at these sizes.
+
+The generic path picks its method by shape.  A matrix with more rows
+than columns and more than one chunk of 64 rows is eliminated a chunk at
+a time: the chunk is reduced against the RREF of the rows before it with
+one matrix product, its remaining rows are eliminated pivot by pivot on
+the columns that have no pivot yet, and the new pivot columns are
+cleared from the earlier rows with a second product.  It stops once
+every column has a pivot.  Any other matrix is eliminated pivot by pivot
+over all its rows.  The RREF is unique, so both give the same array.
+
+A sparse matrix given by its nonzero entries is eliminated one connected
 component of its support at a time, with the same canonical result.
 """
 
@@ -206,8 +216,20 @@ def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     return out, row, tuple(pivots)
 
 
+# rows per chunk of the chunked elimination
+_CHUNK = 64
+
+
 def _rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     M = a.astype(CODE_DTYPE).copy()
+    r, c = M.shape
+    if r > c and r > _CHUNK:
+        return _rref_chunked(f, M)
+    return _rref_rows(f, M)
+
+
+def _rref_rows(f: Field, M: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF of M in place, one pivot at a time over every row."""
     r, c = M.shape
     row = 0
     pivots: list[int] = []
@@ -240,6 +262,42 @@ def _rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, 
         if row == r:
             break
     return M, row, tuple(pivots)
+
+
+def _rref_chunked(f: Field, M: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF of a tall M, _CHUNK rows at a time against the RREF R found so far.
+
+    A chunk loses its part in R's row space with one product, leaving
+    rows that vanish on R's pivot columns.  Those are eliminated on the
+    free columns alone, R is cleared on the new pivot columns with a
+    second product, and the rows of both are merged by leading column.
+    """
+    r, c = M.shape
+    R = np.zeros((0, c), dtype=CODE_DTYPE)
+    piv = np.zeros(0, dtype=np.int64)
+    for start in range(0, r, _CHUNK):
+        free = np.ones(c, dtype=bool)
+        free[piv] = False
+        free = np.flatnonzero(free)
+        C = M[start:start + _CHUNK, free]
+        if piv.size:
+            C = f.vsub(C, f.matmul(M[start:start + _CHUNK, piv], R[:, free]))
+        N, k, new = _rref_rows(f, C)
+        if not k:
+            continue
+        N, new = N[:k], free[list(new)]
+        if piv.size:
+            R[:, free] = f.vsub(R[:, free], f.matmul(R[:, new], N))
+        rows = np.zeros((k, c), dtype=CODE_DTYPE)
+        rows[:, free] = N
+        piv = np.concatenate([piv, new])
+        order = np.argsort(piv)
+        R, piv = np.concatenate([R, rows])[order], piv[order]
+        if piv.size == c:
+            break
+    M[:] = 0
+    M[:piv.size] = R
+    return M, int(piv.size), tuple(int(j) for j in piv)
 
 
 def _null_rows(f: Field, R: np.ndarray, pivots: Sequence[int], n: int) -> np.ndarray:

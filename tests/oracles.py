@@ -5,9 +5,11 @@ is tested by rank comparison, maps are found by exhausting all field
 vectors, and homology dimensions for k[x]/(x^2) come from the small
 2-periodic resolution.  Only usable for tiny algebras.
 
-The exception is oracle_hh_homology: it is the dense elimination of the
-whole bar matrices, which the block-wise hh_homology replaced, kept as
-the reference for it.
+Two exceptions are former library paths, kept as the references for
+the code that replaced them: oracle_hh_homology is the dense elimination
+of the whole bar matrices, which the block-wise hh_homology replaced,
+and oracle_rref_generic is the per-pivot elimination over every row,
+which tall matrices no longer take.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from derinv.fields import Field
+from derinv.fields import CODE_DTYPE, Field
 from derinv.hochschild import _quotient_basis, boundary_matrix
 from derinv.linalg import Mat, Subspace
 
@@ -325,3 +327,43 @@ def oracle_hh_homology(algebra, m: int):
     bnext = dense(algebra, m + 1, None)
     boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
     return _quotient_basis(algebra, m, "homology", cycles, boundaries)
+
+
+def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF one pivot at a time, each pivot clearing its column in every row.
+
+    The result is padded with zero rows to the shape of a.
+    """
+    M = a.astype(CODE_DTYPE).copy()
+    r, c = M.shape
+    row = 0
+    pivots: list[int] = []
+    for col in range(c):
+        sub = M[row:, col]
+        nz = np.flatnonzero(sub)
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            M[[row, pr]] = M[[pr, row]]
+        pv = int(M[row, col])
+        if pv != 1:
+            M[row, col:] = f.vscale(f.inv(pv), M[row, col:])
+        sel = np.flatnonzero(M[:, col])
+        sel = sel[sel != row]
+        if sel.size:
+            factors = M[sel, col]
+            if f.e == 1:
+                upd = (
+                    M[sel, col:].astype(np.int32)
+                    - factors.astype(np.int32)[:, None] * M[row, col:].astype(np.int32)
+                ) % f.p
+                M[sel, col:] = upd.astype(CODE_DTYPE)
+            else:
+                prod = f.vmul(factors[:, None], M[row, col:][None, :])
+                M[sel, col:] = f.vsub(M[sel, col:], prod)
+        pivots.append(col)
+        row += 1
+        if row == r:
+            break
+    return M, row, tuple(pivots)

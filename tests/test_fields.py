@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derinv import fields
 from derinv.errors import DerinvError
 from derinv.fields import CONWAY, GF, Field, _poly_is_irreducible
+from derinv.linalg import Mat
 
 SMALL_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2), GF(4 // 2, 4)]
 
@@ -85,6 +89,36 @@ def test_matmul_matches_schoolbook(f):
                     acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
                 want[i, j] = acc
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2)], ids=repr)
+def test_matmul_row_panels_match_entrywise(f, monkeypatch):
+    # panels of a few rows, so most products take several, the last one short
+    monkeypatch.setattr(fields, "_PANEL", 24)
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        m, k, n = rng.integers(0, 30), rng.integers(0, 12), rng.integers(1, 7)
+        a = rng.integers(0, f.q, size=(m, k)).astype(np.int8)
+        b = rng.integers(0, f.q, size=(k, n)).astype(np.int8)
+        want = np.zeros((m, n), dtype=np.int8)
+        for t in range(k):
+            want = f.vadd(want, f.vmul(a[:, t, None], b[None, t, :]))
+        got = f.matmul(a, b)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f", [GF(3), GF(2, 2)], ids=repr)
+def test_mul_vec_peak_is_bounded_by_a_row_panel(f):
+    # a whole float64 copy of the matrix would be 8 bytes per entry
+    m = Mat(f, np.random.default_rng(43).integers(0, f.q, size=(4096, 4096)).astype(np.int8))
+    v = np.ones(4096, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        m.mul_vec(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m.data.size
 
 
 @given(st.integers(0, 8), st.integers(0, 8))

@@ -439,6 +439,19 @@ def test_homology_builds_no_dense_bar_matrix(c8):
     assert peak < 256 * 2**20
 
 
+def test_homology_peak_bounded_by_matmul_row_panels(c8):
+    # the B in Z check of degree 3 multiplies 3640 boundary rows by the
+    # 3648 cycle pivots; one float64 copy of that left operand is 106 MB
+    a = algebra_from_json(algebra_to_json(c8))
+    tracemalloc.start()
+    try:
+        hh_homology(a, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
 class TestPairing:
     FIXTURES = ["dual2", "trunc4_2", "trunc3_3", "trunc4_3", "klein", "s3_2", "dual4", "c4"]
 

@@ -16,7 +16,7 @@ from derinv.linalg import (
     orthogonal_complement,
     semilinear_solve,
 )
-from oracles import all_vectors, oracle_kernel, oracle_orthogonal_complement
+from oracles import all_vectors, oracle_kernel, oracle_orthogonal_complement, oracle_rref_generic
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
 
@@ -238,3 +238,82 @@ def test_block_helpers_match_dense_elimination(f, seed, nblocks):
     coo = (rows, cols, dense[rows, cols])
     assert _block_kernel(f, dense.shape, coo) == Mat(f, dense).kernel()
     assert _block_image(f, dense.shape, coo) == Subspace.from_rows(f, Mat(f, dense.T))
+
+
+def _rref_matrix(f, rng, kind: str) -> np.ndarray:
+    """A matrix of 65 to 300 rows with some zero rows and zero columns.
+
+    "tall", "sparse" and "product" have fewer columns than rows;
+    "product" is A @ B through an inner dimension that may be small;
+    "narrow" has at most 64 columns, so a random matrix reaches full
+    column rank within the first chunk; "wide" has at least as many
+    columns as rows.
+    """
+    rows = int(rng.integers(65, 301))
+    if kind == "narrow":
+        cols = int(rng.integers(1, 65))
+    elif kind == "wide":
+        cols = int(rng.integers(rows, 321))
+    else:
+        cols = int(rng.integers(1, rows))
+    if kind == "product":
+        k = int(rng.integers(0, cols + 1))
+        a = f.matmul(rng.integers(0, f.q, size=(rows, k)).astype(np.int8),
+                     rng.integers(0, f.q, size=(k, cols)).astype(np.int8))
+    else:
+        a = rng.integers(0, f.q, size=(rows, cols))
+        if kind == "sparse":
+            a *= rng.random((rows, cols)) < 0.03
+    a = a.astype(np.int8)
+    a[rng.random(rows) < 0.1] = 0
+    a[:, rng.random(cols) < 0.1] = 0
+    return a
+
+
+@given(st.sampled_from([GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["tall", "sparse", "product", "narrow", "wide"]))
+@settings(max_examples=60, deadline=None)
+def test_chunked_rref_matches_per_pivot_oracle(f, seed, kind):
+    from derinv.linalg import _rref_generic
+
+    a = _rref_matrix(f, np.random.default_rng(seed), kind)
+    R, rank, pivots = _rref_generic(f, a)
+    want = oracle_rref_generic(f, a)
+    assert R.dtype == want[0].dtype and np.array_equal(R, want[0])
+    assert rank == want[1] and pivots == want[2]
+
+
+@pytest.mark.parametrize("f", [GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)], ids=repr)
+@pytest.mark.parametrize("rows, cols, inner, rank", [
+    (200, 40, None, 40),   # full column rank in the first chunk
+    (300, 150, None, 150),  # full column rank after several chunks
+    (250, 120, 30, 30),     # rank deficient, zero rows and columns
+    (130, 70, 0, 0),        # the zero matrix
+])
+def test_chunked_rref_ranks(f, rows, cols, inner, rank):
+    from derinv.linalg import _rref_generic
+
+    rng = np.random.default_rng(rows + cols)
+    if inner is None:
+        a = rng.integers(0, f.q, size=(rows, cols)).astype(np.int8)
+    else:
+        a = f.matmul(rng.integers(0, f.q, size=(rows, inner)).astype(np.int8),
+                     rng.integers(0, f.q, size=(inner, cols)).astype(np.int8))
+        a[::7] = 0
+        a[:, ::5] = 0
+    got = _rref_generic(f, a)
+    want = oracle_rref_generic(f, a)
+    assert got[1] == rank
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["tall", "sparse", "product", "narrow"]))
+@settings(max_examples=30, deadline=None)
+def test_chunked_rref_over_gf2_matches_packed(seed, kind):
+    # tall GF(2) matrices through the generic path, chunked, against the packed one
+    from derinv.linalg import _rref_generic, _rref_gf2
+
+    a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
+    g = _rref_generic(GF(2), a)
+    p = _rref_gf2(a)
+    assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
