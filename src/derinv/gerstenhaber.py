@@ -1,24 +1,37 @@
-"""Gerstenhaber structure via coderivations of the tensor coalgebra.
+"""Gerstenhaber structure of Hochschild cochains, computed by slot insertion.
 
-The tensor coalgebra B(A) = k + A[1] + (A x A)[2] + ... carries the
-deconcatenation comultiplication; every component of Delta is an
-identity matrix in flat coordinates, so only the splitting bookkeeping
-matters.  An arity-m cochain f extends to the coderivation
+For cochains f of arity m and g of arity n, the insertion f o_i g feeds
+the output of g into slot i of f, and the circle product is
 
-    D_f|_r = sum_{i=1}^{r-m+1} (-1)^((m-1)(i-1)) id^(i-1) x f x id^(r-m+1-i)
+    f o g = sum_{i=1}^{m} (-1)^((n-1)(i-1)) f o_i g
 
-of degree m - 1 (elements of A sit in shifted degree 1; a map of
-shifted degree t picks up (-1)^t per factor it passes).  The projection
-tau onto the tensor-length-1 component inverts f -> D_f, the
-multiplication cochain gives the differential d_A with d_A^2 = 0, and
-the graded commutator of coderivations induces the Gerstenhaber
-bracket:
+(Gerstenhaber, "The cohomology structure of an associative ring", Ann.
+Math. 78, 1963).  Elements of A sit in shifted degree 1 and g has
+shifted degree n - 1, so moving g past the i - 1 slots before it gives
+the sign.  Each insertion is one product of f, with slot i moved last,
+against g (hochschild._pre_lie), so no matrix larger than the result is
+ever formed.  The bracket and the p-power map are
 
-    [f, g] = tau o (D_f D_g - (-1)^((m-1)(n-1)) D_g D_f).
+    [f, g] = f o g - (-1)^((m-1)(n-1)) g o f,
+    sigma_p(f) = (..((f o f) o f) ..) o f       (p factors).
 
 Bracketing against the multiplication cochain recovers the Hochschild
 coboundary up to the global sign COBOUNDARY_BRACKET_SIGN, the same
 constant in every arity and characteristic.
+
+The same operations are the coalgebra model read at tensor length 1.
+The tensor coalgebra B(A) = k + A[1] + (A x A)[2] + ... carries the
+deconcatenation comultiplication, and f extends to the coderivation
+
+    D_f|_r = sum_{i=1}^{r-m+1} (-1)^((m-1)(i-1)) id^(i-1) x f x id^(r-m+1-i)
+
+of degree m - 1.  The projection tau onto tensor length 1 inverts
+f -> D_f, so f o g = tau o D_f D_g and [f, g] = tau o [D_f, D_g].  The
+multiplication cochain gives the differential d_A with d_A^2 = 0.  The
+components of D_f are products over associative matrix blocks, so
+tau o D_f^p is the left-nested product above.  coderivation_component,
+Coderivation, is_coderivation, build_dA and gamma keep this model as
+dense Kronecker matrices.
 
 Plain p-th powers of coderivations are again coderivations when p = 2,
 or when p is odd and the cochain arity is odd (even coderivation
@@ -28,8 +41,11 @@ Jacobson polynomials s_i and the three restricted-Lie axioms are
 computed from brackets alone; no symmetrizing form enters anywhere in
 this module.
 
-Component matrices in source tensor length r have d^(r-m+1) x d^r
-entries and respect the same size cap as the bar complex assemblies.
+A component matrix in source tensor length r has d^(r-m+1) x d^r
+entries and respects the same size cap as the bar complex assemblies.
+bracket and sigma_p check the cap of the components that tau o [D_f,
+D_g] and tau o D_f^p would multiply, in the same order, although they
+build none of them, so every cap decision is that of the dense model.
 """
 
 from __future__ import annotations
@@ -46,7 +62,7 @@ from .errors import (
     ParityViolation,
 )
 from .fields import CODE_DTYPE
-from .hochschild import Cochain, hh_cohomology, multiplication_cochain
+from .hochschild import Cochain, _pre_lie, coboundary, hh_cohomology, multiplication_cochain
 from .linalg import Mat
 
 # bracket(f, multiplication_cochain) equals this constant times the
@@ -243,10 +259,13 @@ def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> Cod
 
 
 def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
-    """Gerstenhaber bracket tau o [D_f, D_g], arity m + n - 1.
+    """Gerstenhaber bracket f o g - (-1)^((m-1)(n-1)) g o f, arity m + n - 1.
 
     Two arity-0 cochains bracket to a map landing below the counit,
     which is identically zero; that case returns the zero 0-cochain.
+    The cap is checked on the four coderivation components whose
+    products give the two circle products as tau o [D_f, D_g], in the
+    order the coalgebra model multiplies them; none of them is built.
     """
     if f.algebra is not g.algebra:
         raise DimensionMismatch("cochains over different algebras")
@@ -256,14 +275,10 @@ def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
     if m + n == 0:
         return Cochain(a, 0, Mat.zeros(fld, a.dim, 1))
     r = m + n - 1
-    fg = fld.matmul(
-        coderivation_component(f, m, size_cap).data,
-        coderivation_component(g, r, size_cap).data,
-    )
-    gf = fld.matmul(
-        coderivation_component(g, n, size_cap).data,
-        coderivation_component(f, r, size_cap).data,
-    )
+    for h, length in ((f, m), (g, r), (g, n), (f, r)):
+        _check_component_cap(h, length, size_cap)
+    fg = _pre_lie(f.matrix, m, g.matrix, n)
+    gf = _pre_lie(g.matrix, n, f.matrix, m)
     if ((m - 1) * (n - 1)) % 2 == 1:
         gf = fld.vneg(gf)
     return Cochain(a, r, Mat(fld, fld.vsub(fg, gf)))
@@ -286,21 +301,32 @@ def coderivation_power_component(f: Cochain, k: int, r: int,
 def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
     """tau o (D_f)^p: the p-power operation of the restricted structure.
 
-    Defined for every arity in characteristic 2; for odd p the arity
-    must be odd (even coderivation degree), otherwise the power of the
-    coderivation is not a coderivation and ParityViolation is raised.
+    Defined for every arity >= 1 in characteristic 2; for odd p the
+    arity must be odd (even coderivation degree), otherwise the power of
+    the coderivation is not a coderivation and ParityViolation is raised.
     The result has arity p*(arity-1) + 1; on cocycles it descends to
-    cohomology classes.  Only tensor lengths arity..p*(arity-1)+1 are
-    ever materialized.
+    cohomology classes.  It is computed as p - 1 left-nested circle
+    products (..(f o f) o ..) o f, under the cap of the components
+    D_f on tensor lengths p*(arity-1)+1 down to arity.
     """
     a = f.algebra
     p = a.field.p
-    if p > 2 and f.arity % 2 == 0:
+    m = f.arity
+    if p > 2 and m % 2 == 0:
         raise ParityViolation(
-            f"p-th Gerstenhaber power needs odd arity for p = {p}, got {f.arity}"
+            f"p-th Gerstenhaber power needs odd arity for p = {p}, got {m}"
         )
-    target = p * (f.arity - 1) + 1
-    return Cochain(a, target, coderivation_power_component(f, p, target, size_cap))
+    if m == 0:
+        raise ValueError("the p-th power of an arity-0 cochain lands below the counit")
+    s = m - 1
+    target = p * s + 1
+    for j in range(p):
+        _check_component_cap(f, target - j * s, size_cap)
+    power, arity = f.matrix, m
+    for _ in range(p - 1):
+        power = Mat(a.field, _pre_lie(power, arity, f.matrix, m))
+        arity += s
+    return Cochain(a, target, power)
 
 
 def _zero_cochain(algebra: Algebra, arity: int) -> Cochain:
@@ -364,8 +390,6 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
     Well-definedness of the power map on classes is probed by shifting
     basis cocycles with ``trials`` random coboundaries.
     """
-    from .hochschild import coboundary
-
     fld = algebra.field
     if p != fld.p:
         raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")

@@ -41,8 +41,18 @@ cyclic product g_0 .. g_m (Burghelea's splitting of HH_*(kG)); for
 k[x]/(x^n) they follow the total degree.  Column supports of the blocks
 are disjoint, so their RREF rows sorted by leading column are the global
 RREF, and the class representatives are those of the dense matrices.
-boundary_matrix scatters the same entries into a dense int8 array, and
-coboundary_matrix adds its terms into one.
+boundary_matrix scatters the same entries into a dense int8 array.
+coboundary_matrix adds the terms of delta_m into one; it serves only
+HH^m of algebras without a form.
+
+The coboundary of one cochain needs no matrix of delta.  With mu the
+multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
+
+    delta f = (-1)^(m-1) mu o f - f o mu,
+
+and each of its m + 2 slot insertions is one product against a
+d x d^m or d x d^2 matrix.  coboundary and Cochain.is_cocycle take this
+path, under the cap of coboundary_matrix.
 
 Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
 entry point here is an `algebras.memo` function that checks that count
@@ -147,8 +157,15 @@ def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Ma
     return Mat(algebra.field, out)
 
 
-@memo(lambda a, m: a.dim ** (m + 2) * a.dim ** (m + 1),
-      lambda a, m: f"coboundary matrix on degree {m}")
+def _coboundary_entries(a: Algebra, m: int) -> int:
+    return a.dim ** (m + 2) * a.dim ** (m + 1)
+
+
+def _coboundary_what(a: Algebra, m: int) -> str:
+    return f"coboundary matrix on degree {m}"
+
+
+@memo(_coboundary_entries, _coboundary_what)
 def coboundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     """Hochschild coboundary on m-cochains, a (d^(m+2), d^(m+1)) matrix."""
     if m < 0:
@@ -214,8 +231,7 @@ class Cochain:
         return self.matrix.mul_vec(t)
 
     def is_cocycle(self, size_cap: int | None = None) -> bool:
-        delta = coboundary_matrix(self.algebra, self.arity, size_cap)
-        return not delta.mul_vec(self.flat()).any()
+        return not coboundary(self, size_cap).matrix.data.any()
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check(other)
@@ -262,9 +278,39 @@ def unit_cochain(algebra: Algebra) -> Cochain:
     return Cochain(algebra, 0, Mat(algebra.field, algebra.unit.reshape(-1, 1)))
 
 
+def _pre_lie(f: Mat, m: int, g: Mat, n: int) -> np.ndarray:
+    """Gerstenhaber's circle product f o g = sum_i (-1)^((n-1)(i-1)) f o_i g.
+
+    f and g are cochain matrices of arities m and n (m + n >= 1); the
+    result is the d x d^(m+n-1) code array of the arity m + n - 1
+    cochain.  The insertion f o_i g feeds the output of g into slot i of
+    f: one product of f, with slot i moved last, against g.
+    """
+    fld = f.field
+    d = f.rows
+    out = np.zeros((d, d ** (m + n - 1)), dtype=CODE_DTYPE)
+    for i in range(1, m + 1):
+        pre, post = d ** (i - 1), d ** (m - i)
+        slot_last = f.data.reshape(d, pre, d, post).transpose(0, 1, 3, 2).reshape(-1, d)
+        term = fld.matmul(slot_last, g.data).reshape(d, pre, post, -1).transpose(0, 1, 3, 2)
+        term = term.reshape(out.shape)
+        out = fld.vsub(out, term) if (n - 1) * (i - 1) % 2 else fld.vadd(out, term)
+    return out
+
+
 def coboundary(f: Cochain, size_cap: int | None = None) -> Cochain:
-    delta = coboundary_matrix(f.algebra, f.arity, size_cap)
-    return Cochain.from_flat(f.algebra, f.arity + 1, delta.mul_vec(f.flat()))
+    """delta f = (-1)^(m-1) mu o f - f o mu for an arity-m cochain f and the product mu.
+
+    Checks the cap of the coboundary matrix on degree m, but never builds it.
+    """
+    a, m = f.algebra, f.arity
+    _check_cap(_coboundary_entries(a, m), resolve_size_cap(size_cap), _coboundary_what(a, m))
+    mu = multiplication_cochain(a).matrix
+    fld = a.field
+    left = _pre_lie(mu, 2, f.matrix, m)
+    if m % 2 == 0:
+        left = fld.vneg(left)
+    return Cochain(a, m + 1, Mat(fld, fld.vsub(left, _pre_lie(f.matrix, m, mu, 2))))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from derinv import GF
 from derinv.algebras import (
+    Algebra,
+    change_basis,
     cyclic_table,
     klein_table,
     make_group_algebra,
@@ -15,6 +18,7 @@ from derinv.algebras import (
     make_truncated_polynomial,
     symmetric_table,
 )
+from derinv.linalg import Mat
 
 
 # The recurring test corpus.  Session scope: algebras are immutable and
@@ -101,3 +105,31 @@ def trunc4_3():
 @pytest.fixture(scope="session")
 def dual3():
     return make_truncated_polynomial(GF(3), 2)
+
+
+@pytest.fixture(scope="session")
+def insertion_corpus(dual2, klein, trunc3_3, dual4):
+    """Algebras over GF(2), GF(3), GF(5), GF(4) and GF(9) for the checks of
+    the circle products against the dense coderivation and coboundary
+    matrices: natural bases, a random change of basis, and the upper
+    triangular 2 x 2 matrices over GF(3), which carry no form."""
+    f = trunc3_3.field
+    rng = np.random.default_rng(31)
+    while True:
+        g = Mat(f, rng.integers(0, 3, size=(3, 3)).astype(np.int8))
+        if g.rank() == 3:
+            break
+    # basis e11, e12, e22
+    upper = Algebra(f, 3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
+                    [1, 0, 1])
+    assert upper.form is None
+    return {
+        "gf2_x2": dual2,
+        "gf2_c2xc2": klein,
+        "gf3_x3": trunc3_3,
+        "gf3_x3_moved": change_basis(trunc3_3, g),
+        "gf3_upper": upper,
+        "gf5_x2": make_truncated_polynomial(GF(5), 2),
+        "gf4_x2": dual4,
+        "gf9_x2": make_truncated_polynomial(GF(3, 2), 2),
+    }

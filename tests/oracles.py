@@ -9,7 +9,10 @@ Two exceptions are former library paths, kept as the references for
 the code that replaced them: oracle_hh_homology is the dense elimination
 of the whole bar matrices, which the block-wise hh_homology replaced,
 and oracle_rref_generic is the per-pivot elimination over every row,
-which tall matrices no longer take.
+which tall matrices no longer take.  oracle_bracket_kron and
+oracle_sigma_p_kron multiply the dense coderivation components, and
+oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
+and coboundary build neither.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from derinv.fields import CODE_DTYPE, Field
-from derinv.hochschild import _quotient_basis, boundary_matrix
+from derinv.gerstenhaber import coderivation_component, coderivation_power_component
+from derinv.hochschild import Cochain, _quotient_basis, boundary_matrix, coboundary_matrix
 from derinv.linalg import Mat, Subspace
 
 
@@ -220,6 +224,35 @@ def oracle_bracket(algebra, f_mat: np.ndarray, g_mat: np.ndarray, m: int, n: int
     gf = circle_product(algebra, g_mat, f_mat, n, m)
     sign = 1 if ((m - 1) * (n - 1)) % 2 == 0 else fld.neg(1)
     return fld.vsub(fg, fld.vscale(sign, gf))
+
+
+def oracle_bracket_kron(f: Cochain, g: Cochain) -> Cochain:
+    """tau o [D_f, D_g] as products of the dense Kronecker components."""
+    a = f.algebra
+    fld = a.field
+    m, n = f.arity, g.arity
+    if m + n == 0:
+        return Cochain(a, 0, Mat.zeros(fld, a.dim, 1))
+    r = m + n - 1
+    fg = fld.matmul(coderivation_component(f, m).data, coderivation_component(g, r).data)
+    gf = fld.matmul(coderivation_component(g, n).data, coderivation_component(f, r).data)
+    if ((m - 1) * (n - 1)) % 2 == 1:
+        gf = fld.vneg(gf)
+    return Cochain(a, r, Mat(fld, fld.vsub(fg, gf)))
+
+
+def oracle_sigma_p_kron(f: Cochain) -> Cochain:
+    """tau o D_f^p from the dense power of the coderivation components."""
+    target = f.algebra.field.p * (f.arity - 1) + 1
+    power = coderivation_power_component(f, f.algebra.field.p, target)
+    return Cochain(f.algebra, target, power)
+
+
+def oracle_coboundary(f: Cochain) -> Cochain:
+    """delta f from the dense coboundary matrix, built past the cache."""
+    a = f.algebra
+    delta = coboundary_matrix.__wrapped__(a, f.arity, None)
+    return Cochain.from_flat(a, f.arity + 1, delta.mul_vec(f.flat()))
 
 
 def _flat(d: int, tup: tuple[int, ...]) -> int:

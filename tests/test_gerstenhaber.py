@@ -4,8 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from derinv import gerstenhaber
 from derinv.errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -528,3 +531,55 @@ class TestRestrictedAxioms:
     def test_degree_zero_rejected(self, dual2):
         with pytest.raises(ValueError):
             restricted_axioms_check(dual2, 2, [0])
+
+
+INSERTION_NAMES = ["gf2_x2", "gf2_c2xc2", "gf3_x3", "gf3_x3_moved", "gf3_upper",
+                   "gf5_x2", "gf4_x2", "gf9_x2"]
+
+
+class TestInsertionsMatchKronecker:
+    """bracket and sigma_p against the products of dense coderivation components."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(INSERTION_NAMES), m=st.integers(0, 3), n=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(name="gf2_x2", m=0, n=0, seed=1)
+    @example(name="gf9_x2", m=0, n=3, seed=2)
+    @example(name="gf3_upper", m=2, n=0, seed=3)
+    @example(name="gf3_x3_moved", m=3, n=2, seed=4)
+    @example(name="gf5_x2", m=1, n=0, seed=5)
+    def test_bracket(self, insertion_corpus, name, m, n, seed):
+        a = insertion_corpus[name]
+        f, g = rand_cochain(a, m, seed), rand_cochain(a, n, seed + 1)
+        assert bracket(f, g) == oracles.oracle_bracket_kron(f, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(INSERTION_NAMES), m=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(name="gf2_c2xc2", m=1, seed=6)
+    @example(name="gf4_x2", m=2, seed=7)
+    @example(name="gf2_x2", m=3, seed=8)
+    @example(name="gf3_x3", m=1, seed=9)
+    @example(name="gf3_upper", m=1, seed=10)
+    @example(name="gf9_x2", m=1, seed=11)
+    def test_sigma_p(self, insertion_corpus, name, m, seed):
+        a = insertion_corpus[name]
+        assume(a.field.p == 2 or m % 2 == 1)
+        f = rand_cochain(a, m, seed)
+        assert sigma_p(f) == oracles.oracle_sigma_p_kron(f)
+
+    def test_sigma_p_of_arity_zero_is_rejected(self, dual2):
+        with pytest.raises(ValueError):
+            sigma_p(rand_cochain(dual2, 0, 12))
+
+    def test_no_dense_component_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense coderivation component built")
+
+        monkeypatch.setattr(gerstenhaber, "coderivation_component", refuse)
+        for a, degrees in [(make_truncated_polynomial(GF(2), 2), [1, 2]),
+                           (make_truncated_polynomial(GF(3), 3), [1])]:
+            f, g = rand_cochain(a, 2, 13), rand_cochain(a, 3, 14)
+            assert bracket(f, g).arity == 4
+            assert sigma_p(rand_cochain(a, 1, 15)).arity == 1
+            assert restricted_axioms_check(a, a.field.p, degrees)["all_passed"]

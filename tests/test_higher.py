@@ -14,7 +14,7 @@ from derinv.algebras import (
     make_truncated_polynomial,
 )
 from derinv.errors import FormRequired, SizeCapExceeded
-from derinv.gerstenhaber import coderivation
+from derinv.gerstenhaber import bracket, coderivation, sigma_p
 from derinv.higher import (
     HigherKappa,
     kappa_nm,
@@ -25,6 +25,7 @@ from derinv.higher import (
 from derinv.hochschild import (
     Cochain,
     boundary_matrix,
+    coboundary,
     coboundary_matrix,
     cup_power,
     hh_cohomology,
@@ -244,9 +245,15 @@ def _cold_component():
     return partial(d_f.component, 5)
 
 
+def _cold_c4_cochains(*arities):
+    a = _cold_c4()
+    return [Cochain(a, m, Mat(a.field, np.ones((4, 4**m), dtype=np.int8))) for m in arities]
+
+
 # each entry builds a call on a cold algebra (or coderivation) whose
 # cap of 1000 entries is exceeded: 1024 entries in degree 1 or 2 of C4,
-# 4^7 in degree p^n m = 2, and 3^4 * 3^5 for the length-5 component
+# 4^7 in degree p^n m = 2, 3^4 * 3^5 for the length-5 component, and
+# 4^2 * 4^3 for the length-3 components of arity-2 brackets and powers
 _COLD_CALLS = {
     "boundary_matrix": lambda: partial(boundary_matrix, _cold_c4(), 2),
     "coboundary_matrix": lambda: partial(coboundary_matrix, _cold_c4(), 1),
@@ -257,6 +264,18 @@ _COLD_CALLS = {
     "t_nm_space": lambda: partial(t_nm_space, _cold_c4(), 1, 1),
     "kappa_nm": lambda: partial(kappa_nm, _cold_c4(), 1, 1),
     "Coderivation.component": _cold_component,
+    "bracket": lambda: partial(bracket, *_cold_c4_cochains(2, 2)),
+    "sigma_p": lambda: partial(sigma_p, *_cold_c4_cochains(2)),
+    "coboundary": lambda: partial(coboundary, *_cold_c4_cochains(1)),
+    "Cochain.is_cocycle": lambda: _cold_c4_cochains(1)[0].is_cocycle,
+}
+
+# the Gerstenhaber layer builds none of these matrices, but caps on them
+_CAP_MESSAGES = {
+    "bracket": "coderivation component at length 3 needs 1024 entries, cap is 1000",
+    "sigma_p": "coderivation component at length 3 needs 1024 entries, cap is 1000",
+    "coboundary": "coboundary matrix on degree 1 needs 1024 entries, cap is 1000",
+    "Cochain.is_cocycle": "coboundary matrix on degree 1 needs 1024 entries, cap is 1000",
 }
 
 
@@ -271,6 +290,12 @@ class TestCapsAndErrors:
             call(size_cap=1000)
         assert (warm.value.entries, warm.value.cap, str(warm.value)) == (
             cold.value.entries, cold.value.cap, str(cold.value))
+
+    @pytest.mark.parametrize("name", list(_CAP_MESSAGES))
+    def test_gerstenhaber_cap_names_the_dense_matrix(self, name):
+        with pytest.raises(SizeCapExceeded) as exc:
+            _COLD_CALLS[name]()(size_cap=1000)
+        assert str(exc.value) == _CAP_MESSAGES[name]
 
     def test_size_cap_propagates(self, trunc3_3):
         with pytest.raises(SizeCapExceeded):

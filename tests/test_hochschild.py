@@ -4,9 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from derinv import GF
-from derinv.algebras import algebra_from_json, algebra_to_json, change_basis
+from derinv.algebras import (
+    algebra_from_json,
+    algebra_to_json,
+    change_basis,
+    make_truncated_polynomial,
+)
 from derinv.errors import (
     DerinvError,
     DimensionMismatch,
@@ -630,3 +637,31 @@ class TestCup:
         fc = Cochain.from_flat(a, 1, rand_cocycle(rng, coh1))
         gc = Cochain.from_flat(a, 1, rand_cocycle(rng, coh1))
         assert cup(fc, gc).is_cocycle()
+
+
+class TestCoboundaryByInsertion:
+    """coboundary and is_cocycle as circle products with the multiplication."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["gf2_x2", "gf2_c2xc2", "gf3_x3", "gf3_x3_moved", "gf3_upper",
+                                 "gf5_x2", "gf4_x2", "gf9_x2"]),
+           m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @example(name="gf3_upper", m=0, seed=1)
+    @example(name="gf9_x2", m=3, seed=2)
+    @example(name="gf3_x3_moved", m=2, seed=3)
+    def test_matches_dense_oracle(self, insertion_corpus, name, m, seed):
+        a = insertion_corpus[name]
+        f = rand_cochain(np.random.default_rng(seed), a, m)
+        want = oracles.oracle_coboundary(f)
+        assert coboundary(f) == want
+        assert f.is_cocycle() == (not want.matrix.data.any())
+        assert want.is_cocycle()
+
+    def test_builds_no_coboundary_matrix(self):
+        a = make_truncated_polynomial(GF(3), 3)
+        rng = np.random.default_rng(4)
+        for m in range(4):
+            f = rand_cochain(rng, a, m)
+            coboundary(f)
+            f.is_cocycle()
+        assert not [key for key in a._cache if key[0] == "coboundary_matrix"]
