@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import os
+import weakref
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -106,6 +107,31 @@ def memo(entries: Callable[..., int] | None = None, what: Callable[..., str] | N
         return cached
 
     return decorate
+
+
+class WeakAlgebra:
+    """Dataclass field that holds its algebra by weak reference.
+
+    A result cached in ``algebra._cache`` that kept its algebra strongly
+    would close a reference cycle, and only the cyclic collector would
+    free the algebra and its cache.  Reading the field after the algebra
+    is gone raises DerinvError.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # no class-level value, so the dataclass field has no default
+            raise AttributeError(self.slot)
+        algebra = getattr(obj, self.slot)()
+        if algebra is None:
+            raise DerinvError("the algebra of this result has been freed")
+        return algebra
+
+    def __set__(self, obj, algebra):
+        object.__setattr__(obj, self.slot, weakref.ref(algebra))
 
 
 class SymmetrizingForm:

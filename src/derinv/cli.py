@@ -20,7 +20,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from pathlib import Path
@@ -41,7 +40,7 @@ from .errors import DerinvError, MalformedDocument, SizeCapExceeded
 from .fields import GF
 from .gerstenhaber import restricted_axioms_check
 from .hochschild import hh_cohomology, hh_homology
-from .higher import kappa_nm, t_nm_space
+from .higher import kappa_nm
 from .kulshammer import (
     kappa_n,
     p_n_space,
@@ -234,7 +233,7 @@ def cmd_kappam(args) -> int:
             "n": args.n,
             "source_degree": kap.source_degree,
             "dim_hh_m": hh_cohomology(a, args.m).dim,
-            "dim_t": t_nm_space(a, args.m, args.n).dim,
+            "dim_t": kap.t_space().dim,
             "dim_im_kappa": kap.image().dim,
             "dim_ker_kappa": kap.kernel().dim,
             "zero_regime": kap.zero_regime,
@@ -396,12 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DerinvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        # The command's algebras are unreachable now, but their cached HH
-        # bases point back at them, so only the cyclic collector frees them.
-        # Collecting here keeps a process that calls main() repeatedly from
-        # carrying several algebras' caches until the next full collection.
-        gc.collect()
 
 
 if __name__ == "__main__":

@@ -14,6 +14,18 @@ commutativity, so the construction degenerates to the zero operator;
 it is kept total and flagged instead of refused.  At m = 0 the map
 coincides with the classical kappa_n on A/KA.
 
+T_n^(m), the classes whose p^n-th cup power vanishes, comes from the
+same pairing.  kappa_nm builds L[a, c] = (f_a^(p^n), x_c) for the
+canonical bases f_a of HH^m and x_c of HH_{p^n m}.  A coboundary pairs
+to zero with a cycle, so L = P^T Gamma, with P the class matrix of the
+power map (power_class_matrix) and Gamma the gram matrix of the pairing
+in degree p^n m.  That pairing is nondegenerate for a symmetric
+algebra, so ker L^T = ker P exactly, and T_n^(m) = Fr^(-n)(ker L^T)
+(HigherKappa.t_space) needs neither HH^(p^n m) nor a second round of cup
+powers.  t_nm_space still reads T off P through HH^(p^n m); it is the
+independent route that verify_properties checks the image and kernel
+identities against.
+
 All computations run on the canonical class representatives from
 ``hochschild`` and are exact.  Each cached entry point here is capped by
 the bar matrices of degree p^n m, the widest it touches, and raises
@@ -26,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra, memo
+from .algebras import Algebra, WeakAlgebra, memo
 from .errors import InvariantViolation, SizeCapExceeded
 from .hochschild import (
     HomologyBasis,
@@ -47,16 +59,18 @@ class HigherKappa:
     ``operator`` acts on source class coordinates with Frobenius twist
     -n.  ``zero_regime`` is set when p is odd, m is odd and n >= 1: the
     p-th cup power is zero on odd classes then, and the adjoint is the
-    zero map.
+    zero map.  ``powers`` is the pairing matrix L[a, c] = (f_a^(p^n), x_c)
+    of the canonical HH^m representatives' powers with the source basis.
     """
 
-    algebra: Algebra
+    algebra: Algebra = WeakAlgebra()
     m: int
     n: int
     source: HomologyBasis  # homology in degree p^n * m
     target: HomologyBasis  # homology in degree m
     operator: SemilinearOperator
     zero_regime: bool
+    powers: Mat  # dim HH^m x dim HH_{p^n m}
 
     @property
     def source_degree(self) -> int:
@@ -74,6 +88,10 @@ class HigherKappa:
     @property
     def rank(self) -> int:
         return self.operator.matrix.rank()
+
+    def t_space(self) -> Subspace:
+        """T_n^(m) as Fr^(-n)(ker L^T); equal to t_nm_space."""
+        return SemilinearOperator(self.powers.T, self.n).kernel()
 
 
 def _is_zero_regime(algebra: Algebra, m: int, n: int) -> bool:
@@ -114,18 +132,25 @@ def power_class_matrix(algebra: Algebra, m: int, n: int,
         cols[:, a] = coh_d.class_coords(fp.flat())
     out = Mat(f, cols)
 
-    rng = np.random.default_rng(0x5EED + 31 * m + n)
-    pairs = [(a, b) for a in range(coh_m.dim) for b in range(a + 1, coh_m.dim)]
-    if len(pairs) > 4:
-        pairs = [pairs[i] for i in rng.choice(len(pairs), size=4, replace=False)]
-    for a, b in pairs:
+    for a, b in _additivity_pairs(m, n, coh_m.dim):
         both = cup_power(coh_m.cochain(a) + coh_m.cochain(b), exp, size_cap)
         want = f.vadd(cols[:, a], cols[:, b])
         if not np.array_equal(coh_d.class_coords(both.flat()), want):
-            raise InvariantViolation(
-                f"p^{n}-th cup power is not additive on HH^{m} classes ({a}, {b})"
-            )
+            raise _not_additive(m, n, a, b)
     return out
+
+
+def _additivity_pairs(m: int, n: int, k: int) -> list[tuple[int, int]]:
+    """At most four seeded pairs of the k canonical HH^m classes."""
+    rng = np.random.default_rng(0x5EED + 31 * m + n)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    if len(pairs) > 4:
+        pairs = [pairs[i] for i in rng.choice(len(pairs), size=4, replace=False)]
+    return pairs
+
+
+def _not_additive(m: int, n: int, a: int, b: int) -> InvariantViolation:
+    return InvariantViolation(f"p^{n}-th cup power is not additive on HH^{m} classes ({a}, {b})")
 
 
 @memo(_target_entries, _target_what)
@@ -144,7 +169,9 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
     Solves pairing_gram(m) @ C = Fr^(-n)(L) where
     L[a, c] = (f_a^(p^n), x_c) over the canonical bases; the resulting
     operator has twist -n.  kappa_nm(.., m, 0) is the identity and
-    kappa_nm(.., 0, n) is the classical kappa_n.
+    kappa_nm(.., 0, n) is the classical kappa_n.  Additivity of the
+    power map is spot-checked on the pairs of power_class_matrix, as
+    rows of L.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
@@ -156,14 +183,24 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
     hom_d = hh_homology(algebra, exp * m, size_cap)
     gram = pairing_gram(algebra, m, size_cap)
     if coh_m.dim == 0 or hom_d.dim == 0:
+        powers = np.zeros((coh_m.dim, hom_d.dim), dtype=np.int8)
         mat = Mat.zeros(f, hom_m.dim, hom_d.dim)
     else:
-        powers = np.stack([cup_power(fc, exp, size_cap).flat() for fc in coh_m.cochains()])
-        rhs = f.vfrob(_pairing_matrix(algebra, powers, hom_d.reps.data), -n)
-        mat = Mat(f, f.matmul(gram.inverse().data, rhs))
+        cochains = coh_m.cochains()
+        flat = np.stack([cup_power(fc, exp, size_cap).flat() for fc in cochains])
+        powers = _pairing_matrix(algebra, flat, hom_d.reps.data)
+        pairs = _additivity_pairs(m, n, coh_m.dim)
+        if pairs:
+            both = np.stack([cup_power(cochains[a] + cochains[b], exp, size_cap).flat()
+                             for a, b in pairs])
+            got = _pairing_matrix(algebra, both, hom_d.reps.data)
+            for (a, b), row in zip(pairs, got):
+                if not np.array_equal(row, f.vadd(powers[a], powers[b])):
+                    raise _not_additive(m, n, a, b)
+        mat = Mat(f, f.matmul(gram.inverse().data, f.vfrob(powers, -n)))
     return HigherKappa(
         algebra, m, n, hom_d, hom_m,
-        SemilinearOperator(mat, -n), _is_zero_regime(algebra, m, n),
+        SemilinearOperator(mat, -n), _is_zero_regime(algebra, m, n), Mat(f, powers),
     )
 
 

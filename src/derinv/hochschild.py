@@ -27,9 +27,14 @@ the boundary up to the form, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
 
 with Z_m, B_m the cycle and boundary spaces of hh_homology(m) and perp
 the annihilator under the dot product.  The annihilator of an RREF
-basis is read off its free columns, so HH^m costs one RREF per space on
-top of the homology eliminations.  Algebras without a form use the
-coboundary matrices.
+basis is read off its free columns without elimination.  Phi_m^-1 moves
+a chain coordinate a_0 x r only onto coordinates a x r, so the
+components of hh_homology(m) (below) map to blocks of cochain
+coordinates, joined where their images meet.  HH^m costs one RREF of
+the moved annihilator rows per block and space, on top of the homology
+eliminations; the blocks label the cochains for the B inside Z check.
+A degree that is one block takes one dense RREF per space.  Algebras
+without a form use the coboundary matrices.
 
 Bar matrices are assembled straight from the sparse structure constants:
 each term of b or delta places c[u, v, w] at index arrays broadcast over
@@ -41,6 +46,12 @@ cyclic product g_0 .. g_m (Burghelea's splitting of HH_*(kG)); for
 k[x]/(x^n) they follow the total degree.  Column supports of the blocks
 are disjoint, so their RREF rows sorted by leading column are the global
 RREF, and the class representatives are those of the dense matrices.
+The components of b_m over its columns and of b_{m+1} over its rows,
+joined, hold every cycle and boundary row of degree m; consecutive small
+ones share a bin of about 512 coordinates.  _quotient_basis checks B
+inside Z bin by bin: each boundary row must be its entries at the cycle
+pivots times the cycle rows, and a row with entries outside its bin
+fails.  One bin is one product over the whole degree, as before.
 boundary_matrix scatters the same entries into a dense int8 array.
 coboundary_matrix adds the terms of delta_m into one; it serves only
 HH^m of algebras without a form.
@@ -63,7 +74,7 @@ the dense entries even where only blocks are allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +82,7 @@ from .algebras import (  # DEFAULT_SIZE_CAP and SIZE_CAP_ENV are re-exported
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
     Algebra,
+    WeakAlgebra,
     _check_cap,
     memo,
     resolve_size_cap,
@@ -82,7 +94,20 @@ from .errors import (
     InvariantViolation,
 )
 from .fields import CODE_DTYPE, Field
-from .linalg import Mat, Subspace, _block_image, _block_kernel, field_kron
+from .linalg import (
+    Mat,
+    Subspace,
+    _bin_labels,
+    _block_image,
+    _block_kernel,
+    _components,
+    _embed_rref,
+    _join_labels,
+    _null_rows,
+    _rref_array,
+    _runs,
+    field_kron,
+)
 
 
 def _add_term(f: Field, flat: np.ndarray, ncols: int, rows, cols, vals) -> None:
@@ -320,16 +345,19 @@ class HomologyBasis:
     reps rows are the cycle-space RREF rows whose leading columns do not
     occur as leading columns of the boundary space; they represent a
     basis of the quotient, and class coordinates of a cycle are read off
-    at those columns after reducing mod boundaries.
+    at those columns after reducing mod boundaries.  ``components``, when
+    set, labels each (co)chain coordinate with its component: every
+    cycle and boundary row lies in the component of its pivot.
     """
 
-    algebra: Algebra
+    algebra: Algebra = WeakAlgebra()
     degree: int
     kind: str  # "homology" or "cohomology"
     cycles: Subspace
     boundaries: Subspace
     rep_pivots: tuple[int, ...]
     reps: Mat
+    components: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -361,26 +389,70 @@ class HomologyBasis:
 
 
 def _quotient_basis(algebra: Algebra, degree: int, kind: str,
-                    cycles: Subspace, boundaries: Subspace) -> HomologyBasis:
+                    cycles: Subspace, boundaries: Subspace,
+                    labels: np.ndarray | None = None) -> HomologyBasis:
+    """HH as cycles mod boundaries, after checking that B lies in Z.
+
+    labels, if given, is a component of each coordinate that holds every
+    cycle and boundary row in the component of its pivot; the check then
+    runs one component at a time.
+    """
     f = algebra.field
-    piv_z = cycles.pivots()
-    piv_b = set(int(c) for c in boundaries.pivots())
+    piv_z, piv_b = cycles.pivots(), boundaries.pivots()
+    in_b = set(piv_b.tolist())
     if boundaries.dim:
-        if not piv_b.issubset(set(int(c) for c in piv_z)):
+        if not in_b.issubset(piv_z.tolist()):
             raise InvariantViolation("boundary space not inside cycle space")
-        # a vector lies in the cycle space iff it is the combination of the
-        # cycle rows given by its entries at their pivots; those rows are the
-        # identity there, so only the free columns need the product
-        free = np.ones(cycles.ambient_dim, dtype=bool)
-        free[piv_z] = False
-        b = boundaries.basis.data
-        combo = f.matmul(b[:, piv_z], cycles.basis.data[:, free])
-        if not np.array_equal(combo, b[:, free]):
-            raise InvariantViolation("boundary space not inside cycle space")
-    keep = [i for i, c in enumerate(piv_z) if int(c) not in piv_b]
+        z, b = cycles.basis.data, boundaries.basis.data
+        if _one_component(labels):
+            if not _rows_inside(f, z, piv_z, b):
+                raise InvariantViolation("boundary space not inside cycle space")
+        else:
+            for cols, zr, br in _parts(labels, piv_z, piv_b):
+                zk, bk = z[zr], b[br]
+                zc, bc = zk[:, cols], bk[:, cols]
+                if (np.count_nonzero(zc) != np.count_nonzero(zk)
+                        or np.count_nonzero(bc) != np.count_nonzero(bk)):
+                    raise InvariantViolation("a cycle or boundary row leaves its component")
+                if not _rows_inside(f, zc, np.searchsorted(cols, piv_z[zr]), bc):
+                    raise InvariantViolation("boundary space not inside cycle space")
+    keep = [i for i, c in enumerate(piv_z.tolist()) if c not in in_b]
     reps = Mat(f, cycles.basis.data[keep]) if keep else Mat.zeros(f, 0, cycles.ambient_dim)
     rep_pivots = tuple(int(piv_z[i]) for i in keep)
-    return HomologyBasis(algebra, degree, kind, cycles, boundaries, rep_pivots, reps)
+    return HomologyBasis(algebra, degree, kind, cycles, boundaries, rep_pivots, reps, labels)
+
+
+def _rows_inside(f: Field, z: np.ndarray, piv: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every row of b lies in the row space of z, an RREF with pivots piv.
+
+    A vector lies there iff it is the combination of the rows of z given
+    by its entries at their pivots; those rows are the identity there,
+    so only the free columns need the product.
+    """
+    free = np.ones(z.shape[1], dtype=bool)
+    free[piv] = False
+    return np.array_equal(f.matmul(b[:, piv], z[:, free]), b[:, free])
+
+
+def _one_component(labels: np.ndarray | None) -> bool:
+    return labels is None or labels.min() == labels.max()
+
+
+def _parts(labels: np.ndarray, piv_z: np.ndarray, piv_b: np.ndarray):
+    """(columns, z rows, b rows) of each component that holds a row of b.
+
+    Rows are assigned by the label of their pivot; every index array is
+    ascending.  Each b pivot is a z pivot, so each part has z rows.
+    """
+    c_order, c_bounds, _ = _runs(labels)
+    z_order, z_bounds, _ = _runs(labels[piv_z])
+    b_order, b_bounds, _ = _runs(labels[piv_b])
+    c_keys = labels[c_order[c_bounds[:-1]]]
+    z_keys = labels[piv_z[z_order[z_bounds[:-1]]]]
+    for i, key in enumerate(labels[piv_b[b_order[b_bounds[:-1]]]]):
+        k, j = np.searchsorted(c_keys, key), np.searchsorted(z_keys, key)
+        yield (c_order[c_bounds[k]:c_bounds[k + 1]], z_order[z_bounds[j]:z_bounds[j + 1]],
+               b_order[b_bounds[i]:b_bounds[i + 1]])
 
 
 # the widest matrix either quotient touches has d^(2m+3) entries: b_{m+1},
@@ -395,15 +467,20 @@ def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homolo
     if m < 0:
         raise ValueError("m must be >= 0")
     f, d = algebra.field, algebra.dim
+    n = d ** (m + 1)
+    # the components of b_m over its columns and of b_{m+1} over its rows,
+    # each index labelled with an index of its block
+    z_labels, b_labels = np.arange(n), np.arange(n)
     if m == 0:
         cycles = Subspace.full(f, d)
     else:
-        kernel = _block_kernel(f, (d**m, d ** (m + 1)), _bar_coo(algebra, m))
-        cycles = Subspace(f, d ** (m + 1), kernel)
-    boundaries = _block_image(f, (d ** (m + 1), d ** (m + 2)), _bar_coo(algebra, m + 1))
+        kernel = _block_kernel(f, (d**m, n), _bar_coo(algebra, m), z_labels)
+        cycles = Subspace(f, n, kernel)
+    boundaries = _block_image(f, (n, d ** (m + 2)), _bar_coo(algebra, m + 1), b_labels)
     if m == 0 and boundaries != algebra.commutator_space():
         raise InvariantViolation("image of b_1 differs from the commutator space")
-    return _quotient_basis(algebra, m, "homology", cycles, boundaries)
+    return _quotient_basis(algebra, m, "homology", cycles, boundaries,
+                           _bin_labels(_join_labels(z_labels, b_labels)))
 
 
 @memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
@@ -440,14 +517,97 @@ def _cohomology_from_form(algebra: Algebra, m: int,
     f = algebra.field
     hom = hh_homology(algebra, m, size_cap)
     ginv = algebra.form.gram.inverse().data
-
-    def transported_perp(space: Subspace) -> Subspace:
-        moved = _left_multiply(f, ginv, space.annihilator_rows())
-        return Subspace.from_rows(f, Mat(f, moved))
-
+    labels = hom.components
+    if _one_component(labels):
+        def transported_perp(space: Subspace) -> Subspace:
+            moved = _left_multiply(f, ginv, space.annihilator_rows())
+            return Subspace.from_rows(f, Mat(f, moved))
+        labels = None
+    else:
+        plan = _Transport(f, ginv, labels)
+        transported_perp, labels = plan.perp, plan.labels
     cycles = transported_perp(hom.boundaries)
     boundaries = transported_perp(hom.cycles)
-    return _quotient_basis(algebra, m, "cohomology", cycles, boundaries)
+    return _quotient_basis(algebra, m, "cohomology", cycles, boundaries, labels)
+
+
+class _Transport:
+    """Phi_m^-1 (S)^perp for spaces S in the components of hh_homology(m).
+
+    Phi_m^-1 = G^-1 x I moves the chain coordinate a_0 x r onto the
+    cochain coordinates a x r with G^-1[a, a_0] != 0.  Components of the
+    chains whose images meet form one block on the cochain side, and
+    ``labels`` names it for each cochain coordinate.  The annihilator of
+    S is the sum of those of its components, each read off its RREF, so
+    a block costs one elimination of its components' moved annihilator
+    rows.  The moves are scatters, one per multiplicity of a target.
+    """
+
+    def __init__(self, f: Field, ginv: np.ndarray, labels: np.ndarray):
+        self.f = f
+        n, d = labels.size, ginv.shape[0]
+        rest = n // d
+        order, bounds, _ = _runs(labels)
+        count = bounds.size - 1
+        self.comp = np.empty(n, dtype=np.int64)
+        self.comp[order] = np.repeat(np.arange(count), np.diff(bounds))
+        # node n + k is chain component k, node a * rest + r a cochain coordinate
+        a, a0 = np.nonzero(ginv)
+        r = np.arange(rest)
+        joint = _components(n + count, np.concatenate([n + self.comp[x * rest + r] for x in a0]),
+                            np.concatenate([x * rest + r for x in a]))
+        self.labels = joint[:n]
+        b_order, b_bounds, _ = _runs(self.labels)
+        block_cols = {int(self.labels[b_order[b_bounds[i]]]): b_order[b_bounds[i]:b_bounds[i + 1]]
+                      for i in range(b_bounds.size - 1)}
+        # per block: its cochain columns and, per member component, the
+        # chain columns, and the source, target and coefficient of each move
+        self.blocks: dict[int, tuple[np.ndarray, list]] = {}
+        for k in range(count):
+            cols = order[bounds[k]:bounds[k + 1]]
+            a0, r = np.divmod(cols, rest)
+            to, src = np.nonzero(ginv[:, a0])
+            key = int(joint[n + k])
+            block = self.blocks.setdefault(key, (block_cols[key], []))
+            pos = np.searchsorted(block[0], to * rest + r[src])
+            block[1].append((k, cols, src, pos, ginv[to, a0[src]], _runs(pos)[2]))
+
+    def perp(self, space: Subspace) -> Subspace:
+        f = self.f
+        basis, piv = space.basis.data, space.pivots()
+        rows_of = {}
+        if piv.size:
+            order, bounds, _ = _runs(self.comp[piv])
+            for j in range(bounds.size - 1):
+                rows = order[bounds[j]:bounds[j + 1]]
+                rows_of[int(self.comp[piv[rows[0]]])] = rows
+        parts = []
+        for cols_b, members in self.blocks.values():
+            anns = []
+            for k, cols, src, pos, coef, layer in members:
+                rows = rows_of.get(k)
+                if rows is None:
+                    ann = np.eye(cols.size, dtype=CODE_DTYPE)
+                else:
+                    local = np.searchsorted(cols, piv[rows])
+                    ann = _null_rows(f, basis[np.ix_(rows, cols)], local, cols.size)
+                if ann.shape[0]:
+                    anns.append((ann, src, pos, coef, layer))
+            if not anns:
+                continue
+            block = np.zeros((sum(x[0].shape[0] for x in anns), cols_b.size), dtype=CODE_DTYPE)
+            start = 0
+            for ann, src, pos, coef, layer in anns:
+                rows = slice(start, start + ann.shape[0])
+                for depth in range(int(layer.max()) + 1):
+                    hit = layer == depth
+                    term = f.vmul(coef[hit], ann[:, src[hit]])
+                    block[rows, pos[hit]] = f.vadd(block[rows, pos[hit]], term) if depth else term
+                start += ann.shape[0]
+            R, rank, _ = _rref_array(f, block)
+            parts.append((cols_b, R[:rank]))
+        n = self.labels.size
+        return Subspace(f, n, Mat(f, _embed_rref(n, parts)))
 
 
 def _left_multiply(f: Field, g: np.ndarray, rows: np.ndarray) -> np.ndarray:

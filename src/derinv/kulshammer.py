@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra, memo
+from .algebras import Algebra, WeakAlgebra, memo
 from .errors import (
     DegeneratePairing,
     DimensionMismatch,
@@ -45,7 +45,7 @@ class QuotientModKA:
     supported on F, and proj_matrix computes its F-coordinates.
     """
 
-    algebra: Algebra
+    algebra: Algebra = WeakAlgebra()
     ka: Subspace
     free_cols: tuple[int, ...]
     proj_matrix: Mat  # qdim x d: class coordinates of an ambient vector

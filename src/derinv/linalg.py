@@ -417,28 +417,69 @@ def _embed_rref(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarra
     return out
 
 
-def _block_kernel(f: Field, shape: tuple[int, int], coo) -> Mat:
+def _block_kernel(f: Field, shape: tuple[int, int], coo,
+                  labels: np.ndarray | None = None) -> Mat:
     """Canonical RREF basis of the right null space of a sparse matrix.
 
     The same rows as Mat.kernel of the dense matrix; a column without
-    entries contributes its unit vector.
+    entries contributes its unit vector.  If labels is given (one entry
+    per column), each column of a block is labelled there with the
+    block's first column; columns without entries keep their label.
     """
     empty = np.ones(shape[1], dtype=bool)
     empty[coo[1]] = False
     empty = np.flatnonzero(empty)
     parts = [(empty, np.eye(empty.size, dtype=CODE_DTYPE))]
-    parts += [(c, Mat(f, block).kernel().data)
-              for _, c, block in _blocks(shape, coo, transpose=False)]
+    for _, c, block in _blocks(shape, coo, transpose=False):
+        parts.append((c, Mat(f, block).kernel().data))
+        if labels is not None:
+            labels[c] = c[0]
     return Mat(f, _embed_rref(shape[1], parts))
 
 
-def _block_image(f: Field, shape: tuple[int, int], coo) -> "Subspace":
-    """Column space of a sparse matrix, the same as Subspace.from_rows of its transpose."""
+def _block_image(f: Field, shape: tuple[int, int], coo,
+                 labels: np.ndarray | None = None) -> "Subspace":
+    """Column space of a sparse matrix, the same as Subspace.from_rows of its transpose.
+
+    labels, if given (one entry per row), is filled as in _block_kernel,
+    over the rows.
+    """
     parts = []
     for r, _, block in _blocks(shape, coo, transpose=True):
         R, rank, _ = _rref_array(f, block)
         parts.append((r, R[:rank]))
+        if labels is not None:
+            labels[r] = r[0]
     return Subspace(f, shape[0], Mat(f, _embed_rref(shape[0], parts)))
+
+
+def _join_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the union of two partitions of range(n).
+
+    Each partition labels every index with an index of its part; the
+    result labels each joint component with its smallest index.
+    """
+    idx = np.arange(a.size)
+    return _components(idx.size, np.concatenate([idx, idx]), np.concatenate([a, b]))
+
+
+# parts narrower than this many indices share a bin with their neighbours
+_BIN = 512
+
+
+def _bin_labels(labels: np.ndarray) -> np.ndarray:
+    """A coarser partition: the parts, in label order, cut into bins of about _BIN indices.
+
+    A part goes to bin (indices in the parts before it) // _BIN, so a
+    part of _BIN indices or more shares its bin only with smaller parts
+    before it, and range(n) with n <= _BIN is one bin.  Bins are
+    labelled 0, 1, ...
+    """
+    order, bounds, _ = _runs(labels)
+    sizes = np.diff(bounds)
+    out = np.empty_like(labels)
+    out[order] = np.repeat((np.cumsum(sizes) - sizes) // _BIN, sizes)
+    return out
 
 
 def field_kron(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:

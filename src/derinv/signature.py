@@ -41,7 +41,7 @@ from .errors import (
 )
 from .gerstenhaber import bracket, sigma_p
 from .hochschild import Cochain, hh_cohomology, hh_homology
-from .higher import kappa_nm, t_nm_space
+from .higher import kappa_nm
 from .kulshammer import (
     kappa_kernel,
     kappa_image,
@@ -191,8 +191,10 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
         keys = (f"dim_im_kappa_m{m}_n{n}", f"dim_t_m{m}_n{n}", f"dim_ker_kappa_m{m}_n{n}")
         try:
             kap = kappa_nm(algebra, m, n, cap)
-            t_dim = t_nm_space(algebra, m, n, cap).dim
+            t_dim = kap.t_space().dim
             coh_dim = hh_cohomology(algebra, m, cap).dim
+            # T comes from the same pairing matrix L as kappa, so this is
+            # rank-nullity for L; verify_properties checks T independently
             if kap.rank != coh_dim - t_dim:
                 raise InvariantViolation(f"rank of kappa_{n}^({m}) violates the dimension formula")
             entries[keys[0]] = kap.rank

@@ -12,7 +12,10 @@ and oracle_rref_generic is the per-pivot elimination over every row,
 which tall matrices no longer take.  oracle_bracket_kron and
 oracle_sigma_p_kron multiply the dense coderivation components, and
 oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
-and coboundary build neither.
+and coboundary build neither.  oracle_boundaries_inside is the B inside Z
+check as one product over the whole degree, and oracle_transported_perp
+the transport of an annihilator to cochains as one dense elimination;
+hh_homology and hh_cohomology run both one component at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ import numpy as np
 
 from derinv.fields import CODE_DTYPE, Field
 from derinv.gerstenhaber import coderivation_component, coderivation_power_component
-from derinv.hochschild import Cochain, _quotient_basis, boundary_matrix, coboundary_matrix
+from derinv.hochschild import (
+    Cochain,
+    _left_multiply,
+    _quotient_basis,
+    boundary_matrix,
+    coboundary_matrix,
+)
 from derinv.linalg import Mat, Subspace
 
 
@@ -360,6 +369,28 @@ def oracle_hh_homology(algebra, m: int):
     bnext = dense(algebra, m + 1, None)
     boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
     return _quotient_basis(algebra, m, "homology", cycles, boundaries)
+
+
+def oracle_boundaries_inside(field: Field, cycles: Subspace, boundaries: Subspace) -> bool:
+    """B inside Z by one dense product over the whole degree.
+
+    Each boundary row must be the combination of the cycle rows given by
+    its entries at the cycle pivots; only the free columns need the product.
+    """
+    piv = cycles.pivots()
+    if not set(boundaries.pivots().tolist()) <= set(piv.tolist()):
+        return False
+    free = np.ones(cycles.ambient_dim, dtype=bool)
+    free[piv] = False
+    b = boundaries.basis.data
+    return np.array_equal(field.matmul(b[:, piv], cycles.basis.data[:, free]), b[:, free])
+
+
+def oracle_transported_perp(algebra, space: Subspace) -> Subspace:
+    """Phi^-1 of the annihilator of a chain space, as one dense elimination."""
+    f = algebra.field
+    ginv = algebra.form.gram.inverse().data
+    return Subspace.from_rows(f, Mat(f, _left_multiply(f, ginv, space.annihilator_rows())))
 
 
 def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:

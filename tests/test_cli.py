@@ -156,9 +156,9 @@ class TestDegreeCommands:
         assert cli.main(["hh", c4_file, "-m", "3"]) == 3
 
     def test_command_frees_its_algebra(self, capsys, c4_file):
-        # cached HH bases point back at their algebra, so without a
-        # collection a finished command leaves it alive while the
-        # collector is paused
+        # cached results hold their algebra by weak reference, so a
+        # finished command leaves no algebra alive even with the
+        # collector paused
         def live():
             return sum(isinstance(o, Algebra) for o in gc.get_objects())
 

@@ -532,6 +532,21 @@ class TestRestrictedAxioms:
         with pytest.raises(ValueError):
             restricted_axioms_check(dual2, 2, [0])
 
+    def test_each_class_computed_once(self, klein, monkeypatch):
+        # every cochain whose class is asked for is asked for once: the
+        # classes of the powers sigma_p(f_i) are shared by all pairs
+        seen = []
+        real = gerstenhaber._class_of
+
+        def counting(algebra, f, size_cap):
+            seen.append(f)
+            return real(algebra, f, size_cap)
+
+        monkeypatch.setattr(gerstenhaber, "_class_of", counting)
+        assert restricted_axioms_check(klein, 2, [1, 2])["all_passed"]
+        ids = [id(f) for f in seen]
+        assert len(ids) == len(set(ids))
+
 
 INSERTION_NAMES = ["gf2_x2", "gf2_c2xc2", "gf3_x3", "gf3_x3_moved", "gf3_upper",
                    "gf5_x2", "gf4_x2", "gf9_x2"]

@@ -13,7 +13,8 @@ from derinv.algebras import (
     make_group_algebra,
     make_truncated_polynomial,
 )
-from derinv.errors import FormRequired, SizeCapExceeded
+from derinv.errors import FormRequired, InvariantViolation, SizeCapExceeded
+from derinv import higher
 from derinv.gerstenhaber import bracket, coderivation, sigma_p
 from derinv.higher import (
     HigherKappa,
@@ -32,9 +33,11 @@ from derinv.hochschild import (
     hh_homology,
     pairing,
     pairing_gram,
+    resolve_size_cap,
 )
 from derinv.kulshammer import kappa_n, t_n_center_space
 from derinv.linalg import Mat, field_kron
+from derinv.signature import SignatureConfig
 
 import oracles
 
@@ -197,6 +200,47 @@ class TestProperties:
         outer = kappa_nm(dual2, 1, 1)
         inner = kappa_nm(dual2, 2, 1)
         assert total.operator == outer.operator.compose(inner.operator)
+
+
+CONFTEST_CORPUS = ["k2", "dual2", "trunc4_2", "c2", "c4", "c8", "klein", "uv", "s3_2", "m2k",
+                   "c3_3", "c9_3", "trunc3_3", "dual4", "trunc4_3", "dual3"]
+
+
+class TestTFromPairing:
+    """T_n^(m) read off kappa_nm's pairing matrix against t_nm_space."""
+
+    @pytest.mark.parametrize("fixture", CONFTEST_CORPUS + ["c4_moved"])
+    def test_matches_t_nm_space_on_default_pairs(self, request, fixture):
+        if fixture == "c4_moved":
+            a = request.getfixturevalue("c4")
+            rng = np.random.default_rng(41)
+            while True:
+                g = Mat(a.field, rng.integers(0, 2, size=(4, 4)).astype(np.int8))
+                if g.rank() == 4:
+                    break
+            a = change_basis(a, g)
+        else:
+            a = request.getfixturevalue(fixture)
+        p, cap = a.field.p, resolve_size_cap()
+        pairs = [(m, n) for m, n in SignatureConfig().resolved_pairs(p)
+                 if a.dim ** (2 * p**n * m + 3) <= cap]
+        assert pairs
+        for m, n in pairs:
+            assert kappa_nm(a, m, n).t_space() == t_nm_space(a, m, n), (m, n)
+
+    def test_additivity_check_reads_rows_of_the_pairing(self, monkeypatch):
+        # a power map shifted by a fixed class is not additive; both routes
+        # must catch it on the same seeded pair
+        a = _cold_c4()
+        shift = hh_cohomology(a, 2).cochain(0)
+        real = higher.cup_power
+        monkeypatch.setattr(higher, "cup_power", lambda f, k, cap=None: real(f, k, cap) + shift)
+        with pytest.raises(InvariantViolation) as by_classes:
+            power_class_matrix(a, 1, 1)
+        with pytest.raises(InvariantViolation) as by_pairing:
+            kappa_nm(a, 1, 1)
+        assert str(by_pairing.value) == str(by_classes.value)
+        assert str(by_pairing.value).startswith("p^1-th cup power is not additive on HH^1")
 
 
 def _transport_classes(f, src_basis, dst_basis, g_inv, factors):

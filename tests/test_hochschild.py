@@ -432,6 +432,99 @@ def test_quotient_checks_free_columns_of_boundaries(trunc3_3):
         _quotient_basis(trunc3_3, 1, "homology", cycles, outside)
 
 
+def _block_pair(f, rng, nblocks):
+    """Cycle and boundary spaces that are block diagonal over shuffled columns.
+
+    Returns (cycles, boundaries, labels), labels naming each column's
+    block; every boundary row is a combination of cycle rows of its block.
+    """
+    widths = rng.integers(1, 7, size=nblocks)
+    n = int(widths.sum())
+    perm = rng.permutation(n)
+    names = rng.permutation(nblocks) * 7 + 3
+    labels = np.empty(n, dtype=np.int64)
+    z_rows, b_rows = [], []
+    start = 0
+    for w, name in zip(widths, names):
+        cols = np.sort(perm[start:start + w])
+        start += w
+        labels[cols] = name
+        z = rng.integers(0, f.q, size=(int(rng.integers(1, w + 1)), w)).astype(np.int8)
+        coeffs = rng.integers(0, f.q, size=(int(rng.integers(0, 4)), z.shape[0])).astype(np.int8)
+        for block, out in ((z, z_rows), (f.matmul(coeffs, z), b_rows)):
+            rows = np.zeros((block.shape[0], n), dtype=np.int8)
+            rows[:, cols] = block
+            out.append(rows)
+    cycles = Subspace.from_rows(f, np.concatenate(z_rows))
+    boundaries = Subspace.from_rows(f, np.concatenate(b_rows)) if sum(
+        len(b) for b in b_rows) else Subspace.zero(f, n)
+    return cycles, boundaries, labels
+
+
+def _mutated(boundaries, row, col, value):
+    data = boundaries.basis.data.copy()
+    data[row, col] = value
+    return Subspace(boundaries.field, boundaries.ambient_dim, Mat(boundaries.field, data))
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(2, 2)]), st.integers(0, 2**32 - 1), st.integers(2, 6))
+@settings(max_examples=80, deadline=None)
+def test_quotient_check_by_components_matches_dense_product(f, seed, nblocks):
+    # B inside Z, checked one block at a time, against the dense product;
+    # then two mutations that must fail: a wrong entry at a free cycle
+    # column in a later block, and a boundary row that leaves its block
+    a = make_truncated_polynomial(f, 1)
+    rng = np.random.default_rng(seed)
+    cycles, boundaries, labels = _block_pair(f, rng, nblocks)
+    assert oracles.oracle_boundaries_inside(f, cycles, boundaries)
+    by_parts = _quotient_basis(a, 1, "homology", cycles, boundaries, labels)
+    dense = _quotient_basis(a, 1, "homology", cycles, boundaries)
+    assert by_parts.reps == dense.reps and by_parts.rep_pivots == dense.rep_pivots
+
+    piv_z, piv_b = set(cycles.pivots().tolist()), boundaries.pivots().tolist()
+    first = labels.min()
+    wrong = [(i, c) for i, p in enumerate(piv_b) for c in range(p + 1, labels.size)
+             if labels[c] == labels[p] != first and c not in piv_z]
+    if wrong:
+        i, c = wrong[int(rng.integers(len(wrong)))]
+        bad = _mutated(boundaries, i, c, f.add(int(boundaries.basis.data[i, c]), 1))
+        assert not oracles.oracle_boundaries_inside(f, cycles, bad)
+        with pytest.raises(InvariantViolation):
+            _quotient_basis(a, 1, "homology", cycles, bad, labels)
+    leak = [(i, c) for i, p in enumerate(piv_b) for c in range(p + 1, labels.size)
+            if labels[c] != labels[p] and c not in piv_b]
+    if leak:
+        i, c = leak[int(rng.integers(len(leak)))]
+        with pytest.raises(InvariantViolation):
+            _quotient_basis(a, 1, "homology", cycles, _mutated(boundaries, i, c, 1), labels)
+
+
+@pytest.mark.parametrize("fixture", FORM_CORPUS)
+def test_transport_by_components_matches_dense_oracle(request, fixture):
+    """Cocycles and coboundaries of the form path equal the dense transports."""
+    a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
+    cap = resolve_size_cap()
+    for m in range(4):
+        if a.dim ** (2 * m + 3) > cap:
+            break
+        hom, coh = hh_homology(a, m), hh_cohomology(a, m)
+        assert coh.cycles == oracles.oracle_transported_perp(a, hom.boundaries), m
+        assert coh.boundaries == oracles.oracle_transported_perp(a, hom.cycles), m
+
+
+@pytest.mark.parametrize("fixture, m", [("c8", 3), ("trunc4_3", 4), ("uv", 4)])
+def test_homology_rows_lie_in_their_components(request, fixture, m):
+    # every cycle and boundary row, on both sides, is supported on the
+    # component of its pivot, and the degree splits into several
+    a = request.getfixturevalue(fixture)
+    for basis in (hh_homology(a, m), hh_cohomology(a, m)):
+        labels = basis.components
+        assert labels is not None and np.unique(labels).size > 1
+        for space in (basis.cycles, basis.boundaries):
+            rows, cols = np.nonzero(space.basis.data)
+            assert np.array_equal(labels[cols], labels[space.pivots()[rows]])
+
+
 def test_homology_builds_no_dense_bar_matrix(c8):
     # the dense b_3 and b_4 of GF(2)[C8] take 2 MiB and 128 MiB, and the
     # dense path peaked at 626 MiB on this call

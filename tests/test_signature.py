@@ -1,13 +1,22 @@
 """Signature aggregation, comparison verdicts, and strict serialization."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from derinv.errors import Incomparable, MalformedDocument, SchemaVersionMismatch
 from derinv.fields import GF
-from derinv.algebras import change_basis, make_matrix_algebra, make_truncated_polynomial
+from derinv.algebras import (
+    change_basis,
+    cyclic_table,
+    make_group_algebra,
+    make_matrix_algebra,
+    make_truncated_polynomial,
+)
+from derinv.higher import verify_properties
 from derinv.hochschild import hh_cohomology
 from derinv.linalg import Mat, Subspace
 from derinv.signature import (
@@ -293,3 +302,24 @@ class TestSerialization:
         back = parse_signature(serialize_signature(sig))
         assert back == sig
         assert back.entries["dim_hh_homology_3"] == SKIPPED_CAP
+
+
+def test_dropped_algebra_is_freed_without_the_collector():
+    # cached results hold their algebra by weak reference, so the last
+    # outside reference frees the algebra and its cache at once
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = []
+        for build in (lambda: make_group_algebra(GF(2), cyclic_table(4)),
+                      lambda: make_truncated_polynomial(GF(3), 3)):
+            a = build()
+            compute_signature(a)
+            # trunc3_3 skips its composition on the cap, through an exception
+            assert verify_properties(a, 1, 1, 1)["all_passed"]
+            refs.append(weakref.ref(a))
+            del a
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
