@@ -41,7 +41,7 @@ from .errors import (
     SingularMatrix,
     SizeCapExceeded,
 )
-from .fields import CODE_DTYPE, Field, GF
+from .fields import CODE_DTYPE, Field, GF, is_json_int
 from .linalg import Mat, Subspace
 
 ALGEBRA_SCHEMA_VERSION = 1
@@ -542,9 +542,11 @@ def _field_from_json(obj) -> Field:
         raise MalformedDocument("field block must be {p, e, [modulus]}")
     p = obj["p"]
     e = obj.get("e", 1)
-    if not isinstance(p, int) or not isinstance(e, int):
+    if not is_json_int(p) or not is_json_int(e):
         raise MalformedDocument("field p/e must be integers")
     mod = obj.get("modulus")
+    if mod is not None and not (isinstance(mod, list) and all(is_json_int(c) for c in mod)):
+        raise MalformedDocument("field modulus must be a list of integers")
     try:
         if mod is not None:
             return Field(p, e, tuple(mod))
@@ -577,14 +579,14 @@ def algebra_from_json(doc) -> Algebra:
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be an object")
     version = doc.get("schema_version", ALGEBRA_SCHEMA_VERSION)
-    if version != ALGEBRA_SCHEMA_VERSION:
+    if not is_json_int(version) or version != ALGEBRA_SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"unsupported schema_version {version}")
     for key in ("field", "dim", "unit", "mult"):
         if key not in doc:
             raise MalformedDocument(f"missing key {key!r}")
     f = _field_from_json(doc["field"])
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not is_json_int(dim) or dim < 1:
         raise MalformedDocument("dim must be a positive integer")
     names = doc.get("basis") or [f"b{i}" for i in range(dim)]
     if not isinstance(names, list) or len(names) != dim:
@@ -602,13 +604,13 @@ def algebra_from_json(doc) -> Algebra:
         if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
             raise MalformedDocument(f"bad mult row {row!r}")
         i, j, entries = row
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (is_json_int(i) and is_json_int(j)):
             raise MalformedDocument(f"bad mult indices in {row!r}")
         if (i, j) in mult:
             raise MalformedDocument(f"duplicate mult row ({i},{j})")
         parsed = {}
         for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], int)):
+            if not (isinstance(entry, list) and len(entry) == 2 and is_json_int(entry[0])):
                 raise MalformedDocument(f"bad mult entry {entry!r}")
             k, c = entry
             if k in parsed:

@@ -309,10 +309,10 @@ class Field:
 
     def coeff_from_json(self, obj) -> int:
         if self.e == 1:
-            if not isinstance(obj, int):
+            if not is_json_int(obj):
                 raise DerinvError(f"expected an integer coefficient, got {obj!r}")
             return obj % self.p
-        if not isinstance(obj, list) or len(obj) > self.e or not all(isinstance(c, int) for c in obj):
+        if not isinstance(obj, list) or len(obj) > self.e or not all(is_json_int(c) for c in obj):
             raise DerinvError(f"expected a coefficient list of length <= {self.e}, got {obj!r}")
         return sum((c % self.p) * self.p ** i for i, c in enumerate(obj))
 
@@ -336,6 +336,11 @@ class Field:
 
 
 @cache
+def is_json_int(x) -> bool:
+    """Whether a parsed JSON value is an integer; JSON true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def GF(p: int, e: int = 1) -> Field:
     """Cached field with the default (Conway) modulus."""
     return Field(p, e)

@@ -30,8 +30,8 @@ f -> D_f, so f o g = tau o D_f D_g and [f, g] = tau o [D_f, D_g].  The
 multiplication cochain gives the differential d_A with d_A^2 = 0.  The
 components of D_f are products over associative matrix blocks, so
 tau o D_f^p is the left-nested product above.  coderivation_component,
-Coderivation, is_coderivation, build_dA and gamma keep this model as
-dense Kronecker matrices.
+Coderivation, is_coderivation and build_dA keep this model as dense
+Kronecker matrices.
 
 Plain p-th powers of coderivations are again coderivations when p = 2,
 or when p is odd and the cochain arity is odd (even coderivation
@@ -79,7 +79,7 @@ class TruncatedCoalgebra:
     Component r is A^(x r) with the counit component k at r = 0.  The
     comultiplication splits tensors by deconcatenation, so each block
     B_r -> B_j x B_(r-j) is the identity matrix in flat coordinates and
-    only the list of splittings is ever needed.
+    is never stored.
     """
 
     algebra: Algebra
@@ -93,11 +93,6 @@ class TruncatedCoalgebra:
         if not 0 <= r <= self.max_len:
             raise DegreeMismatch(f"tensor length {r} outside retained range 0..{self.max_len}")
         return self.algebra.dim**r
-
-    def splits(self, r: int) -> list[tuple[int, int]]:
-        """Deconcatenation splittings of B_r, counit edges included."""
-        self.component_dim(r)
-        return [(j, r - j) for j in range(r + 1)]
 
 
 def _check_component_cap(f: Cochain, r: int, size_cap: int | None) -> None:
@@ -228,14 +223,6 @@ def is_coderivation(algebra: Algebra, shift: int, components: dict[int, Mat]):
                 col = int(np.nonzero((lhs != rhs).any(axis=0))[0][0])
                 return False, {"length": r, "split": (a, b), "column": col}
     return True, None
-
-
-def gamma(algebra: Algebra, shift: int, components: dict[int, Mat]) -> Cochain:
-    """tau o D: the cochain a coderivation projects to on tensor length 1."""
-    src = shift + 1
-    if src not in components:
-        raise DegreeMismatch(f"no component with target length 1 (need length {src})")
-    return Cochain(algebra, src, components[src])
 
 
 def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> Coderivation:

@@ -12,6 +12,19 @@ and the coboundary of an m-cochain f is
     (df)(a1 .. a_{m+1}) = a1 f(a2 ..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
                           + (-1)^{m+1} f(a1 ..) a_{m+1}.
 
+The two complexes have one assembly.  For finite-dimensional A,
+Hom(A^m, A) = (DA x A^m)^* with DA = Hom(A, k), and the cochain
+coordinate (k, a1 .. am) is the chain coordinate phi^k x a1 .. am in
+the dual basis phi^k.  So delta_m is exactly the transpose of b_{m+1}
+with coefficients in DA (Loday, Cyclic Homology, 1.5), with sign +.
+Only the terms that act on the coefficient change: with c[u, v, w] the
+structure constants of b_u b_v = sum_w c[u, v, w] b_w,
+
+    phi^k b_u = sum_w c[u, w, k] phi^w,    b_v phi^k = sum_w c[w, v, k] phi^w,
+
+so the contraction x a1 reads the sparse triples in the roles (w, u, v)
+and the cyclic term a_m x in the roles (v, w, u) (_bar_coo).
+
 Class representatives are canonical: cycle and boundary spaces are kept
 as RREF row spaces, and the cycle rows whose leading columns are not
 leading columns of the boundary space form a basis of the quotient.
@@ -19,9 +32,30 @@ When A carries a symmetrizing form, (f, a0 x ..) -> (a0, f(a1 ..))
 descends to a pairing of HH^m with HH_m whose gram matrix must be
 square and invertible.
 
-The form also yields HH^m without any coboundary matrix.  With G the
-gram matrix and Phi_m = G x I_{d^m}, the coboundary is the transpose of
-the boundary up to the form, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
+No dense bar matrix is built on the way to HH.  _bar_coo gives the
+nonzero entries of b_m, on A or on DA, as index arrays: each term of b
+places c[u, v, w] at index arrays broadcast over the untouched tensor
+factors.  _homology, which serves hh_homology and the HH^m of an
+algebra without a form, takes the kernel of the map out of degree m
+(b_m, or delta_m) and the image of the map into it (b_{m+1}, or
+delta_{m-1}), and eliminates each connected component of their support
+graphs on its own.  For a group algebra the components of b follow the
+conjugacy class of the cyclic product g_0 .. g_m (Burghelea's splitting
+of HH_*(kG)); for k[x]/(x^n) they follow the total degree.  Column
+supports of the blocks are disjoint, so their RREF rows sorted by
+leading column are the global RREF, and the class representatives are
+those of the dense matrices.  The components of the outgoing map over
+its columns and of the incoming one over its rows, joined, hold every
+cycle and boundary row of degree m; consecutive small ones share a bin
+of about 512 coordinates.  _quotient_basis checks B inside Z bin by
+bin: each boundary row must be its entries at the cycle pivots times
+the cycle rows, and a row with entries outside its bin fails.
+boundary_matrix and coboundary_matrix scatter the same entries into a
+dense int8 array; nothing in the HH layer calls them.
+
+With a form, HH^m is read off hh_homology(m) instead, which is faster
+than the DA blocks.  With G the gram matrix and Phi_m = G x I_{d^m},
+delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
 
     cocycles    = Phi_m^-1 (B_m)^perp,    coboundaries = Phi_m^-1 (Z_m)^perp
 
@@ -29,32 +63,11 @@ with Z_m, B_m the cycle and boundary spaces of hh_homology(m) and perp
 the annihilator under the dot product.  The annihilator of an RREF
 basis is read off its free columns without elimination.  Phi_m^-1 moves
 a chain coordinate a_0 x r only onto coordinates a x r, so the
-components of hh_homology(m) (below) map to blocks of cochain
-coordinates, joined where their images meet.  HH^m costs one RREF of
-the moved annihilator rows per block and space, on top of the homology
+components of hh_homology(m) map to blocks of cochain coordinates,
+joined where their images meet.  HH^m costs one RREF of the moved
+annihilator rows per block and space, on top of the homology
 eliminations; the blocks label the cochains for the B inside Z check.
-A degree that is one block takes one dense RREF per space.  Algebras
-without a form use the coboundary matrices.
-
-Bar matrices are assembled straight from the sparse structure constants:
-each term of b or delta places c[u, v, w] at index arrays broadcast over
-the untouched tensor factors.  hh_homology never builds a dense b_m.  It
-keeps the nonzero entries of b_m and b_{m+1} as index arrays and
-eliminates each connected component of their support graph on its own.
-For a group algebra the components follow the conjugacy class of the
-cyclic product g_0 .. g_m (Burghelea's splitting of HH_*(kG)); for
-k[x]/(x^n) they follow the total degree.  Column supports of the blocks
-are disjoint, so their RREF rows sorted by leading column are the global
-RREF, and the class representatives are those of the dense matrices.
-The components of b_m over its columns and of b_{m+1} over its rows,
-joined, hold every cycle and boundary row of degree m; consecutive small
-ones share a bin of about 512 coordinates.  _quotient_basis checks B
-inside Z bin by bin: each boundary row must be its entries at the cycle
-pivots times the cycle rows, and a row with entries outside its bin
-fails.  One bin is one product over the whole degree, as before.
-boundary_matrix scatters the same entries into a dense int8 array.
-coboundary_matrix adds the terms of delta_m into one; it serves only
-HH^m of algebras without a form.
+A degree that is one block takes one dense RREF per space.
 
 The coboundary of one cochain needs no matrix of delta.  With mu the
 multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
@@ -110,49 +123,37 @@ from .linalg import (
 )
 
 
-def _add_term(f: Field, flat: np.ndarray, ncols: int, rows, cols, vals) -> None:
-    """flat[rows, cols] += vals for one bar-complex term.
+def _bar_coo(algebra: Algebra, m: int,
+             dual: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of b_m on M x A^m as (rows, cols, vals), each (row, col) once, m >= 1.
 
-    The index arrays broadcast against each other; within one term every
-    (row, col) pair occurs at most once, so a fancy-indexed update is exact.
-    """
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    idx = (rows * ncols + cols).reshape(-1)
-    flat[idx] = f.vadd(flat[idx], vals.reshape(-1))
-
-
-def _sparse_terms(algebra: Algebra):
-    """Structure constants c[u, v, w] as broadcastable (1, nnz, 1) arrays.
-
-    Returns (u, v, w, c, -c); the sign of a term picks c or -c.
-    """
-    ii, jj, kk, vv = algebra.sparse_mult()
-    f = algebra.field
-    u, v, w = (x.reshape(1, -1, 1) for x in (ii, jj, kk))
-    c = vv.reshape(1, -1, 1)
-    return u, v, w, c, f.vneg(c)
-
-
-def _bar_coo(algebra: Algebra, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of b_m as (rows, cols, vals), each (row, col) once, m >= 1.
-
-    Entries come in row-major order.  Up to m + 1 terms meet at one
-    entry; they are summed with Field.vadd.
+    M is A, or DA in the dual basis phi^k if dual.  Entries come in
+    row-major order.  Up to m + 1 terms meet at one entry; they are
+    summed with Field.vadd.
     """
     f, d = algebra.field, algebra.dim
     cols_n = d ** (m + 1)
-    u, v, w, c, neg_c = _sparse_terms(algebra)
+    ii, jj, kk, vv = algebra.sparse_mult()
+    u, v, w = (x.reshape(1, -1, 1) for x in (ii, jj, kk))
+    c = vv.reshape(1, -1, 1)
+    neg_c = f.vneg(c)
+    # (factor, factor, product) roles of the triples b_u b_v = c[u, v, w] b_w
+    # in x a_1 and a_m x; on DA, phi^k b_u = sum_w c[u, w, k] phi^w and
+    # b_v phi^k = sum_w c[w, v, k] phi^w
+    first, cyclic = ((w, u, v), (v, w, u)) if dual else ((u, v, w), (u, v, w))
     terms = []
-    # inner contractions: (P, a_i, a_{i+1}, S) -> (P, a_i a_{i+1}, S), sign (-1)^i
+    # contractions: (P, a_i, a_{i+1}, S) -> (P, a_i a_{i+1}, S), sign (-1)^i
     for i in range(m):
+        x, y, z = first if i == 0 else (u, v, w)
         pre = np.arange(d**i).reshape(-1, 1, 1)
         s = d ** (m - 1 - i)
         suf = np.arange(s).reshape(1, 1, -1)
-        terms.append(((pre * d + w) * s + suf, ((pre * d + u) * d + v) * s + suf,
+        terms.append(((pre * d + z) * s + suf, ((pre * d + x) * d + y) * s + suf,
                       neg_c if i % 2 else c))
     # cyclic term: a_m a_0 x a_1 .. a_{m-1}, sign (-1)^m
+    x, y, z = cyclic
     mid = np.arange(d ** (m - 1)).reshape(1, 1, -1)
-    terms.append((w * d ** (m - 1) + mid, (v * d ** (m - 1) + mid) * d + u,
+    terms.append((z * d ** (m - 1) + mid, (y * d ** (m - 1) + mid) * d + x,
                    neg_c if m % 2 else c))
     flat = [[x.reshape(-1) for x in np.broadcast_arrays(*t)] for t in terms]
     rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
@@ -170,16 +171,32 @@ def _bar_coo(algebra: Algebra, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return key // cols_n, key % cols_n, total[nonzero]
 
 
+def _boundary_map(algebra: Algebra, m: int):
+    """b_m as (shape, coo)."""
+    d = algebra.dim
+    return (d**m, d ** (m + 1)), _bar_coo(algebra, m)
+
+
+def _coboundary_map(algebra: Algebra, m: int):
+    """delta_m as (shape, coo): b_{m+1} on DA x A^(m+1), transposed."""
+    d = algebra.dim
+    rows, cols, vals = _bar_coo(algebra, m + 1, dual=True)
+    return (d ** (m + 2), d ** (m + 1)), (cols, rows, vals)
+
+
+def _dense(f: Field, shape: tuple[int, int], coo) -> Mat:
+    out = np.zeros(shape, dtype=CODE_DTYPE)
+    rows, cols, vals = coo
+    out[rows, cols] = vals
+    return Mat(f, out)
+
+
 @memo(lambda a, m: a.dim**m * a.dim ** (m + 1), lambda a, m: f"boundary matrix b_{m}")
 def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     """Bar boundary b_m as a (d^m, d^(m+1)) matrix; m >= 1."""
     if m < 1:
         raise ValueError("boundary is defined for m >= 1")
-    d = algebra.dim
-    rows, cols, vals = _bar_coo(algebra, m)
-    out = np.zeros((d**m, d ** (m + 1)), dtype=CODE_DTYPE)
-    out[rows, cols] = vals
-    return Mat(algebra.field, out)
+    return _dense(algebra.field, *_boundary_map(algebra, m))
 
 
 def _coboundary_entries(a: Algebra, m: int) -> int:
@@ -195,26 +212,7 @@ def coboundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> 
     """Hochschild coboundary on m-cochains, a (d^(m+2), d^(m+1)) matrix."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    f, d = algebra.field, algebra.dim
-    rows_n, cols_n = d ** (m + 2), d ** (m + 1)
-    u, v, w, c, neg_c = _sparse_terms(algebra)
-    flat = np.zeros(rows_n * cols_n, dtype=CODE_DTYPE)
-    n = d**m
-    rest = np.arange(n).reshape(1, 1, -1)
-    # left action: a1 f(a2 ..); structure constant c[a1, f-out, out]
-    _add_term(f, flat, cols_n, (w * d + u) * n + rest, v * n + rest, c)
-    # inner contractions: f(.. a_i a_{i+1} ..), sign (-1)^i; the prefix
-    # carries the output index of f
-    for i in range(1, m + 1):
-        pre = np.arange(d**i).reshape(-1, 1, 1)
-        s = d ** (m - i)
-        suf = np.arange(s).reshape(1, 1, -1)
-        _add_term(f, flat, cols_n, ((pre * d + u) * d + v) * s + suf,
-                  (pre * d + w) * s + suf, neg_c if i % 2 else c)
-    # right action: f(a1 ..) a_{m+1}, sign (-1)^(m+1); c[f-out, a_{m+1}, out]
-    _add_term(f, flat, cols_n, (w * n + rest) * d + v, u * n + rest,
-              c if m % 2 else neg_c)
-    return Mat(f, flat.reshape(rows_n, cols_n))
+    return _dense(algebra.field, *_coboundary_map(algebra, m))
 
 
 class Cochain:
@@ -296,11 +294,6 @@ class Cochain:
 def multiplication_cochain(algebra: Algebra) -> Cochain:
     """The product of A as a 2-cochain."""
     return Cochain(algebra, 2, Mat(algebra.field, algebra.mult_matrix.data.T))
-
-
-def unit_cochain(algebra: Algebra) -> Cochain:
-    """The unit of A as a 0-cochain."""
-    return Cochain(algebra, 0, Mat(algebra.field, algebra.unit.reshape(-1, 1)))
 
 
 def _pre_lie(f: Mat, m: int, g: Mat, n: int) -> np.ndarray:
@@ -395,7 +388,8 @@ def _quotient_basis(algebra: Algebra, degree: int, kind: str,
 
     labels, if given, is a component of each coordinate that holds every
     cycle and boundary row in the component of its pivot; the check then
-    runs one component at a time.
+    runs one component at a time.  Without labels it runs over the whole
+    degree.
     """
     f = algebra.field
     piv_z, piv_b = cycles.pivots(), boundaries.pivots()
@@ -404,18 +398,15 @@ def _quotient_basis(algebra: Algebra, degree: int, kind: str,
         if not in_b.issubset(piv_z.tolist()):
             raise InvariantViolation("boundary space not inside cycle space")
         z, b = cycles.basis.data, boundaries.basis.data
-        if _one_component(labels):
-            if not _rows_inside(f, z, piv_z, b):
+        parts = np.zeros(cycles.ambient_dim, dtype=np.int64) if labels is None else labels
+        for cols, zr, br in _parts(parts, piv_z, piv_b):
+            zk, bk = z[zr], b[br]
+            zc, bc = zk[:, cols], bk[:, cols]
+            if (np.count_nonzero(zc) != np.count_nonzero(zk)
+                    or np.count_nonzero(bc) != np.count_nonzero(bk)):
+                raise InvariantViolation("a cycle or boundary row leaves its component")
+            if not _rows_inside(f, zc, np.searchsorted(cols, piv_z[zr]), bc):
                 raise InvariantViolation("boundary space not inside cycle space")
-        else:
-            for cols, zr, br in _parts(labels, piv_z, piv_b):
-                zk, bk = z[zr], b[br]
-                zc, bc = zk[:, cols], bk[:, cols]
-                if (np.count_nonzero(zc) != np.count_nonzero(zk)
-                        or np.count_nonzero(bc) != np.count_nonzero(bk)):
-                    raise InvariantViolation("a cycle or boundary row leaves its component")
-                if not _rows_inside(f, zc, np.searchsorted(cols, piv_z[zr]), bc):
-                    raise InvariantViolation("boundary space not inside cycle space")
     keep = [i for i, c in enumerate(piv_z.tolist()) if c not in in_b]
     reps = Mat(f, cycles.basis.data[keep]) if keep else Mat.zeros(f, 0, cycles.ambient_dim)
     rep_pivots = tuple(int(piv_z[i]) for i in keep)
@@ -432,10 +423,6 @@ def _rows_inside(f: Field, z: np.ndarray, piv: np.ndarray, b: np.ndarray) -> boo
     free = np.ones(z.shape[1], dtype=bool)
     free[piv] = False
     return np.array_equal(f.matmul(b[:, piv], z[:, free]), b[:, free])
-
-
-def _one_component(labels: np.ndarray | None) -> bool:
-    return labels is None or labels.min() == labels.max()
 
 
 def _parts(labels: np.ndarray, piv_z: np.ndarray, piv_b: np.ndarray):
@@ -455,6 +442,29 @@ def _parts(labels: np.ndarray, piv_z: np.ndarray, piv_b: np.ndarray):
                b_order[b_bounds[i]:b_bounds[i + 1]])
 
 
+def _homology(algebra: Algebra, m: int, kind: str, out, into) -> HomologyBasis:
+    """Kernel of the map out of degree m modulo the image of the map into it.
+
+    Each map is (shape, coo) of its nonzero entries, or None for zero.
+    Both are eliminated block by block, and their blocks, joined and
+    binned, label the coordinates for the B inside Z check.
+    """
+    f, n = algebra.field, algebra.dim ** (m + 1)
+    # the components of out over its columns and of into over its rows,
+    # each index labelled with an index of its block
+    z_labels, b_labels = np.arange(n), np.arange(n)
+    if out is None:
+        cycles = Subspace.full(f, n)
+    else:
+        cycles = Subspace(f, n, _block_kernel(f, *out, z_labels))
+    if into is None:
+        boundaries = Subspace.zero(f, n)
+    else:
+        boundaries = _block_image(f, *into, b_labels)
+    return _quotient_basis(algebra, m, kind, cycles, boundaries,
+                           _bin_labels(_join_labels(z_labels, b_labels)))
+
+
 # the widest matrix either quotient touches has d^(2m+3) entries: b_{m+1},
 # or the coboundary on degree m
 def _hh_entries(a: Algebra, m: int) -> int:
@@ -466,21 +476,11 @@ def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homolo
     """HH_m as a quotient of the degree-m cycle space of the bar complex."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    f, d = algebra.field, algebra.dim
-    n = d ** (m + 1)
-    # the components of b_m over its columns and of b_{m+1} over its rows,
-    # each index labelled with an index of its block
-    z_labels, b_labels = np.arange(n), np.arange(n)
-    if m == 0:
-        cycles = Subspace.full(f, d)
-    else:
-        kernel = _block_kernel(f, (d**m, n), _bar_coo(algebra, m), z_labels)
-        cycles = Subspace(f, n, kernel)
-    boundaries = _block_image(f, (n, d ** (m + 2)), _bar_coo(algebra, m + 1), b_labels)
-    if m == 0 and boundaries != algebra.commutator_space():
+    out = _boundary_map(algebra, m) if m else None
+    hom = _homology(algebra, m, "homology", out, _boundary_map(algebra, m + 1))
+    if m == 0 and hom.boundaries != algebra.commutator_space():
         raise InvariantViolation("image of b_1 differs from the commutator space")
-    return _quotient_basis(algebra, m, "homology", cycles, boundaries,
-                           _bin_labels(_join_labels(z_labels, b_labels)))
+    return hom
 
 
 @memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
@@ -488,26 +488,19 @@ def hh_cohomology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homo
     """HH^m as a quotient of the degree-m cocycle space.
 
     With a symmetrizing form the (co)cycle spaces are transported from
-    hh_homology(m); otherwise they come from the coboundary matrices.
+    hh_homology(m); otherwise they come from the blocks of delta_m and
+    delta_{m-1}.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if algebra.form is None:
-        return _cohomology_from_coboundaries(algebra, m, size_cap)
+        return _cohomology_from_dual(algebra, m)
     return _cohomology_from_form(algebra, m, size_cap)
 
 
-def _cohomology_from_coboundaries(algebra: Algebra, m: int,
-                                  size_cap: int | None) -> HomologyBasis:
-    f = algebra.field
-    delta = coboundary_matrix(algebra, m, size_cap)
-    cycles = Subspace(f, delta.cols, delta.kernel())
-    if m == 0:
-        boundaries = Subspace.zero(f, delta.cols)
-    else:
-        prev = coboundary_matrix(algebra, m - 1, size_cap)
-        boundaries = Subspace.from_rows(f, Mat(f, prev.data.T))
-    return _quotient_basis(algebra, m, "cohomology", cycles, boundaries)
+def _cohomology_from_dual(algebra: Algebra, m: int) -> HomologyBasis:
+    into = _coboundary_map(algebra, m - 1) if m else None
+    return _homology(algebra, m, "cohomology", _coboundary_map(algebra, m), into)
 
 
 def _cohomology_from_form(algebra: Algebra, m: int,
@@ -518,7 +511,7 @@ def _cohomology_from_form(algebra: Algebra, m: int,
     hom = hh_homology(algebra, m, size_cap)
     ginv = algebra.form.gram.inverse().data
     labels = hom.components
-    if _one_component(labels):
+    if labels.min() == labels.max():
         def transported_perp(space: Subspace) -> Subspace:
             moved = _left_multiply(f, ginv, space.annihilator_rows())
             return Subspace.from_rows(f, Mat(f, moved))

@@ -96,9 +96,18 @@ def quotient_mod_ka(algebra: Algebra) -> QuotientModKA:
     return QuotientModKA(algebra, ka, free, Mat(f, proj), Mat(f, reps), center_basis, induced)
 
 
-def _basis_p_powers(algebra: Algebra, rows: np.ndarray, n: int) -> np.ndarray:
-    """Stack of row^(p^n) for each row."""
-    return np.stack([algebra.p_power(r, n) for r in rows]) if rows.shape[0] else rows.copy()
+@memo()
+def _basis_p_powers(algebra: Algebra, center: bool, n: int) -> np.ndarray:
+    """Rows b^(p^n) for the basis vectors b of A, or of Z(A) if center.
+
+    The table for n is the p-th powers of the rows of the table for n - 1.
+    """
+    if n == 0:
+        return algebra.center().basis.data if center else np.eye(algebra.dim, dtype=CODE_DTYPE)
+    rows = _basis_p_powers(algebra, center, n - 1)
+    out = np.stack([algebra.p_power(r, 1) for r in rows]) if rows.shape[0] else rows.copy()
+    out.setflags(write=False)
+    return out
 
 
 @memo()
@@ -108,7 +117,7 @@ def t_n_space(algebra: Algebra, n: int) -> Subspace:
         raise ValueError("n must be >= 0")
     f, d = algebra.field, algebra.dim
     q = quotient_mod_ka(algebra)
-    powers = _basis_p_powers(algebra, np.eye(d, dtype=CODE_DTYPE), n)  # d x d
+    powers = _basis_p_powers(algebra, False, n)  # d x d
     m = f.matmul(q.proj_matrix.data, powers.T)  # column i = class of b_i^(p^n)
     if n > 0:
         rng = np.random.default_rng(0x5EED + n)
@@ -130,7 +139,7 @@ def t_n_center_space(algebra: Algebra, n: int) -> Subspace:
     zb = algebra.center().basis
     if zb.rows == 0:
         return Subspace.zero(f, algebra.dim)
-    powers = _basis_p_powers(algebra, zb.data, n)  # zdim x d
+    powers = _basis_p_powers(algebra, True, n)  # zdim x d
     op = SemilinearOperator(Mat(f, powers.T), n)  # coords -> z^(p^n)
     coords = op.kernel()
     return coords.map_rows(zb.T) if coords.dim else Subspace.zero(f, algebra.dim)
@@ -141,8 +150,7 @@ def p_n_space(algebra: Algebra, n: int) -> Subspace:
     """P_n(Z) = span{z^(p^n) : z central}; a subspace because Z is commutative."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    zb = algebra.center().basis
-    powers = _basis_p_powers(algebra, zb.data, n)
+    powers = _basis_p_powers(algebra, True, n)
     return Subspace.from_rows(algebra.field, Mat(algebra.field, powers))
 
 
@@ -156,10 +164,10 @@ def zeta_n(algebra: Algebra, n: int) -> SemilinearOperator:
     if n < 0:
         raise ValueError("n must be >= 0")
     form = algebra.require_form()
-    f, d = algebra.field, algebra.dim
+    f = algebra.field
     center = algebra.center()
     zb = center.basis
-    powers = _basis_p_powers(algebra, np.eye(d, dtype=CODE_DTYPE), n)  # rows b_i^(p^n)
+    powers = _basis_p_powers(algebra, False, n)  # rows b_i^(p^n)
     rhs_rows = f.matmul(f.matmul(zb.data, form.gram.data), powers.T)  # zdim x d
     cols = []
     for j in range(zb.rows):
@@ -199,7 +207,7 @@ def kappa_n(algebra: Algebra, n: int) -> SemilinearOperator:
         raise FormRequired("kappa needs a symmetrizing form")
     if p.rows != p.cols or p.rank() < p.rows:
         raise DegeneratePairing("pairing of Z(A) with A/KA is not invertible")
-    zpowers = _basis_p_powers(algebra, q.center_basis.data, n)  # zdim x d
+    zpowers = _basis_p_powers(algebra, True, n)  # zdim x d
     rhs = f.matmul(f.matmul(zpowers, form.gram.data), q.reps.data.T)  # zdim x qdim
     c = p.inverse() @ Mat(f, rhs).frobenius(-n)
     return SemilinearOperator(c, -n)

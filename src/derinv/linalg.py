@@ -570,20 +570,6 @@ class Subspace:
         R, rank, _ = _rref_array(self.field, stacked)
         return Subspace(self.field, self.ambient_dim, Mat(self.field, R[:rank]))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        f = self.field
-        # x = a @ U = b @ V: solve [U^T | -V^T] (a; b) = 0
-        stacked = np.concatenate([self.basis.data.T, f.vneg(other.basis.data.T)], axis=1)
-        K = Mat(f, stacked).kernel()
-        if K.rows == 0:
-            return Subspace.zero(f, self.ambient_dim)
-        combos = f.matmul(K.data[:, : self.dim], self.basis.data)
-        R, rank, _ = _rref_array(f, combos)
-        return Subspace(f, self.ambient_dim, Mat(f, R[:rank]))
-
     def frobenius_image(self, n: int) -> "Subspace":
         """Entrywise x -> x^(p^n); RREF shape is preserved."""
         return Subspace(self.field, self.ambient_dim, self.basis.frobenius(n))

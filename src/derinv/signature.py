@@ -39,6 +39,7 @@ from .errors import (
     SchemaVersionMismatch,
     SizeCapExceeded,
 )
+from .fields import is_json_int
 from .gerstenhaber import bracket, sigma_p
 from .hochschild import Cochain, hh_cohomology, hh_homology
 from .higher import kappa_nm
@@ -282,12 +283,12 @@ def signature_from_json(doc) -> InvariantSignature:
     missing = expected - set(doc)
     if missing:
         raise MalformedDocument(f"missing fields: {sorted(missing)}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if not is_json_int(doc["schema_version"]) or doc["schema_version"] != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"schema_version {doc['schema_version']} != {SCHEMA_VERSION}")
     fld = doc["field"]
     if not isinstance(fld, dict) or set(fld) != {"p", "e"}:
         raise MalformedDocument("field descriptor must have exactly p and e")
-    if not all(isinstance(fld[k], int) and fld[k] > 0 for k in ("p", "e")):
+    if not all(is_json_int(fld[k]) and fld[k] > 0 for k in ("p", "e")):
         raise MalformedDocument("field descriptor entries must be positive integers")
     if not isinstance(doc["gram_fingerprint"], str):
         raise MalformedDocument("gram_fingerprint must be a string")
@@ -295,9 +296,9 @@ def signature_from_json(doc) -> InvariantSignature:
     if not isinstance(entries, dict):
         raise MalformedDocument("entries must be an object")
     for k, v in entries.items():
-        if isinstance(v, bool) or not isinstance(v, (int, str)):
+        if not (is_json_int(v) or isinstance(v, str)):
             raise MalformedDocument(f"entry {k} must be an integer or a skip marker")
-        if isinstance(v, int) and v < 0:
+        if is_json_int(v) and v < 0:
             raise MalformedDocument(f"entry {k} is negative")
         if isinstance(v, str) and not v.startswith(_SKIP_PREFIX):
             raise MalformedDocument(f"entry {k} has a malformed marker")

@@ -21,6 +21,14 @@ from derinv.algebras import (
 from derinv.linalg import Mat
 
 
+def upper_triangular(f, n: int) -> Algebra:
+    """The upper triangular n x n matrices, basis e_ij (i <= j) in row-major order."""
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {t: k for k, t in enumerate(idx)}
+    mult = {(pos[(i, j)], pos[(j, l)]): {pos[(i, l)]: 1} for i, j in idx for l in range(j, n)}
+    return Algebra(f, len(idx), mult, [int(i == j) for i, j in idx])
+
+
 # The recurring test corpus.  Session scope: algebras are immutable and
 # cache their own derived data, so sharing them speeds everything up.
 
@@ -119,9 +127,7 @@ def insertion_corpus(dual2, klein, trunc3_3, dual4):
         g = Mat(f, rng.integers(0, 3, size=(3, 3)).astype(np.int8))
         if g.rank() == 3:
             break
-    # basis e11, e12, e22
-    upper = Algebra(f, 3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
-                    [1, 0, 1])
+    upper = upper_triangular(f, 2)
     assert upper.form is None
     return {
         "gf2_x2": dual2,
@@ -133,3 +139,31 @@ def insertion_corpus(dual2, klein, trunc3_3, dual4):
         "gf4_x2": dual4,
         "gf9_x2": make_truncated_polynomial(GF(3, 2), 2),
     }
+
+
+@pytest.fixture(scope="session")
+def formless_corpus(insertion_corpus):
+    """Algebras without a symmetrizing form, for HH^m from the bar complex
+    with DA coefficients: upper triangular matrices over GF(2), GF(3),
+    GF(4) and GF(9), one of them in a random basis, and k[x, y]/(x, y)^2,
+    whose socle has dimension 2."""
+    f = GF(3)
+    rng = np.random.default_rng(37)
+    up9 = upper_triangular(GF(3, 2), 2)
+    while True:
+        g = Mat(up9.field, rng.integers(0, 9, size=(3, 3)).astype(np.int8))
+        if g.rank() == 3:
+            break
+    # basis 1, x, y
+    square_zero = Algebra(f, 3, {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in (1, 2)},
+                          [1, 0, 0])
+    out = {
+        "gf3_upper2": insertion_corpus["gf3_upper"],
+        "gf2_upper3": upper_triangular(GF(2), 3),
+        "gf3_upper3": upper_triangular(f, 3),
+        "gf4_upper2": upper_triangular(GF(2, 2), 2),
+        "gf9_upper2_moved": change_basis(up9, g),
+        "gf3_square_zero": square_zero,
+    }
+    assert all(a.form is None for a in out.values())
+    return out

@@ -12,7 +12,11 @@ and oracle_rref_generic is the per-pivot elimination over every row,
 which tall matrices no longer take.  oracle_bracket_kron and
 oracle_sigma_p_kron multiply the dense coderivation components, and
 oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
-and coboundary build neither.  oracle_boundaries_inside is the B inside Z
+and coboundary build neither.  oracle_coboundary_terms is that matrix
+added up from the terms of delta, which coboundary_matrix now reads off
+the bar boundary with DA coefficients, and oracle_hh_cohomology the
+dense elimination of it, which the block-wise hh_cohomology of an
+algebra without a form replaced.  oracle_boundaries_inside is the B inside Z
 check as one product over the whole degree, and oracle_transported_perp
 the transport of an annihilator to cochains as one dense elimination;
 hh_homology and hh_cohomology run both one component at a time.
@@ -32,7 +36,6 @@ from derinv.hochschild import (
     _left_multiply,
     _quotient_basis,
     boundary_matrix,
-    coboundary_matrix,
 )
 from derinv.linalg import Mat, Subspace
 
@@ -258,10 +261,46 @@ def oracle_sigma_p_kron(f: Cochain) -> Cochain:
 
 
 def oracle_coboundary(f: Cochain) -> Cochain:
-    """delta f from the dense coboundary matrix, built past the cache."""
+    """delta f from the dense coboundary matrix of oracle_coboundary_terms."""
     a = f.algebra
-    delta = coboundary_matrix.__wrapped__(a, f.arity, None)
+    delta = oracle_coboundary_terms(a, f.arity)
     return Cochain.from_flat(a, f.arity + 1, delta.mul_vec(f.flat()))
+
+
+def oracle_coboundary_terms(algebra, m: int) -> Mat:
+    """delta_m as a dense (d^(m+2), d^(m+1)) matrix, added up term by term.
+
+    Each term of delta places c[u, v, w] at index arrays broadcast over
+    the untouched tensor factors; within one term every (row, col) pair
+    occurs once, so a fancy-indexed update is exact.
+    """
+    f, d = algebra.field, algebra.dim
+    rows_n, cols_n = d ** (m + 2), d ** (m + 1)
+    ii, jj, kk, vv = algebra.sparse_mult()
+    u, v, w = (x.reshape(1, -1, 1) for x in (ii, jj, kk))
+    c = vv.reshape(1, -1, 1)
+    neg_c = f.vneg(c)
+    flat = np.zeros(rows_n * cols_n, dtype=CODE_DTYPE)
+
+    def add_term(rows, cols, vals):
+        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+        idx = (rows * cols_n + cols).reshape(-1)
+        flat[idx] = f.vadd(flat[idx], vals.reshape(-1))
+
+    n = d**m
+    rest = np.arange(n).reshape(1, 1, -1)
+    # left action: a1 f(a2 ..); structure constant c[a1, f-out, out]
+    add_term((w * d + u) * n + rest, v * n + rest, c)
+    # inner contractions: f(.. a_i a_{i+1} ..), sign (-1)^i; the prefix
+    # carries the output index of f
+    for i in range(1, m + 1):
+        pre = np.arange(d**i).reshape(-1, 1, 1)
+        s = d ** (m - i)
+        suf = np.arange(s).reshape(1, 1, -1)
+        add_term(((pre * d + u) * d + v) * s + suf, (pre * d + w) * s + suf, neg_c if i % 2 else c)
+    # right action: f(a1 ..) a_{m+1}, sign (-1)^(m+1); c[f-out, a_{m+1}, out]
+    add_term((w * n + rest) * d + v, u * n + rest, c if m % 2 else neg_c)
+    return Mat(f, flat.reshape(rows_n, cols_n))
 
 
 def _flat(d: int, tup: tuple[int, ...]) -> int:
@@ -369,6 +408,22 @@ def oracle_hh_homology(algebra, m: int):
     bnext = dense(algebra, m + 1, None)
     boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
     return _quotient_basis(algebra, m, "homology", cycles, boundaries)
+
+
+def oracle_hh_cohomology(algebra, m: int):
+    """HH^m from the dense coboundary matrices: ker delta_m and the column space of delta_{m-1}.
+
+    Builds both with oracle_coboundary_terms, so they are freed with the result.
+    """
+    f = algebra.field
+    delta = oracle_coboundary_terms(algebra, m)
+    cycles = Subspace(f, delta.cols, delta.kernel())
+    if m == 0:
+        boundaries = Subspace.zero(f, delta.cols)
+    else:
+        prev = oracle_coboundary_terms(algebra, m - 1)
+        boundaries = Subspace.from_rows(f, Mat(f, prev.data.T))
+    return _quotient_basis(algebra, m, "cohomology", cycles, boundaries)
 
 
 def oracle_boundaries_inside(field: Field, cycles: Subspace, boundaries: Subspace) -> bool:

@@ -341,6 +341,28 @@ class TestJson:
         with pytest.raises(SchemaVersionMismatch):
             algebra_from_json(doc)
 
+    @pytest.mark.parametrize("where", [
+        ("schema_version",), ("field", "p"), ("field", "e"), ("dim",), ("mult", 0, 0),
+        ("mult", 1, 1), ("mult", 1, 2, 0, 0), ("mult", 1, 2, 0, 1), ("unit", 0),
+    ])
+    def test_booleans_are_not_integers(self, dual2, where):
+        # json.loads gives True and False, which Python counts as ints
+        doc = algebra_to_json(dual2)
+        del doc["basis"]
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = True
+        with pytest.raises(MalformedDocument):
+            algebra_from_json(doc)
+
+    @pytest.mark.parametrize("coeff", [True, 1.0])
+    def test_modulus_coefficients_are_integers(self, dual4, coeff):
+        doc = algebra_to_json(dual4)
+        doc["field"]["modulus"][1] = coeff
+        with pytest.raises(MalformedDocument):
+            algebra_from_json(doc)
+
     def test_duplicate_mult_row(self, dual2):
         doc = algebra_to_json(dual2)
         doc["mult"].append(doc["mult"][0])

@@ -52,6 +52,19 @@ class TestCheck:
     def test_missing_file(self, capsys, tmp_path):
         assert cli.main(["check", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("key", ["dim", "e"])
+    def test_boolean_for_an_integer(self, capsys, tmp_path, k2, key):
+        # true == 1, so a one-dimensional algebra got past the parser
+        from derinv.algebras import algebra_to_json
+
+        doc = algebra_to_json(k2)
+        del doc["basis"]
+        (doc["field"] if key == "e" else doc)[key] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_wrong_schema_version(self, capsys, tmp_path, c4):
         from derinv.algebras import algebra_to_json
 

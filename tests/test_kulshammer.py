@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from derinv import GF, Mat
-from derinv.algebras import Algebra, make_truncated_polynomial
+from derinv.algebras import Algebra, algebra_from_json, algebra_to_json, make_truncated_polynomial
 from derinv.errors import FormRequired
 from derinv.kulshammer import (
     kappa_image,
@@ -21,6 +21,7 @@ from derinv.kulshammer import (
     zeta_n,
 )
 from derinv.linalg import orthogonal_complement
+from derinv.signature import compute_signature
 from oracles import (
     all_vectors,
     oracle_kappa_n,
@@ -255,6 +256,28 @@ class TestChainsAndIndex:
         assert r["zeta_image_dims"] == [2, 1, 1]
         assert r["stabilization_index"] == 2
         assert len(r["kappa_image_dims"]) == 3
+
+
+@pytest.mark.parametrize("fixture", ["c4", "s3_2", "trunc3_3", "dual4"])
+def test_p_powers_are_raised_once_per_degree(request, fixture, monkeypatch):
+    # each basis vector of A and of Z(A) is raised to the p-th power once
+    # per n, from its p^(n-1)-th power; beyond that only the additivity
+    # spot-check of t_n_space calls p_power
+    a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
+    calls = []
+    real = Algebra.p_power
+
+    def counted(self, x, n):
+        calls.append(n)
+        return real(self, x, n)
+
+    monkeypatch.setattr(Algebra, "p_power", counted)
+    compute_signature(a)
+    tables = [key[1:] for key in a._cache if key[0] == "_basis_p_powers" and key[2] > 0]
+    assert {n for _, n in tables} >= {1, 2, 3} and {c for c, _ in tables} == {False, True}
+    rows = {False: a.dim, True: a.center().dim}
+    spot_checks = [key for key in a._cache if key[0] == "t_n_space" and key[1] > 0]
+    assert len(calls) == sum(rows[c] for c, _ in tables) + min(8, a.dim**2) * len(spot_checks)
 
 
 class TestFormless:
