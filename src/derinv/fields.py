@@ -335,12 +335,12 @@ class Field:
         return f"GF({self.p}^{self.e})"
 
 
-@cache
 def is_json_int(x) -> bool:
     """Whether a parsed JSON value is an integer; JSON true and false are not."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+@cache
 def GF(p: int, e: int = 1) -> Field:
     """Cached field with the default (Conway) modulus."""
     return Field(p, e)

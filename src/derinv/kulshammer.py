@@ -103,9 +103,10 @@ def _basis_p_powers(algebra: Algebra, center: bool, n: int) -> np.ndarray:
     The table for n is the p-th powers of the rows of the table for n - 1.
     """
     if n == 0:
-        return algebra.center().basis.data if center else np.eye(algebra.dim, dtype=CODE_DTYPE)
-    rows = _basis_p_powers(algebra, center, n - 1)
-    out = np.stack([algebra.p_power(r, 1) for r in rows]) if rows.shape[0] else rows.copy()
+        out = algebra.center().basis.data.copy() if center else np.eye(algebra.dim, dtype=CODE_DTYPE)
+    else:
+        rows = _basis_p_powers(algebra, center, n - 1)
+        out = np.stack([algebra.p_power(r, 1) for r in rows]) if rows.shape[0] else rows.copy()
     out.setflags(write=False)
     return out
 

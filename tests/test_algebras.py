@@ -345,14 +345,16 @@ class TestJson:
         ("schema_version",), ("field", "p"), ("field", "e"), ("dim",), ("mult", 0, 0),
         ("mult", 1, 1), ("mult", 1, 2, 0, 0), ("mult", 1, 2, 0, 1), ("unit", 0),
     ])
-    def test_booleans_are_not_integers(self, dual2, where):
-        # json.loads gives True and False, which Python counts as ints
+    @pytest.mark.parametrize("bad", [True, [1], {}], ids=["true", "list", "object"])
+    def test_non_integers_in_integer_slots(self, dual2, where, bad):
+        # json.loads gives True and False, which Python counts as ints;
+        # lists and objects are unhashable and must not reach a cache
         doc = algebra_to_json(dual2)
         del doc["basis"]
         target = doc
         for key in where[:-1]:
             target = target[key]
-        target[where[-1]] = True
+        target[where[-1]] = bad
         with pytest.raises(MalformedDocument):
             algebra_from_json(doc)
 

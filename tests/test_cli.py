@@ -53,14 +53,15 @@ class TestCheck:
         assert cli.main(["check", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize("key", ["dim", "e"])
-    def test_boolean_for_an_integer(self, capsys, tmp_path, k2, key):
+    @pytest.mark.parametrize("bad", [True, [1], {}], ids=["true", "list", "object"])
+    def test_non_integer_for_an_integer(self, capsys, tmp_path, k2, key, bad):
         # true == 1, so a one-dimensional algebra got past the parser
         from derinv.algebras import algebra_to_json
 
         doc = algebra_to_json(k2)
         del doc["basis"]
-        (doc["field"] if key == "e" else doc)[key] = True
-        path = tmp_path / "bool.json"
+        (doc["field"] if key == "e" else doc)[key] = bad
+        path = tmp_path / "bad_int.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["check", str(path)]) == 2
         assert capsys.readouterr().out == ""

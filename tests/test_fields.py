@@ -140,3 +140,10 @@ def test_coeff_json_roundtrip():
         assert f2.coeff_from_json(f2.coeff_to_json(a)) == a
     with pytest.raises(DerinvError):
         f2.coeff_from_json(5)  # e > 1 wants a list
+    for bad in (True, [1], {}):
+        with pytest.raises(DerinvError):
+            f1.coeff_from_json(bad)
+
+
+def test_gf_is_cached():
+    assert GF(3, 2) is GF(3, 2)

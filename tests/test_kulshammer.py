@@ -280,6 +280,19 @@ def test_p_powers_are_raised_once_per_degree(request, fixture, monkeypatch):
     assert len(calls) == sum(rows[c] for c, _ in tables) + min(8, a.dim**2) * len(spot_checks)
 
 
+def test_p_power_tables_are_read_only(s3_2):
+    # the memoized tables must not alias the cached center basis writably
+    from derinv.kulshammer import _basis_p_powers
+
+    a = algebra_from_json(algebra_to_json(s3_2))
+    for center in (False, True):
+        for n in (0, 1):
+            table = _basis_p_powers(a, center, n)
+            assert not table.flags.writeable
+    zero = _basis_p_powers(a, True, 0)
+    assert zero is not a.center().basis.data and np.array_equal(zero, a.center().basis.data)
+
+
 class TestFormless:
     def test_t_spaces_work_without_form(self, m2k):
         a = Algebra(m2k.field, m2k.dim, np.asarray(m2k.mult_tensor), m2k.unit)

@@ -272,17 +272,18 @@ class TestSerialization:
         with pytest.raises(SchemaVersionMismatch):
             signature_from_json(doc)
 
-    def test_booleans_are_not_integers(self, dual2):
+    def test_non_integers_in_integer_slots(self, dual2):
         base = signature_to_json(compute_signature(dual2, FAST))
         for outer, key in ((None, "schema_version"), ("field", "p"), ("field", "e")):
-            doc = json.loads(json.dumps(base))
-            (doc[outer] if outer else doc)[key] = True
-            with pytest.raises(MalformedDocument):
-                signature_from_json(doc)
+            for bad in (True, [1], {}):
+                doc = json.loads(json.dumps(base))
+                (doc[outer] if outer else doc)[key] = bad
+                with pytest.raises(MalformedDocument):
+                    signature_from_json(doc)
 
     def test_malformed_entries(self, dual2):
         base = signature_to_json(compute_signature(dual2, FAST))
-        for bad in (-1, True, 1.5, "oops", None):
+        for bad in (-1, True, 1.5, "oops", None, [1], {}):
             doc = json.loads(json.dumps(base))
             doc["entries"]["dim_center"] = bad
             with pytest.raises(MalformedDocument):
