@@ -18,6 +18,7 @@ used here; any monic irreducible of degree e is accepted.  Table:
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -27,7 +28,8 @@ from .errors import DerinvError, DimensionMismatch
 
 CODE_DTYPE = np.int8
 MAX_ORDER = 127  # codes must fit int8
-# float64 entries that Field.matmul makes of its left operand at once
+# float64 entries that Field.matmul makes of its left operand at once (the
+# Gerstenhaber checks slice their cochain stacks by it too)
 _PANEL = 1 << 20
 
 # Ascending coefficient tuples, constant term first, monic leading 1.
@@ -257,28 +259,52 @@ class Field:
         return self._frob_pows[n % self.e][x]
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product of code arrays (2-D each).
+        """Exact product of code arrays, stacked like np.matmul: (..., n, k) @ (..., k, c).
 
-        a is taken one row panel at a time, and the float64 copies of a
-        panel (e digit planes of it when e > 1) hold at most _PANEL
-        entries, so the temporaries of a tall a stay bounded.
+        A stack against one matrix is one tall product, and one matrix
+        against a stack one wide product; two stacks broadcast over their
+        leading axes and are taken a slice of pairs at a time.  a is
+        taken one row panel at a time, and the float64 copies of a panel
+        (e digit planes of it when e > 1) hold at most _PANEL entries, so
+        the temporaries of a tall a or of a long stack stay bounded.  b
+        is converted whole, per slice of pairs.
         """
-        if a.shape[-1] != b.shape[0]:
+        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
             raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
+        (n, k), c = a.shape[-2:], b.shape[-1]
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        if b.ndim == 2:
+            return self._panels(a.reshape(math.prod(a.shape[:-1]), k), b).reshape(lead + (n, c))
+        if a.ndim == 2:
+            wide = self._panels(a, np.moveaxis(b, -2, 0).reshape(k, math.prod(lead) * c))
+            return np.moveaxis(wide.reshape((n,) + lead + (c,)), 0, -2)
+        count = math.prod(lead)
+        a = np.broadcast_to(a, lead + (n, k)).reshape(count, n, k)
+        b = np.broadcast_to(b, lead + (k, c)).reshape(count, k, c)
+        out = np.empty((count, n, c), dtype=CODE_DTYPE)
+        step = max(1, _PANEL // (self.e * max(1, n * k, k * c, n * c)))
+        for s in range(0, count, step):
+            out[s:s + step] = self._panels(a[s:s + step], b[s:s + step])
+        return out.reshape(lead + (n, c))
+
+    def _panels(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b for one (n, k) @ (k, c) product or s stacked ones, a row panel of a at a time."""
         p, e = self.p, self.e
-        out = np.empty((a.shape[0], b.shape[1]), dtype=CODE_DTYPE)
-        step = max(1, _PANEL // (e * max(1, a.shape[1], b.shape[1])))
+        rows, c = a.shape[-2], b.shape[-1]
+        pairs = a.shape[0] if a.ndim == 3 else 1
+        out = np.empty(a.shape[:-1] + (c,), dtype=CODE_DTYPE)
+        step = max(1, _PANEL // (e * pairs * max(1, a.shape[-1], c)))
         if e == 1:
             bf = b.astype(np.float64)
-            for i in range(0, a.shape[0], step):
-                prod = a[i:i + step].astype(np.float64) @ bf
-                out[i:i + step] = np.mod(np.rint(prod).astype(np.int64), p)
+            for i in range(0, rows, step):
+                prod = a[..., i:i + step, :].astype(np.float64) @ bf
+                out[..., i:i + step, :] = np.mod(np.rint(prod).astype(np.int64), p)
             return out
         db = [((b.astype(np.int16) // p ** t) % p).astype(np.float64) for t in range(e)]
-        for i in range(0, a.shape[0], step):
-            panel = a[i:i + step].astype(np.int16)
+        for i in range(0, rows, step):
+            panel = a[..., i:i + step, :].astype(np.int16)
             da = [((panel // p ** s) % p).astype(np.float64) for s in range(e)]
-            planes = [np.zeros((panel.shape[0], b.shape[1]), dtype=np.int64) for _ in range(e)]
+            planes = [np.zeros(panel.shape[:-1] + (c,), dtype=np.int64) for _ in range(e)]
             for s in range(e):
                 for t in range(e):
                     q = np.rint(da[s] @ db[t]).astype(np.int64) % p
@@ -289,7 +315,7 @@ class Field:
             acc = np.zeros_like(planes[0])
             for u in range(e):
                 acc += (planes[u] % p) * p ** u
-            out[i:i + step] = acc
+            out[..., i:i + step, :] = acc
         return out
 
     def vdot(self, x: np.ndarray, y: np.ndarray) -> int:

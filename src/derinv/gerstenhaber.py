@@ -41,6 +41,21 @@ Jacobson polynomials s_i and the three restricted-Lie axioms are
 computed from brackets alone; no symmetrizing form enters anywhere in
 this module.
 
+The insertions work on stacks of cochains: _pre_lie takes code arrays
+of shapes (..., d, d^m) and (..., d, d^n), broadcast over the leading
+axes, and each slot is one Field.matmul for the whole stack.  bracket,
+sigma_p and jacobson_si are the one-cochain case of _brackets, _powers
+and _jacobson.  restricted_axioms_check runs each axiom as one stage
+over all pairs of basis classes (or all random draws), in slices of at
+most fields._PANEL // 32 entries, with one class_coords solve per slice.
+In characteristic 2 the p-power map is quadratic,
+
+    sigma(sum c_i f_i) = sum c_i^2 sigma(f_i) + sum_{i<j} c_i c_j [f_i, f_j],
+
+exactly at cochain level, since o is bilinear and f o g + g o f = [f, g];
+so the span of sigma over all classes is that of the classes of
+sigma(f_i) and [f_i, f_j] (signature.sigma_class_rank).
+
 A component matrix in source tensor length r has d^(r-m+1) x d^r
 entries and respects the same size cap as the bar complex assemblies.
 bracket and sigma_p check the cap of the components that tau o [D_f,
@@ -50,7 +65,6 @@ build none of them, so every cap decision is that of the dense model.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +76,8 @@ from .errors import (
     InvariantViolation,
     ParityViolation,
 )
-from .fields import CODE_DTYPE
-from .hochschild import Cochain, _pre_lie, coboundary, hh_cohomology, multiplication_cochain
+from .fields import _PANEL, CODE_DTYPE
+from .hochschild import Cochain, _delta, _pre_lie, hh_cohomology, multiplication_cochain
 from .linalg import Mat
 
 # bracket(f, multiplication_cochain) equals this constant times the
@@ -95,9 +109,9 @@ class TruncatedCoalgebra:
         return self.algebra.dim**r
 
 
-def _check_component_cap(f: Cochain, r: int, size_cap: int | None) -> None:
-    d = f.algebra.dim
-    _check_cap(d ** (r - f.arity + 1) * d**r, resolve_size_cap(size_cap),
+def _check_component_cap(algebra: Algebra, arity: int, r: int, size_cap: int | None) -> None:
+    d = algebra.dim
+    _check_cap(d ** (r - arity + 1) * d**r, resolve_size_cap(size_cap),
                f"coderivation component at length {r}")
 
 
@@ -112,7 +126,7 @@ def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> M
     if out_len < 0:
         raise DegreeMismatch(f"arity {m} has no component on tensor length {r}")
     rows, cols = d**out_len, d**r
-    _check_component_cap(f, r, size_cap)
+    _check_component_cap(a, m, r, size_cap)
     acc = np.zeros((rows, cols), dtype=CODE_DTYPE)
     block_pos = f.matrix.data
     block_neg = fld.vneg(block_pos)
@@ -149,7 +163,7 @@ class Coderivation:
         if r > self.base.max_len:
             raise DegreeMismatch(f"tensor length {r} above retained maximum {self.base.max_len}")
         # cap before the cached parts, as every memo entry point does
-        _check_component_cap(self.cochain, r, size_cap)
+        _check_component_cap(self.algebra, self.cochain.arity, r, size_cap)
         part = self._parts.get(r)
         if part is None:
             part = coderivation_component(self.cochain, r, size_cap)
@@ -246,6 +260,27 @@ def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> Cod
     return d_a
 
 
+def _bracket_caps(algebra: Algebra, m: int, n: int, size_cap: int | None) -> None:
+    r = m + n - 1
+    for arity, length in ((m, m), (n, r), (n, n), (m, r)):
+        _check_component_cap(algebra, arity, length, size_cap)
+
+
+def _brackets(algebra: Algebra, f: np.ndarray, m: int, g: np.ndarray, n: int,
+              size_cap: int | None = None) -> np.ndarray:
+    """[f, g] on stacks f (..., d, d^m) and g (..., d, d^n) of code arrays, broadcast."""
+    d = algebra.dim
+    if m + n == 0:
+        return np.zeros(np.broadcast_shapes(f.shape[:-2], g.shape[:-2]) + (d, 1), dtype=CODE_DTYPE)
+    _bracket_caps(algebra, m, n, size_cap)
+    fld = algebra.field
+    fg = _pre_lie(fld, f, m, g, n)
+    gf = _pre_lie(fld, g, n, f, m)
+    if ((m - 1) * (n - 1)) % 2 == 1:
+        gf = fld.vneg(gf)
+    return fld.vsub(fg, gf)
+
+
 def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
     """Gerstenhaber bracket f o g - (-1)^((m-1)(n-1)) g o f, arity m + n - 1.
 
@@ -257,19 +292,9 @@ def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
     """
     if f.algebra is not g.algebra:
         raise DimensionMismatch("cochains over different algebras")
-    m, n = f.arity, g.arity
-    a = f.algebra
-    fld = a.field
-    if m + n == 0:
-        return Cochain(a, 0, Mat.zeros(fld, a.dim, 1))
-    r = m + n - 1
-    for h, length in ((f, m), (g, r), (g, n), (f, r)):
-        _check_component_cap(h, length, size_cap)
-    fg = _pre_lie(f.matrix, m, g.matrix, n)
-    gf = _pre_lie(g.matrix, n, f.matrix, m)
-    if ((m - 1) * (n - 1)) % 2 == 1:
-        gf = fld.vneg(gf)
-    return Cochain(a, r, Mat(fld, fld.vsub(fg, gf)))
+    a, m, n = f.algebra, f.arity, g.arity
+    out = _brackets(a, f.matrix.data, m, g.matrix.data, n, size_cap)
+    return Cochain(a, max(m + n - 1, 0), Mat(a.field, out))
 
 
 def coderivation_power_component(f: Cochain, k: int, r: int,
@@ -286,6 +311,26 @@ def coderivation_power_component(f: Cochain, k: int, r: int,
     return Mat(fld, out)
 
 
+def _powers(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None = None) -> np.ndarray:
+    """sigma_p on a stack f (..., d, d^m) of arity-m code arrays."""
+    p = algebra.field.p
+    if p > 2 and m % 2 == 0:
+        raise ParityViolation(
+            f"p-th Gerstenhaber power needs odd arity for p = {p}, got {m}"
+        )
+    if m == 0:
+        raise ValueError("the p-th power of an arity-0 cochain lands below the counit")
+    s = m - 1
+    target = p * s + 1
+    for j in range(p):
+        _check_component_cap(algebra, m, target - j * s, size_cap)
+    power, arity = f, m
+    for _ in range(p - 1):
+        power = _pre_lie(algebra.field, power, arity, f, m)
+        arity += s
+    return power
+
+
 def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
     """tau o (D_f)^p: the p-power operation of the restricted structure.
 
@@ -297,28 +342,36 @@ def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
     products (..(f o f) o ..) o f, under the cap of the components
     D_f on tensor lengths p*(arity-1)+1 down to arity.
     """
-    a = f.algebra
-    p = a.field.p
-    m = f.arity
-    if p > 2 and m % 2 == 0:
-        raise ParityViolation(
-            f"p-th Gerstenhaber power needs odd arity for p = {p}, got {m}"
-        )
-    if m == 0:
-        raise ValueError("the p-th power of an arity-0 cochain lands below the counit")
-    s = m - 1
-    target = p * s + 1
-    for j in range(p):
-        _check_component_cap(f, target - j * s, size_cap)
-    power, arity = f.matrix, m
-    for _ in range(p - 1):
-        power = Mat(a.field, _pre_lie(power, arity, f.matrix, m))
-        arity += s
-    return Cochain(a, target, power)
+    a, m = f.algebra, f.arity
+    power = _powers(a, f.matrix.data, m, size_cap)
+    return Cochain(a, a.field.p * (m - 1) + 1, Mat(a.field, power))
 
 
-def _zero_cochain(algebra: Algebra, arity: int) -> Cochain:
-    return Cochain(algebra, arity, Mat.zeros(algebra.field, algebra.dim, algebra.dim**arity))
+def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int,
+              size_cap: int | None = None) -> list[np.ndarray]:
+    """s_1 .. s_(p-1) on stacks a and b of arity-m code arrays, broadcast."""
+    fld = algebra.field
+    p = fld.p
+    # coeffs[t] is the X^t coefficient; None stands for zero
+    coeffs: list[np.ndarray | None] = [a] + [None] * (p - 1)
+    for step in range(1, p):
+        arity = m + (step - 1) * (m - 1)
+        nxt: list[np.ndarray | None] = [None] * p
+        # the top coefficient of the last step enters no s_i
+        for t in range(p if step < p - 1 else p - 1):
+            terms = []
+            if t >= 1 and coeffs[t - 1] is not None:
+                terms.append(_brackets(algebra, a, m, coeffs[t - 1], arity, size_cap))
+            if coeffs[t] is not None:
+                terms.append(_brackets(algebra, b, m, coeffs[t], arity, size_cap))
+            if terms:
+                nxt[t] = terms[0] if len(terms) == 1 else fld.vadd(*terms)
+        coeffs = nxt
+    d = algebra.dim
+    zero = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                    + (d, d ** (m + (p - 1) * (m - 1))), dtype=CODE_DTYPE)
+    return [zero if c is None else fld.vscale(fld.inv(i % p), c)
+            for i, c in enumerate(coeffs[:p - 1], start=1)]
 
 
 def jacobson_si(a: Cochain, b: Cochain, p: int | None = None,
@@ -341,28 +394,34 @@ def jacobson_si(a: Cochain, b: Cochain, p: int | None = None,
     elif p != fld.p:
         raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")
     m = a.arity
-    coeffs: list[Cochain | None] = [a] + [None] * (p - 1)
-    for step in range(1, p):
-        arity = m + step * (m - 1)
-        nxt: list[Cochain | None] = [None] * p
-        for t in range(p):
-            total = _zero_cochain(alg, arity)
-            if t >= 1 and coeffs[t - 1] is not None:
-                total = total + bracket(a, coeffs[t - 1], size_cap)
-            if coeffs[t] is not None:
-                total = total + bracket(b, coeffs[t], size_cap)
-            nxt[t] = total
-        coeffs = nxt
-    out = []
-    for i in range(1, p):
-        ci = coeffs[i - 1]
-        assert ci is not None
-        out.append(ci.scale(fld.inv(i % p)))
-    return out
+    parts = _jacobson(alg, a.matrix.data, b.matrix.data, m, size_cap)
+    return [Cochain(alg, m + (p - 1) * (m - 1), Mat(fld, s)) for s in parts]
 
 
-def _class_of(algebra: Algebra, f: Cochain, size_cap: int | None):
-    return hh_cohomology(algebra, f.arity, size_cap).class_coords(f.flat())
+def _slices(count: int, width: int):
+    """Consecutive slices of a stack of count cochains of width entries each.
+
+    A product in Field.matmul keeps about four float64 or int64 copies of
+    its operand and result at once, 32 bytes an entry, so a slice holds
+    at most _PANEL // 32 entries (one cochain at least) and those copies
+    take at most _PANEL bytes.  A stage over all pairs then holds no
+    more at once than one slice, or one pair where a pair is larger.
+    """
+    step = max(1, _PANEL // 32 // max(1, width))
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
+def _flags(stage, count: int, width: int) -> np.ndarray:
+    """stage(sl), a pass flag per stacked item, joined over the slices."""
+    return np.concatenate([np.ones(0, dtype=bool)] + [stage(sl) for sl in _slices(count, width)])
+
+
+def _record(entry: dict, key: str, ok: np.ndarray, witness) -> None:
+    """Set entry[key], after witness(first failing index) when one fails."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        entry[f"witness_{key}"] = witness(int(bad[0]))
+    entry[key] = not bad.size
 
 
 def restricted_axioms_check(algebra: Algebra, p: int, degrees,
@@ -377,8 +436,14 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
     ``scalars`` random field elements as exact cochain identities.
     Well-definedness of the power map on classes is probed by shifting
     basis cocycles with ``trials`` random coboundaries.
+
+    Each axiom is one stage over all pairs (i, j) of basis cocycles, or
+    all draws, taken as stacks in slices: the insertions of a slice are
+    one product per slot, and its classes one class_coords solve.  A
+    witness is the first failing pair in row-major order, or the first
+    failing draw.
     """
-    fld = algebra.field
+    fld, d = algebra.field, algebra.dim
     if p != fld.p:
         raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")
     rng = np.random.default_rng(0xC0DE)
@@ -403,64 +468,86 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
             )
             report["degrees"][m] = entry
             continue
-        reps = coh.cochains()
+        k = coh.dim
+        reps = coh.reps.data.reshape(k, d, d**m)
         target = p * (m - 1) + 1
-        powers = [sigma_p(f, size_cap) for f in reps]
-        power_class = functools.cache(lambda i: _class_of(algebra, powers[i], size_cap))
+        powers = np.concatenate([_powers(algebra, reps[sl], m, size_cap)
+                                 for sl in _slices(k, d ** (target + 1))])
+        closed = _flags(lambda sl: ~_delta(algebra, powers[sl], target, size_cap).any(axis=(1, 2)),
+                        k, d ** (target + 2))
+        entry["power_of_cocycle_is_cocycle"] = bool(closed.all())
 
-        entry["power_of_cocycle_is_cocycle"] = all(s.is_cocycle(size_cap) for s in powers)
+        # pairs (i, j) in row-major order
+        ii, jj = np.divmod(np.arange(k * k), k)
+        r = target + m - 1
+        _bracket_caps(algebra, target, m, size_cap)
+        for t in range(p):
+            _bracket_caps(algebra, m, m + t * (m - 1), size_cap)
+        coh_r = hh_cohomology(algebra, r, size_cap)
 
-        ok = True
-        for i, fa in enumerate(reps):
-            for j, gb in enumerate(reps):
-                lhs = bracket(powers[i], gb, size_cap)
-                v = gb
-                for _ in range(p):
-                    v = bracket(fa, v, size_cap)
-                if not np.array_equal(
-                    _class_of(algebra, lhs, size_cap), _class_of(algebra, v, size_cap)
-                ):
-                    ok = False
-                    entry.setdefault("witness_ad_power", (i, j))
-        entry["ad_power"] = ok
+        def ad_power(sl):
+            i, j = ii[sl], jj[sl]
+            lhs = _brackets(algebra, powers[i], target, reps[j], m, size_cap)
+            v, arity = reps[j], m
+            for _ in range(p):
+                v = _brackets(algebra, reps[i], m, v, arity, size_cap)
+                arity += m - 1
+            rows = np.concatenate([lhs.reshape(len(i), -1), v.reshape(len(i), -1)])
+            got = coh_r.class_coords(rows)
+            return (got[:len(i)] == got[len(i):]).all(axis=1)
 
-        ok = True
-        for _ in range(scalars):
-            c = int(rng.integers(1, fld.q))
-            i = int(rng.integers(0, len(reps)))
-            if sigma_p(reps[i].scale(c), size_cap) != powers[i].scale(fld.pow(c, p)):
-                ok = False
-                entry.setdefault("witness_scaling", (c, i))
-        entry["scaling"] = ok
+        _record(entry, "ad_power", _flags(ad_power, k * k, 2 * d ** (r + 1)),
+                lambda w: (int(ii[w]), int(jj[w])))
 
-        ok = True
-        for i, fa in enumerate(reps):
-            for j, gb in enumerate(reps):
-                want = fld.vadd(power_class(i), power_class(j))
-                for s in jacobson_si(fa, gb, p, size_cap):
-                    want = fld.vadd(want, _class_of(algebra, s, size_cap))
-                got = _class_of(algebra, sigma_p(fa + gb, size_cap), size_cap)
-                if not np.array_equal(got, want):
-                    ok = False
-                    entry.setdefault("witness_additivity", (i, j))
-        entry["additivity"] = ok
+        draws = [(int(rng.integers(1, fld.q)), int(rng.integers(0, k))) for _ in range(scalars)]
+        cs = np.array([c for c, _ in draws], dtype=CODE_DTYPE).reshape(-1, 1, 1)
+        cps = np.array([fld.pow(c, p) for c, _ in draws], dtype=CODE_DTYPE).reshape(-1, 1, 1)
+        picked = np.array([i for _, i in draws], dtype=np.int64)
 
-        ok = True
+        def scaling(sl):
+            got = _powers(algebra, fld.vmul(cs[sl], reps[picked[sl]]), m, size_cap)
+            return (got == fld.vmul(cps[sl], powers[picked[sl]])).all(axis=(1, 2))
+
+        _record(entry, "scaling", _flags(scaling, scalars, d ** (target + 1)), lambda w: draws[w])
+
+        coh_t = hh_cohomology(algebra, target, size_cap)
+        power_classes = coh_t.class_coords(powers.reshape(k, -1))
+
+        def additivity(sl):
+            i, j = ii[sl], jj[sl]
+            parts = _jacobson(algebra, reps[i], reps[j], m, size_cap)
+            # sigma_p(f_i + f_j) directly, not through the law under test
+            parts.append(_powers(algebra, fld.vadd(reps[i], reps[j]), m, size_cap))
+            rows = np.concatenate([x.reshape(len(i), -1) for x in parts])
+            classes = coh_t.class_coords(rows).reshape(len(parts), len(i), -1)
+            want = fld.vadd(power_classes[i], power_classes[j])
+            for c in classes[:-1]:
+                want = fld.vadd(want, c)
+            return (classes[-1] == want).all(axis=1)
+
+        _record(entry, "additivity", _flags(additivity, k * k, p * d ** (target + 1)),
+                lambda w: (int(ii[w]), int(jj[w])))
+
+        chosen, shifts = [], []
         for _ in range(trials):
-            i = int(rng.integers(0, len(reps)))
-            emat = rng.integers(0, fld.q, size=(algebra.dim, algebra.dim ** (m - 1)))
-            shift = coboundary(Cochain(algebra, m - 1, Mat(fld, emat.astype(CODE_DTYPE))), size_cap)
-            moved = sigma_p(reps[i] + shift, size_cap)
-            if not np.array_equal(_class_of(algebra, moved, size_cap), power_class(i)):
-                ok = False
-                entry.setdefault("witness_class_well_defined", i)
-        entry["class_well_defined"] = ok
+            chosen.append(int(rng.integers(0, k)))
+            shifts.append(rng.integers(0, fld.q, size=(d, d ** (m - 1))).astype(CODE_DTYPE))
+        chosen = np.array(chosen, dtype=np.int64)
+        shifts = np.array(shifts, dtype=CODE_DTYPE).reshape(trials, d, d ** (m - 1))
+
+        def well_defined(sl):
+            moved = fld.vadd(reps[chosen[sl]], _delta(algebra, shifts[sl], m - 1, size_cap))
+            got = coh_t.class_coords(_powers(algebra, moved, m, size_cap).reshape(len(moved), -1))
+            return (got == power_classes[chosen[sl]]).all(axis=1)
+
+        _record(entry, "class_well_defined", _flags(well_defined, trials, d ** (target + 1)),
+                lambda w: int(chosen[w]))
 
         entry["target_degree"] = target
         report["degrees"][m] = entry
         if not all(
-            entry[k]
-            for k in (
+            entry[key]
+            for key in (
                 "power_of_cocycle_is_cocycle", "ad_power", "scaling",
                 "additivity", "class_well_defined",
             )

@@ -76,7 +76,10 @@ multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
 
 and each of its m + 2 slot insertions is one product against a
 d x d^m or d x d^2 matrix.  coboundary and Cochain.is_cocycle take this
-path, under the cap of coboundary_matrix.
+path, under the cap of coboundary_matrix.  _pre_lie and _delta take
+stacks of cochains, (..., d, d^m), with one product per slot for the
+whole stack, and HomologyBasis.class_coords solves a stack of
+(co)cycles with one residual and one reconstruction product.
 
 Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
 entry point here is an `algebras.memo` function that checks that count
@@ -296,39 +299,47 @@ def multiplication_cochain(algebra: Algebra) -> Cochain:
     return Cochain(algebra, 2, Mat(algebra.field, algebra.mult_matrix.data.T))
 
 
-def _pre_lie(f: Mat, m: int, g: Mat, n: int) -> np.ndarray:
+def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
     """Gerstenhaber's circle product f o g = sum_i (-1)^((n-1)(i-1)) f o_i g.
 
-    f and g are cochain matrices of arities m and n (m + n >= 1); the
-    result is the d x d^(m+n-1) code array of the arity m + n - 1
-    cochain.  The insertion f o_i g feeds the output of g into slot i of
-    f: one product of f, with slot i moved last, against g.
+    f and g are code arrays of cochains of arities m and n (m + n >= 1),
+    of shapes (..., d, d^m) and (..., d, d^n) broadcast over the leading
+    axes; the result holds the d x d^(m+n-1) arrays of the arity
+    m + n - 1 cochains.  The insertion f o_i g feeds the output of g into
+    slot i of f: one product of f, with slot i moved last, against g,
+    for the whole stack.
     """
-    fld = f.field
-    d = f.rows
-    out = np.zeros((d, d ** (m + n - 1)), dtype=CODE_DTYPE)
+    d = f.shape[-2]
+    lead = np.broadcast_shapes(f.shape[:-2], g.shape[:-2])
+    out = np.zeros(lead + (d, d ** (m + n - 1)), dtype=CODE_DTYPE)
     for i in range(1, m + 1):
         pre, post = d ** (i - 1), d ** (m - i)
-        slot_last = f.data.reshape(d, pre, d, post).transpose(0, 1, 3, 2).reshape(-1, d)
-        term = fld.matmul(slot_last, g.data).reshape(d, pre, post, -1).transpose(0, 1, 3, 2)
-        term = term.reshape(out.shape)
+        slot_last = f.reshape(f.shape[:-2] + (d, pre, d, post)).swapaxes(-1, -2)
+        term = fld.matmul(slot_last.reshape(f.shape[:-2] + (-1, d)), g)
+        term = term.reshape(lead + (d, pre, post, -1)).swapaxes(-1, -2).reshape(out.shape)
         out = fld.vsub(out, term) if (n - 1) * (i - 1) % 2 else fld.vadd(out, term)
     return out
 
 
-def coboundary(f: Cochain, size_cap: int | None = None) -> Cochain:
-    """delta f = (-1)^(m-1) mu o f - f o mu for an arity-m cochain f and the product mu.
+def _delta(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None) -> np.ndarray:
+    """delta f = (-1)^(m-1) mu o f - f o mu on a stack f (..., d, d^m) of arity-m cochains.
 
     Checks the cap of the coboundary matrix on degree m, but never builds it.
     """
-    a, m = f.algebra, f.arity
-    _check_cap(_coboundary_entries(a, m), resolve_size_cap(size_cap), _coboundary_what(a, m))
-    mu = multiplication_cochain(a).matrix
-    fld = a.field
-    left = _pre_lie(mu, 2, f.matrix, m)
+    _check_cap(_coboundary_entries(algebra, m), resolve_size_cap(size_cap),
+               _coboundary_what(algebra, m))
+    mu = multiplication_cochain(algebra).matrix.data
+    fld = algebra.field
+    left = _pre_lie(fld, mu, 2, f, m)
     if m % 2 == 0:
         left = fld.vneg(left)
-    return Cochain(a, m + 1, Mat(fld, fld.vsub(left, _pre_lie(f.matrix, m, mu, 2))))
+    return fld.vsub(left, _pre_lie(fld, f, m, mu, 2))
+
+
+def coboundary(f: Cochain, size_cap: int | None = None) -> Cochain:
+    """delta f = (-1)^(m-1) mu o f - f o mu for an arity-m cochain f and the product mu."""
+    a, m = f.algebra, f.arity
+    return Cochain(a, m + 1, Mat(a.field, _delta(a, f.matrix.data, m, size_cap)))
 
 
 @dataclass(frozen=True)
@@ -357,17 +368,21 @@ class HomologyBasis:
         return self.reps.rows
 
     def class_coords(self, vec: np.ndarray) -> np.ndarray:
+        """Class coordinates of one (co)cycle vector, or a row of them per row of a (k, n) stack."""
         f = self.algebra.field
-        v = f.varr(vec).reshape(-1)
-        if v.shape[0] != self.cycles.ambient_dim:
+        v = f.varr(vec)
+        rows = v if v.ndim == 2 else v.reshape(1, -1)
+        if rows.shape[1] != self.cycles.ambient_dim:
             raise DimensionMismatch("vector has wrong chain degree")
-        residue, _ = self.boundaries.reduce(v)
-        coords = residue[list(self.rep_pivots)].copy()
-        recon = f.matmul(coords.reshape(1, -1), self.reps.data).reshape(-1)
-        if not np.array_equal(residue, recon):
+        residue = rows
+        if self.boundaries.dim:
+            b = self.boundaries
+            residue = f.vsub(rows, f.matmul(rows[:, b.pivots()], b.basis.data))
+        coords = residue[:, list(self.rep_pivots)]
+        if not np.array_equal(residue, f.matmul(coords, self.reps.data)):
             word = "cycle" if self.kind == "homology" else "cocycle"
             raise DerinvError(f"vector is not a {word} in degree {self.degree}")
-        return coords
+        return coords if v.ndim == 2 else coords[0]
 
     def rep_vector(self, idx: int) -> np.ndarray:
         return self.reps.data[idx]

@@ -40,8 +40,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .fields import is_json_int
-from .gerstenhaber import bracket, sigma_p
-from .hochschild import Cochain, hh_cohomology, hh_homology
+from .gerstenhaber import _brackets, _powers, _slices, sigma_p
+from .hochschild import Cochain, HomologyBasis, hh_cohomology, hh_homology
 from .higher import kappa_nm
 from .kulshammer import (
     kappa_kernel,
@@ -111,14 +111,27 @@ class InvariantSignature:
 
 
 def sigma_class_rank(algebra: Algebra, m: int, limit: int, size_cap: int | None):
-    """Dimension of the span of sigma_p over all degree-m classes."""
-    f = algebra.field
+    """Dimension of the span of sigma_p over all degree-m classes.
+
+    In characteristic 2, sigma(sum c_i f_i) = sum c_i^2 sigma(f_i) +
+    sum_{i<j} c_i c_j [f_i, f_j] holds exactly at cochain level, since o
+    is bilinear and f o g + g o f = [f, g]; so the span is that of the
+    classes of sigma(f_i) and [f_i, f_j], i < j.  Odd p enumerates every
+    class.  Either way, more than ``limit`` classes are not enumerated.
+    """
+    f, d = algebra.field, algebra.dim
     coh = hh_cohomology(algebra, m, size_cap)
     target = hh_cohomology(algebra, f.p * (m - 1) + 1, size_cap)
     if coh.dim == 0:
         return 0
     if f.q**coh.dim > limit:
         return SKIPPED_ENUMERATION
+    if f.p == 2:
+        reps = coh.reps.data.reshape(coh.dim, d, d**m)
+        rows = [target.class_coords(_powers(algebra, part, m, size_cap).reshape(len(part), -1))
+                for part in (reps[sl] for sl in _slices(coh.dim, d ** (2 * m)))]
+        rows += _bracket_classes(target, reps, m, size_cap)
+        return Subspace.from_rows(f, np.concatenate(rows)).dim
     reps_flat = np.stack([c.flat() for c in coh.cochains()])
     span = Subspace.zero(f, target.dim)
     for coeffs in product(range(f.q), repeat=coh.dim):
@@ -132,19 +145,24 @@ def sigma_class_rank(algebra: Algebra, m: int, limit: int, size_cap: int | None)
     return span.dim
 
 
+def _bracket_classes(target: HomologyBasis, reps: np.ndarray, m: int,
+                     size_cap: int | None) -> list[np.ndarray]:
+    """Classes in target of [f_i, f_j], i < j, of a stack of arity-m cochains; one solve a slice."""
+    algebra = target.algebra
+    i, j = np.triu_indices(len(reps), 1)
+    return [target.class_coords(_brackets(algebra, reps[i[sl]], m, reps[j[sl]], m, size_cap)
+                                .reshape(len(i[sl]), -1))
+            for sl in _slices(len(i), algebra.dim ** (2 * m))]
+
+
 def derived_hh1_dim(algebra: Algebra, size_cap: int | None) -> int:
     """dim of the span of [HH^1, HH^1] inside HH^1."""
     coh = hh_cohomology(algebra, 1, size_cap)
-    if coh.dim == 0:
-        return 0
-    reps = coh.cochains()
-    rows = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            rows.append(coh.class_coords(bracket(reps[i], reps[j], size_cap).flat()))
+    d = algebra.dim
+    rows = _bracket_classes(coh, coh.reps.data.reshape(coh.dim, d, d), 1, size_cap)
     if not rows:
         return 0
-    return Subspace.from_rows(algebra.field, np.stack(rows)).dim
+    return Subspace.from_rows(algebra.field, np.concatenate(rows)).dim
 
 
 def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -> InvariantSignature:

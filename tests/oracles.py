@@ -20,22 +20,40 @@ algebra without a form replaced.  oracle_boundaries_inside is the B inside Z
 check as one product over the whole degree, and oracle_transported_perp
 the transport of an annihilator to cochains as one dense elimination;
 hh_homology and hh_cohomology run both one component at a time.
+oracle_restricted_axioms_check is the restricted-Lie check one pair of
+classes at a time, with one class solve per cochain, and
+oracle_sigma_class_rank the sigma_p rank by enumerating every class,
+and oracle_derived_hh1_dim one bracket and one class solve per pair;
+restricted_axioms_check runs each axiom on stacks of pairs,
+sigma_class_rank in characteristic 2 reads the rank off sigma(f_i) and
+[f_i, f_j], and derived_hh1_dim solves the classes of a stack of
+brackets at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable
 
 import numpy as np
 
 from derinv.fields import CODE_DTYPE, Field
-from derinv.gerstenhaber import coderivation_component, coderivation_power_component
+from derinv.gerstenhaber import (
+    COBOUNDARY_BRACKET_SIGN,
+    bracket,
+    coderivation_component,
+    coderivation_power_component,
+    jacobson_si,
+    sigma_p,
+)
 from derinv.hochschild import (
     Cochain,
     _left_multiply,
     _quotient_basis,
     boundary_matrix,
+    coboundary,
+    hh_cohomology,
 )
 from derinv.linalg import Mat, Subspace
 
@@ -486,3 +504,135 @@ def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple
         if row == r:
             break
     return M, row, tuple(pivots)
+
+
+def _class_of(algebra, f: Cochain, size_cap):
+    return hh_cohomology(algebra, f.arity, size_cap).class_coords(f.flat())
+
+
+def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
+                                   trials: int = 10, scalars: int = 20) -> dict:
+    """restricted_axioms_check one pair of classes at a time, as before stacking."""
+    fld = algebra.field
+    if p != fld.p:
+        raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")
+    rng = np.random.default_rng(0xC0DE)
+    report: dict = {
+        "p": p,
+        "coboundary_bracket_sign": COBOUNDARY_BRACKET_SIGN,
+        "degrees": {},
+    }
+    failures = []
+    for m in degrees:
+        if m < 1:
+            raise ValueError("restricted structure lives in degrees >= 1")
+        if p > 2 and m % 2 == 0:
+            report["degrees"][m] = {"skipped": "even degree is outside the odd-p regime"}
+            continue
+        entry: dict = {}
+        coh = hh_cohomology(algebra, m, size_cap)
+        if coh.dim == 0:
+            entry.update(
+                vacuous=True, power_of_cocycle_is_cocycle=True, ad_power=True,
+                scaling=True, additivity=True, class_well_defined=True,
+            )
+            report["degrees"][m] = entry
+            continue
+        reps = coh.cochains()
+        target = p * (m - 1) + 1
+        powers = [sigma_p(f, size_cap) for f in reps]
+        power_class = functools.cache(lambda i: _class_of(algebra, powers[i], size_cap))
+
+        entry["power_of_cocycle_is_cocycle"] = all(s.is_cocycle(size_cap) for s in powers)
+
+        ok = True
+        for i, fa in enumerate(reps):
+            for j, gb in enumerate(reps):
+                lhs = bracket(powers[i], gb, size_cap)
+                v = gb
+                for _ in range(p):
+                    v = bracket(fa, v, size_cap)
+                if not np.array_equal(
+                    _class_of(algebra, lhs, size_cap), _class_of(algebra, v, size_cap)
+                ):
+                    ok = False
+                    entry.setdefault("witness_ad_power", (i, j))
+        entry["ad_power"] = ok
+
+        ok = True
+        for _ in range(scalars):
+            c = int(rng.integers(1, fld.q))
+            i = int(rng.integers(0, len(reps)))
+            if sigma_p(reps[i].scale(c), size_cap) != powers[i].scale(fld.pow(c, p)):
+                ok = False
+                entry.setdefault("witness_scaling", (c, i))
+        entry["scaling"] = ok
+
+        ok = True
+        for i, fa in enumerate(reps):
+            for j, gb in enumerate(reps):
+                want = fld.vadd(power_class(i), power_class(j))
+                for s in jacobson_si(fa, gb, p, size_cap):
+                    want = fld.vadd(want, _class_of(algebra, s, size_cap))
+                got = _class_of(algebra, sigma_p(fa + gb, size_cap), size_cap)
+                if not np.array_equal(got, want):
+                    ok = False
+                    entry.setdefault("witness_additivity", (i, j))
+        entry["additivity"] = ok
+
+        ok = True
+        for _ in range(trials):
+            i = int(rng.integers(0, len(reps)))
+            emat = rng.integers(0, fld.q, size=(algebra.dim, algebra.dim ** (m - 1)))
+            shift = coboundary(Cochain(algebra, m - 1, Mat(fld, emat.astype(CODE_DTYPE))), size_cap)
+            moved = sigma_p(reps[i] + shift, size_cap)
+            if not np.array_equal(_class_of(algebra, moved, size_cap), power_class(i)):
+                ok = False
+                entry.setdefault("witness_class_well_defined", i)
+        entry["class_well_defined"] = ok
+
+        entry["target_degree"] = target
+        report["degrees"][m] = entry
+        if not all(
+            entry[k]
+            for k in (
+                "power_of_cocycle_is_cocycle", "ad_power", "scaling",
+                "additivity", "class_well_defined",
+            )
+        ):
+            failures.append(m)
+    report["all_passed"] = not failures
+    return report
+
+
+def oracle_sigma_class_rank(algebra, m: int, limit: int, size_cap):
+    """Dimension of the span of sigma_p over all degree-m classes, by enumerating them."""
+    f = algebra.field
+    coh = hh_cohomology(algebra, m, size_cap)
+    target = hh_cohomology(algebra, f.p * (m - 1) + 1, size_cap)
+    if coh.dim == 0:
+        return 0
+    if f.q**coh.dim > limit:
+        return "skipped: enumeration"
+    reps_flat = np.stack([c.flat() for c in coh.cochains()])
+    span = Subspace.zero(f, target.dim)
+    for coeffs in itertools.product(range(f.q), repeat=coh.dim):
+        row = np.asarray(coeffs, dtype=np.int8).reshape(1, -1)
+        combo = Cochain.from_flat(algebra, m, f.matmul(row, reps_flat).reshape(-1))
+        coords = target.class_coords(sigma_p(combo, size_cap).flat())
+        if not span.contains(coords):
+            span = span.add(Subspace.from_rows(f, coords.reshape(1, -1)))
+            if span.dim == target.dim:
+                break
+    return span.dim
+
+
+def oracle_derived_hh1_dim(algebra, size_cap) -> int:
+    """dim of the span of [HH^1, HH^1], one bracket at a time."""
+    coh = hh_cohomology(algebra, 1, size_cap)
+    reps = coh.cochains()
+    rows = [coh.class_coords(bracket(reps[i], reps[j], size_cap).flat())
+            for i in range(len(reps)) for j in range(i + 1, len(reps))]
+    if not rows:
+        return 0
+    return Subspace.from_rows(algebra.field, np.stack(rows)).dim

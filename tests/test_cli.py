@@ -112,6 +112,42 @@ class TestSignature:
         assert cli.main(["signature", c4_file, "--kappa", "a,b"]) == 2
 
 
+class TestParser:
+    def test_built_once_per_process(self, capsys, c4_file, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            outcomes = []
+            for argv in (["check", c4_file], ["hh", c4_file], ["hh", c4_file, "-m", "1"],
+                         ["nosuch"], ["check", c4_file]):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert [code for code, _, _ in outcomes] == [0, 2, 0, 2, 0]
+        assert outcomes[0] == outcomes[4]
+        assert json.loads(outcomes[2][1])["m"] == 1
+        # the argparse errors read as they do from a parser built afresh
+        for argv, (_, _, err) in ((["hh", c4_file], outcomes[1]), (["nosuch"], outcomes[3])):
+            with pytest.raises(SystemExit):
+                real().parse_args(argv)
+            assert err == capsys.readouterr().err
+        assert "the following arguments are required: -m" in outcomes[1][2]
+        assert "invalid choice: 'nosuch'" in outcomes[3][2]
+
+
 class TestCompare:
     def test_flagship_distinguished_exit_10(self, capsys, c4_file, klein_file):
         code, doc = run_json(capsys, "compare", c4_file, klein_file)

@@ -107,6 +107,43 @@ def test_matmul_row_panels_match_entrywise(f, monkeypatch):
         assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("panel", [fields._PANEL, 24])
+@pytest.mark.parametrize("f", [GF(2), GF(3), GF(2, 2), GF(3, 2)], ids=repr)
+def test_stacked_matmul_matches_entrywise(f, panel, monkeypatch):
+    # a stack against a matrix, a matrix against a stack, paired stacks,
+    # broadcast stacks, and empty ones
+    monkeypatch.setattr(fields, "_PANEL", panel)
+    rng = np.random.default_rng(47)
+    shapes = [((5, 3, 4), (4, 6)), ((3, 4), (5, 4, 6)), ((5, 3, 4), (5, 4, 6)),
+              ((4, 1, 3, 4), (1, 2, 4, 6)), ((2, 3, 4), (1, 4, 6)), ((7, 0, 4), (7, 4, 3)),
+              ((3, 4, 0), (3, 0, 2)), ((0, 3, 4), (4, 2)), ((3, 4), (0, 4, 2)), ((3, 0), (5, 0, 2)),
+              ((6, 9, 5), (6, 5, 7))]
+    for sa, sb in shapes:
+        a = rng.integers(0, f.q, size=sa).astype(np.int8)
+        b = rng.integers(0, f.q, size=sb).astype(np.int8)
+        want = np.zeros(np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1]), dtype=np.int8)
+        for t in range(sa[-1]):
+            want = f.vadd(want, f.vmul(a[..., :, t, None], b[..., None, t, :]))
+        got = f.matmul(a, b)
+        assert got.dtype == np.int8 and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f", [GF(3), GF(2, 2)], ids=repr)
+def test_stacked_matmul_peak_is_bounded_by_a_slice(f, monkeypatch):
+    # a float64 copy of the left stack would be 8 bytes per entry
+    monkeypatch.setattr(fields, "_PANEL", 4096)
+    rng = np.random.default_rng(53)
+    a = rng.integers(0, f.q, size=(256, 32, 32)).astype(np.int8)
+    b = rng.integers(0, f.q, size=(256, 32, 32)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        f.matmul(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * a.size
+
+
 @pytest.mark.parametrize("f", [GF(3), GF(2, 2)], ids=repr)
 def test_mul_vec_peak_is_bounded_by_a_row_panel(f):
     # a whole float64 copy of the matrix would be 8 bytes per entry

@@ -1,6 +1,8 @@
 """Coderivation model: d_A, the Gerstenhaber bracket, sigma_p, restricted axioms."""
 
+from collections import Counter
 from itertools import product
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +13,16 @@ import oracles
 from derinv import gerstenhaber
 from derinv.errors import (
     DegreeMismatch,
+    DerinvError,
     DimensionMismatch,
     ParityViolation,
     SizeCapExceeded,
 )
 from derinv.fields import GF
-from derinv.algebras import make_truncated_polynomial
+from derinv.algebras import algebra_from_json, algebra_to_json, make_truncated_polynomial
 from derinv.hochschild import (
     Cochain,
+    HomologyBasis,
     coboundary,
     hh_cohomology,
     multiplication_cochain,
@@ -523,23 +527,235 @@ class TestRestrictedAxioms:
             restricted_axioms_check(dual2, 2, [0])
 
     def test_each_class_computed_once(self, klein, monkeypatch):
-        # every cochain whose class is asked for is asked for once: the
-        # classes of the powers sigma_p(f_i) are shared by all pairs
-        seen = []
-        real = gerstenhaber._class_of
+        # the classes of the powers sigma_p(f_i) are solved once, not once
+        # per pair: the rows passed to class_coords are exactly the
+        # cochains the per-pair path asks for, each distinct request once
+        asked: list[tuple[int, bytes]] = []
+        real = HomologyBasis.class_coords
 
-        def counting(algebra, f, size_cap):
-            seen.append(f)
-            return real(algebra, f, size_cap)
+        def counting(self, vec):
+            for row in np.atleast_2d(np.asarray(vec)):
+                asked.append((self.degree, row.tobytes()))
+            return real(self, vec)
 
-        monkeypatch.setattr(gerstenhaber, "_class_of", counting)
+        monkeypatch.setattr(HomologyBasis, "class_coords", counting)
         assert restricted_axioms_check(klein, 2, [1, 2])["all_passed"]
-        ids = [id(f) for f in seen]
-        assert len(ids) == len(set(ids))
+        stacked = Counter(asked)
+        asked.clear()
+        assert oracles.oracle_restricted_axioms_check(klein, 2, [1, 2])["all_passed"]
+        assert stacked == Counter(asked)
+        for m in (1, 2):
+            k = hh_cohomology(klein, m).dim
+            powers = [sigma_p(f).flat().tobytes() for f in hh_cohomology(klein, m).cochains()]
+            # ad-power: two rows a pair, in degree 3m - 2; additivity:
+            # sigma_p(f_i), then s_1 and sigma_p(f_i + f_j) for each pair;
+            # well-definedness: ten rows, these in degree 2m - 1
+            rows = sum(n for (deg, _), n in stacked.items() if deg in (3 * m - 2, 2 * m - 1))
+            assert rows == 2 * k * k + k + 2 * k * k + 10
+            assert all(stacked[(2 * m - 1, row)] >= 1 for row in powers)
+
+
+FIXTURES = ["k2", "dual2", "trunc4_2", "c2", "c4", "c8", "klein", "uv", "s3_2", "m2k",
+            "c3_3", "c9_3", "trunc3_3", "dual4", "trunc4_3", "dual3"]
+EXTRA = ["gf3_x3_moved", "gf3_upper", "gf5_x2", "gf9_x2"]
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and text of the DerinvError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except DerinvError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _algebra(request, name):
+    if name in EXTRA:
+        return request.getfixturevalue("insertion_corpus")[name]
+    return request.getfixturevalue(name)
+
+
+def _fresh(algebra):
+    """A copy of algebra with an empty cache."""
+    return algebra_from_json(algebra_to_json(algebra))
+
+
+class TestStackedMatchesPerPair:
+    """restricted_axioms_check against oracles.oracle_restricted_axioms_check."""
+
+    @pytest.mark.parametrize("name", FIXTURES + EXTRA)
+    def test_reports(self, request, name):
+        a = _algebra(request, name)
+        for m in (1, 2, 3):
+            want = _outcome(oracles.oracle_restricted_axioms_check, a, a.field.p, [m])
+            got = _outcome(restricted_axioms_check, a, a.field.p, [m])
+            # repr also compares key order and the types of flags and witnesses
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("name", FIXTURES + EXTRA)
+    @pytest.mark.parametrize("cap", [2**12, 2**16])
+    def test_cap_messages_cold_and_warm(self, request, name, cap):
+        a = _algebra(request, name)
+        for m in (1, 2, 3):
+            cold = [_outcome(check, _fresh(a), a.field.p, [m], size_cap=cap)
+                    for check in (oracles.oracle_restricted_axioms_check, restricted_axioms_check)]
+            _outcome(restricted_axioms_check, a, a.field.p, [m])
+            warm = [_outcome(check, a, a.field.p, [m], size_cap=cap)
+                    for check in (oracles.oracle_restricted_axioms_check, restricted_axioms_check)]
+            assert repr(cold[1]) == repr(cold[0]) == repr(warm[0]) == repr(warm[1])
+
+
+def _perturb_class(monkeypatch, degree: int, bad: np.ndarray) -> None:
+    """Shift the first class coordinate of every degree-`degree` cochain equal to bad."""
+    real = HomologyBasis.class_coords
+
+    def wrong(self, vec):
+        out = real(self, vec)
+        if self.degree != degree:
+            return out
+        hit = (np.atleast_2d(np.asarray(vec)) == bad).all(axis=1)
+        out = out.copy()
+        rows = np.atleast_2d(out)
+        rows[hit, 0] = self.algebra.field.vadd(rows[hit, 0], np.ones(1, dtype=np.int8))
+        return out
+
+    monkeypatch.setattr(HomologyBasis, "class_coords", wrong)
+
+
+def _both(algebra, m):
+    want = oracles.oracle_restricted_axioms_check(algebra, algebra.field.p, [m])
+    got = restricted_axioms_check(algebra, algebra.field.p, [m])
+    assert repr(got) == repr(want)
+    return got["degrees"][m]
+
+
+class TestWitnesses:
+    """One wrong class, or one wrong scalar power, fails one stage the same way on both paths."""
+
+    def test_ad_power(self, klein, monkeypatch):
+        # [sigma_p(f), g] and (ad f)^2 g agree as cochains here, so no class
+        # map tells them apart: shift sigma_p(f_1) o g_2 by a cocycle instead
+        reps = hh_cohomology(klein, 2).reps.data.reshape(-1, klein.dim, klein.dim**2)
+        sigma_1 = sigma_p(hh_cohomology(klein, 2).cochain(1)).matrix.data
+        shift = hh_cohomology(klein, 4).reps.data[0].reshape(klein.dim, -1)
+        real = gerstenhaber._pre_lie
+
+        def wrong(fld, f, m, g, n):
+            out = real(fld, f, m, g, n)
+            if (m, n) != (3, 2):
+                return out
+            lead = out.shape[:-2]
+            hit = ((np.broadcast_to(f, lead + f.shape[-2:]) == sigma_1).all(axis=(-2, -1))
+                   & (np.broadcast_to(g, lead + g.shape[-2:]) == reps[2]).all(axis=(-2, -1)))
+            out = out.copy()
+            out[hit] = fld.vadd(out[hit], shift)
+            return out
+
+        monkeypatch.setattr(gerstenhaber, "_pre_lie", wrong)
+        entry = _both(klein, 2)
+        assert entry["ad_power"] is False and entry["witness_ad_power"] == (1, 2)
+
+    def test_additivity(self, klein, monkeypatch):
+        reps = hh_cohomology(klein, 1).cochains()
+        powers = {sigma_p(f).flat().tobytes() for f in reps}
+        bad = next(s for f, g in product(reps, repeat=2)
+                   if (s := sigma_p(f + g).flat()).any() and s.tobytes() not in powers)
+        _perturb_class(monkeypatch, 1, bad)
+        entry = _both(klein, 1)
+        assert entry["additivity"] is False and "witness_additivity" in entry
+
+    def test_well_defined(self, klein, monkeypatch):
+        # replay the draws of the scaling and well-definedness stages
+        rng = np.random.default_rng(0xC0DE)
+        reps = hh_cohomology(klein, 2).cochains()
+        powers = {sigma_p(f).flat().tobytes() for f in reps}
+        for _ in range(20):
+            rng.integers(1, 2), rng.integers(0, len(reps))
+        for _ in range(10):
+            i = int(rng.integers(0, len(reps)))
+            e = rng.integers(0, 2, size=(klein.dim, klein.dim)).astype(np.int8)
+            moved = sigma_p(reps[i] + coboundary(Cochain(klein, 1, Mat(klein.field, e)))).flat()
+            if moved.tobytes() not in powers:
+                break
+        _perturb_class(monkeypatch, 3, moved)
+        entry = _both(klein, 2)
+        assert entry["class_well_defined"] is False
+        assert entry["witness_class_well_defined"] == i
+
+    def test_scaling(self, dual4, monkeypatch):
+        fld = dual4.field
+        real = type(fld).pow
+
+        def wrong(self, a, n):
+            return 1 if (a, n) == (2, 2) else real(self, a, n)
+
+        monkeypatch.setattr(type(fld), "pow", wrong)
+        entry = _both(dual4, 1)
+        assert entry["scaling"] is False and entry["witness_scaling"][0] == 2
+
+
+class TestStackMemory:
+    """Stages larger than one slice allocate like the per-pair path, not like the whole stack."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_peak_on_a_warm_algebra(self, klein, m):
+        # degree 2 passes; degree 3 raises at the cap of HH^7, after the
+        # power and cocycle stages.  Unsliced stacks peak at 9.2 and 7.4 MiB.
+        want = _outcome(oracles.oracle_restricted_axioms_check, klein, 2, [m])
+        tracemalloc.start()
+        try:
+            got = _outcome(restricted_axioms_check, klein, 2, [m])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(got) == repr(want)
+        assert peak < 4 * 2**20
 
 
 INSERTION_NAMES = ["gf2_x2", "gf2_c2xc2", "gf3_x3", "gf3_x3_moved", "gf3_upper",
                    "gf5_x2", "gf4_x2", "gf9_x2"]
+
+
+class TestStackedInsertions:
+    """_pre_lie and the stage helpers on stacks against one cochain at a time."""
+
+    @pytest.mark.parametrize("name", INSERTION_NAMES)
+    def test_circle_products_broadcast(self, insertion_corpus, name):
+        a = insertion_corpus[name]
+        fld, d = a.field, a.dim
+        rng = np.random.default_rng(17)
+        for m, n in [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0), (3, 1)]:
+            f = rng.integers(0, fld.q, size=(3, 1, d, d**m)).astype(np.int8)
+            g = rng.integers(0, fld.q, size=(1, 2, d, d**n)).astype(np.int8)
+            got = gerstenhaber._pre_lie(fld, f, m, g, n)
+            assert got.shape == (3, 2, d, d ** (m + n - 1))
+            for i, j in product(range(3), range(2)):
+                want = gerstenhaber._pre_lie(fld, f[i, 0], m, g[0, j], n)
+                assert np.array_equal(got[i, j], want)
+                fc, gc = Cochain(a, m, Mat(fld, f[i, 0])), Cochain(a, n, Mat(fld, g[0, j]))
+                assert np.array_equal(oracles.circle_product(a, f[i, 0], g[0, j], m, n), want)
+                if m + n:
+                    assert bracket(fc, gc).matrix.data.tolist() == gerstenhaber._brackets(
+                        a, f, m, g, n)[i, j].tolist()
+
+    @pytest.mark.parametrize("name", INSERTION_NAMES)
+    def test_powers_and_jacobson_on_stacks(self, insertion_corpus, name):
+        a = insertion_corpus[name]
+        fld, d = a.field, a.dim
+        rng = np.random.default_rng(19)
+        m = 1
+        f = rng.integers(0, fld.q, size=(4, d, d**m)).astype(np.int8)
+        g = rng.integers(0, fld.q, size=(4, d, d**m)).astype(np.int8)
+        powers = gerstenhaber._powers(a, f, m)
+        parts = gerstenhaber._jacobson(a, f, g, m)
+        for i in range(4):
+            fc, gc = Cochain(a, m, Mat(fld, f[i])), Cochain(a, m, Mat(fld, g[i]))
+            assert np.array_equal(powers[i], oracles.oracle_sigma_p_kron(fc).matrix.data)
+            assert [s.matrix.data.tolist() for s in jacobson_si(fc, gc)] == [x[i].tolist() for x in parts]
+        # Jacobson's formula holds exactly for linear maps A -> A
+        want = fld.vadd(powers, gerstenhaber._powers(a, g, m))
+        for x in parts:
+            want = fld.vadd(want, x)
+        assert np.array_equal(gerstenhaber._powers(a, fld.vadd(f, g), m), want)
 
 
 class TestInsertionsMatchKronecker:

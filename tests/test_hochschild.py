@@ -312,6 +312,24 @@ class TestHomologyBases:
             shift = coboundary(rand_cochain(rng, a, 0)).flat()
             assert np.array_equal(coh.class_coords(f.vadd(vec, shift)), coeffs)
 
+    def test_class_coords_of_a_stack(self, trunc4_3, dual2):
+        a = trunc4_3
+        f = a.field
+        rng = np.random.default_rng(15)
+        coh = hh_cohomology(a, 1)
+        coeffs = rand_codes(rng, f, (6, coh.dim))
+        rows = f.matmul(coeffs, coh.reps.data)
+        rows = np.stack([f.vadd(r, coboundary(rand_cochain(rng, a, 0)).flat()) for r in rows])
+        got = coh.class_coords(rows)
+        assert got.shape == coeffs.shape and np.array_equal(got, coeffs)
+        assert [coh.class_coords(r).tolist() for r in rows] == got.tolist()
+        assert coh.class_coords(rows[:0]).shape == (0, coh.dim)
+        # one row that is not a cocycle fails the stack, with the same text
+        coh = hh_cohomology(dual2, 1)
+        bad = np.array([[0, 0, 0, 0], [1, 0, 1, 0]], dtype=np.int8)
+        with pytest.raises(DerinvError, match="not a cocycle in degree 1"):
+            coh.class_coords(bad)
+
     def test_class_coords_rejects_non_cocycle(self, dual2):
         coh = hh_cohomology(dual2, 1)
         # x -> 1 on both basis vectors is not a derivation of k[x]/(x^2)

@@ -7,9 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from derinv.errors import Incomparable, MalformedDocument, SchemaVersionMismatch
+import oracles
+from derinv.errors import DerinvError, Incomparable, MalformedDocument, SchemaVersionMismatch
 from derinv.fields import GF
 from derinv.algebras import (
+    algebra_from_json,
+    algebra_to_json,
     change_basis,
     cyclic_table,
     make_group_algebra,
@@ -27,10 +30,12 @@ from derinv.signature import (
     SignatureConfig,
     compare,
     compute_signature,
+    derived_hh1_dim,
     parse_signature,
     serialize_signature,
     signature_from_json,
     signature_to_json,
+    sigma_class_rank,
 )
 
 FAST = SignatureConfig(m_max=1, kappa_pairs=((0, 1), (0, 2)), sigma_enumeration_limit=2**10)
@@ -144,6 +149,60 @@ class TestGerstenhaberBlock:
         e = compute_signature(trunc3_3, cfg).entries
         assert isinstance(e["sigma_rank_deg_1"], int)
         assert e["sigma_rank_deg_2"] == SKIPPED_PARITY
+
+
+FIXTURES = ["k2", "dual2", "trunc4_2", "c2", "c4", "c8", "klein", "uv", "s3_2", "m2k",
+            "c3_3", "c9_3", "trunc3_3", "dual4", "trunc4_3", "dual3"]
+EXTRA = ["gf3_x3_moved", "gf3_upper", "gf5_x2", "gf9_x2"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DerinvError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSigmaRankMatchesEnumeration:
+    """sigma_class_rank and derived_hh1_dim against the per-class oracles."""
+
+    @staticmethod
+    def _algebra(request, name):
+        if name in EXTRA:
+            return request.getfixturevalue("insertion_corpus")[name]
+        return request.getfixturevalue(name)
+
+    @staticmethod
+    def _limits(algebra):
+        # enough for every class group the oracle enumerates quickly; odd p
+        # enumerates on both paths, and its degree 3 needs HH^7
+        if algebra.field.p > 2:
+            return {1: 2**8}
+        return {1: 2**20, 2: 2**16, 3: 2**12}
+
+    @pytest.mark.parametrize("name", FIXTURES + EXTRA)
+    def test_ranks(self, request, name):
+        a = self._algebra(request, name)
+        for m, limit in self._limits(a).items():
+            want = _outcome(oracles.oracle_sigma_class_rank, a, m, limit, None)
+            assert _outcome(sigma_class_rank, a, m, limit, None) == want
+        assert _outcome(derived_hh1_dim, a, None) == _outcome(oracles.oracle_derived_hh1_dim, a, None)
+
+    @pytest.mark.parametrize("name", FIXTURES + EXTRA)
+    @pytest.mark.parametrize("cap", [2**8, 2**12])
+    def test_cap_messages_cold_and_warm(self, request, name, cap):
+        a = self._algebra(request, name)
+        for m, limit in self._limits(a).items():
+            calls = [(oracles.oracle_sigma_class_rank, m, limit), (sigma_class_rank, m, limit)]
+            cold = [_outcome(fn, algebra_from_json(algebra_to_json(a)), m, limit, cap)
+                    for fn, m, limit in calls]
+            _outcome(sigma_class_rank, a, m, limit, None)
+            warm = [_outcome(fn, a, m, limit, cap) for fn, m, limit in calls]
+            assert cold[1] == cold[0] == warm[0] == warm[1]
+        cold = [_outcome(fn, algebra_from_json(algebra_to_json(a)), cap)
+                for fn in (oracles.oracle_derived_hh1_dim, derived_hh1_dim)]
+        warm = [_outcome(fn, a, cap) for fn in (oracles.oracle_derived_hh1_dim, derived_hh1_dim)]
+        assert cold[1] == cold[0] == warm[0] == warm[1]
 
 
 class TestSkippedMarkers:
