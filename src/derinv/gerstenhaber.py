@@ -19,9 +19,10 @@ Bracketing against the multiplication cochain recovers the Hochschild
 coboundary up to the global sign COBOUNDARY_BRACKET_SIGN, the same
 constant in every arity and characteristic.
 
-The same operations are the coalgebra model read at tensor length 1.
-The tensor coalgebra B(A) = k + A[1] + (A x A)[2] + ... carries the
-deconcatenation comultiplication, and f extends to the coderivation
+The insertions compute everything here; they are the coalgebra model
+read at tensor length 1.  The tensor coalgebra B(A) = k + A[1] +
+(A x A)[2] + ... carries the deconcatenation comultiplication, and f
+extends to the coderivation
 
     D_f|_r = sum_{i=1}^{r-m+1} (-1)^((m-1)(i-1)) id^(i-1) x f x id^(r-m+1-i)
 
@@ -30,8 +31,9 @@ f -> D_f, so f o g = tau o D_f D_g and [f, g] = tau o [D_f, D_g].  The
 multiplication cochain gives the differential d_A with d_A^2 = 0.  The
 components of D_f are products over associative matrix blocks, so
 tau o D_f^p is the left-nested product above.  coderivation_component,
-Coderivation, is_coderivation and build_dA keep this model as dense
-Kronecker matrices.
+coderivation_power_component, is_coderivation and build_dA build this
+model as dense Kronecker matrices, the reference that tests and the
+benchmark tracer name; no library code calls them.
 
 Plain p-th powers of coderivations are again coderivations when p = 2,
 or when p is odd and the cochain arity is odd (even coderivation
@@ -58,14 +60,12 @@ sigma(f_i) and [f_i, f_j] (signature.sigma_class_rank).
 
 A component matrix in source tensor length r has d^(r-m+1) x d^r
 entries and respects the same size cap as the bar complex assemblies.
-bracket and sigma_p check the cap of the components that tau o [D_f,
-D_g] and tau o D_f^p would multiply, in the same order, although they
-build none of them, so every cap decision is that of the dense model.
+bracket and sigma_p build none of them, but check the caps of the
+components the dense reference multiplies for tau o [D_f, D_g] and
+tau o D_f^p, in the same order, so every cap decision is the dense one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,28 +85,7 @@ from .linalg import Mat
 # orientation [D_f, d_A] is the one with a degree-independent sign
 COBOUNDARY_BRACKET_SIGN = -1
 
-
-@dataclass(frozen=True)
-class TruncatedCoalgebra:
-    """B(A) retained up to a maximal tensor length.
-
-    Component r is A^(x r) with the counit component k at r = 0.  The
-    comultiplication splits tensors by deconcatenation, so each block
-    B_r -> B_j x B_(r-j) is the identity matrix in flat coordinates and
-    is never stored.
-    """
-
-    algebra: Algebra
-    max_len: int
-
-    def __post_init__(self):
-        if self.max_len < 0:
-            raise ValueError("max_len must be >= 0")
-
-    def component_dim(self, r: int) -> int:
-        if not 0 <= r <= self.max_len:
-            raise DegreeMismatch(f"tensor length {r} outside retained range 0..{self.max_len}")
-        return self.algebra.dim**r
+_BELOW_COUNIT = "the p-th power of an arity-0 cochain lands below the counit"
 
 
 def _check_component_cap(algebra: Algebra, arity: int, r: int, size_cap: int | None) -> None:
@@ -136,56 +115,6 @@ def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> M
         block = block_pos if ((m - 1) * (i - 1)) % 2 == 0 else block_neg
         acc = fld.vadd(acc, np.kron(np.kron(left, block), right))
     return Mat(fld, acc)
-
-
-class Coderivation:
-    """The coderivation D_f of a cochain f, materialized per tensor length."""
-
-    __slots__ = ("base", "cochain", "_parts")
-
-    def __init__(self, base: TruncatedCoalgebra, cochain: Cochain):
-        if base.algebra is not cochain.algebra:
-            raise DimensionMismatch("coalgebra and cochain over different algebras")
-        self.base = base
-        self.cochain = cochain
-        self._parts: dict[int, Mat] = {}
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.cochain.algebra
-
-    @property
-    def shift(self) -> int:
-        """Coderivation degree: tensor length drops by this much."""
-        return self.cochain.arity - 1
-
-    def component(self, r: int, size_cap: int | None = None) -> Mat:
-        if r > self.base.max_len:
-            raise DegreeMismatch(f"tensor length {r} above retained maximum {self.base.max_len}")
-        # cap before the cached parts, as every memo entry point does
-        _check_component_cap(self.algebra, self.cochain.arity, r, size_cap)
-        part = self._parts.get(r)
-        if part is None:
-            part = coderivation_component(self.cochain, r, size_cap)
-            self._parts[r] = part
-        return part
-
-    def components(self, max_len: int | None = None,
-                   size_cap: int | None = None) -> dict[int, Mat]:
-        hi = self.base.max_len if max_len is None else max_len
-        lo = max(self.shift, 0)
-        return {r: self.component(r, size_cap) for r in range(lo, hi + 1)}
-
-    def __repr__(self) -> str:
-        return (
-            f"Coderivation(arity={self.cochain.arity}, dim={self.algebra.dim}, "
-            f"max_len={self.base.max_len})"
-        )
-
-
-def coderivation(f: Cochain, max_len: int) -> Coderivation:
-    """D_f on the coalgebra truncated at max_len."""
-    return Coderivation(TruncatedCoalgebra(f.algebra, max_len), f)
 
 
 def is_coderivation(algebra: Algebra, shift: int, components: dict[int, Mat]):
@@ -239,25 +168,27 @@ def is_coderivation(algebra: Algebra, shift: int, components: dict[int, Mat]):
     return True, None
 
 
-def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> Coderivation:
+def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> dict[int, Mat]:
     """The differential d_A, the coderivation of the multiplication.
 
     Asserts tau o d_A = m_A and d_A o d_A = 0 on every tensor length up
     to max_len; the latter is the coalgebra-level restatement of
-    associativity.
+    associativity.  Returns the components {r: d_A on length r} for
+    1 <= r <= max_len.
     """
     if max_len < 2:
         raise ValueError("need max_len >= 2 to see the multiplication")
     mu = multiplication_cochain(algebra)
-    d_a = Coderivation(TruncatedCoalgebra(algebra, max_len), mu)
     fld = algebra.field
-    if d_a.component(2, size_cap) != mu.matrix:
+    parts = {2: coderivation_component(mu, 2, size_cap)}
+    if parts[2] != mu.matrix:
         raise InvariantViolation("tau o d_A differs from the multiplication")
     for r in range(3, max_len + 1):
-        square = fld.matmul(d_a.component(r - 1, size_cap).data, d_a.component(r, size_cap).data)
-        if square.any():
+        parts[r] = coderivation_component(mu, r, size_cap)
+        if fld.matmul(parts[r - 1].data, parts[r].data).any():
             raise InvariantViolation(f"d_A^2 is nonzero on tensor length {r}")
-    return d_a
+    # length 1 is the smallest component and enters neither check
+    return {1: coderivation_component(mu, 1, size_cap), **parts}
 
 
 def _bracket_caps(algebra: Algebra, m: int, n: int, size_cap: int | None) -> None:
@@ -319,7 +250,7 @@ def _powers(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None = None
             f"p-th Gerstenhaber power needs odd arity for p = {p}, got {m}"
         )
     if m == 0:
-        raise ValueError("the p-th power of an arity-0 cochain lands below the counit")
+        raise ValueError(_BELOW_COUNIT)
     s = m - 1
     target = p * s + 1
     for j in range(p):
@@ -350,6 +281,8 @@ def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
 def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int,
               size_cap: int | None = None) -> list[np.ndarray]:
     """s_1 .. s_(p-1) on stacks a and b of arity-m code arrays, broadcast."""
+    if m == 0:
+        raise ValueError(_BELOW_COUNIT)
     fld = algebra.field
     p = fld.p
     # coeffs[t] is the X^t coefficient; None stands for zero
@@ -381,7 +314,8 @@ def jacobson_si(a: Cochain, b: Cochain, p: int | None = None,
     (ad(a X + b))^(p-1) applied to a, expanded over k[X] with cochain
     coefficients; the X^(i-1) coefficient equals i * s_i(a, b).  Each
     s_i has the same arity as sigma_p and enters the additivity axiom
-    (a + b)^[p] = a^[p] + b^[p] + sum_i s_i(a, b).
+    (a + b)^[p] = a^[p] + b^[p] + sum_i s_i(a, b).  As in sigma_p, arity
+    0 raises ValueError: the s_i would have arity 1 - p.
     """
     if a.algebra is not b.algebra:
         raise DimensionMismatch("cochains over different algebras")

@@ -45,7 +45,6 @@ from .hochschild import (
     cup_power,
     hh_cohomology,
     hh_homology,
-    pairing,
     pairing_gram,
     _pairing_matrix,
 )
@@ -205,25 +204,33 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
 
 
 def _defining_relation_holds(kappa: HigherKappa, size_cap: int | None):
-    """(f^(p^n), c x_r) == ((f, kappa(c x_r)))^(p^n) over basis pairs and scalars."""
+    """(f^(p^n), c x_r) == ((f, kappa(c x_r)))^(p^n) over basis pairs and scalars.
+
+    For each scalar c both sides are one pairing matrix over all pairs
+    (i, r) of HH^m and source basis classes; the witness is the first
+    failing (i, r, c) in lexicographic order.
+    """
     a = kappa.algebra
     f = a.field
     exp = f.p**kappa.n
     coh_m = hh_cohomology(a, kappa.m, size_cap)
-    scalars = range(1, f.q)
-    for i in range(coh_m.dim):
-        fp = cup_power(coh_m.cochain(i), exp, size_cap)
-        fc = coh_m.cochain(i)
-        for r in range(kappa.source.dim):
-            for c in scalars:
-                chain = f.vscale(c, kappa.source.rep_vector(r))
-                coords = kappa.apply(f.vscale(c, np.eye(kappa.source.dim, dtype=np.int8)[r]))
-                lift = f.matmul(coords.reshape(1, -1), kappa.target.reps.data).reshape(-1)
-                lhs = pairing(fp, chain)
-                rhs = f.frobenius(pairing(fc, lift), kappa.n)
-                if lhs != rhs:
-                    return False, {"cohomology_basis": i, "homology_basis": r, "scalar": c}
-    return True, None
+    if coh_m.dim == 0:
+        return True, None
+    powers = np.stack([cup_power(fc, exp, size_cap).flat() for fc in coh_m.cochains()])
+    op, eye = kappa.operator, np.eye(kappa.source.dim, dtype=np.int8)
+    bad = []
+    for c in range(1, f.q):
+        # row r is the chain lifting kappa(c x_r)
+        lifts = f.matmul(f.matmul(op.matrix.data, f.vfrob(f.vscale(c, eye), op.twist)).T,
+                         kappa.target.reps.data)
+        lhs = _pairing_matrix(a, powers, f.vscale(c, kappa.source.reps.data))
+        rhs = f.vfrob(_pairing_matrix(a, coh_m.reps.data, lifts), kappa.n)
+        bad.append(lhs != rhs)
+    fails = np.argwhere(np.stack(bad, axis=-1))
+    if not len(fails):
+        return True, None
+    i, r, c = fails[0].tolist()
+    return False, {"cohomology_basis": i, "homology_basis": r, "scalar": c + 1}
 
 
 def verify_properties(algebra: Algebra, m: int, n: int, ell: int,

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     FormRequired,
     InvariantViolation,
+    SingularMatrix,
 )
 from .fields import CODE_DTYPE
 from .linalg import (
@@ -72,7 +73,7 @@ class QuotientModKA:
 def quotient_mod_ka(algebra: Algebra) -> QuotientModKA:
     f, d = algebra.field, algebra.dim
     ka = algebra.commutator_space()
-    _, _, pivots = ka.basis.rref()  # basis is already RREF; this just reads pivots
+    pivots = ka.pivots().tolist()
     pivot_set = set(pivots)
     free = tuple(j for j in range(d) if j not in pivot_set)
     qdim = len(free)
@@ -206,11 +207,13 @@ def kappa_n(algebra: Algebra, n: int) -> SemilinearOperator:
     p = q.induced_gram
     if p is None:
         raise FormRequired("kappa needs a symmetrizing form")
-    if p.rows != p.cols or p.rank() < p.rows:
-        raise DegeneratePairing("pairing of Z(A) with A/KA is not invertible")
+    try:
+        p_inv = p.inverse()
+    except SingularMatrix:
+        raise DegeneratePairing("pairing of Z(A) with A/KA is not invertible") from None
     zpowers = _basis_p_powers(algebra, True, n)  # zdim x d
     rhs = f.matmul(f.matmul(zpowers, form.gram.data), q.reps.data.T)  # zdim x qdim
-    c = p.inverse() @ Mat(f, rhs).frobenius(-n)
+    c = p_inv @ Mat(f, rhs).frobenius(-n)
     return SemilinearOperator(c, -n)
 
 

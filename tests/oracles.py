@@ -27,7 +27,11 @@ and oracle_derived_hh1_dim one bracket and one class solve per pair;
 restricted_axioms_check runs each axiom on stacks of pairs,
 sigma_class_rank in characteristic 2 reads the rank off sigma(f_i) and
 [f_i, f_j], and derived_hh1_dim solves the classes of a stack of
-brackets at once.
+brackets at once.  oracle_defining_relation is verify_properties'
+defining relation with one pairing per basis pair and scalar, which
+verify_properties now takes as one pairing matrix per scalar.
+coderivation_components collects the dense components of D_f up to a
+tensor length, as the tests of the coalgebra model read them.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ from derinv.hochschild import (
     _quotient_basis,
     boundary_matrix,
     coboundary,
+    cup_power,
     hh_cohomology,
+    pairing,
 )
 from derinv.linalg import Mat, Subspace
 
@@ -276,6 +282,11 @@ def oracle_sigma_p_kron(f: Cochain) -> Cochain:
     target = f.algebra.field.p * (f.arity - 1) + 1
     power = coderivation_power_component(f, f.algebra.field.p, target)
     return Cochain(f.algebra, target, power)
+
+
+def coderivation_components(f: Cochain, max_len: int) -> dict[int, Mat]:
+    """{r: D_f on tensor length r} from max(arity - 1, 0) through max_len."""
+    return {r: coderivation_component(f, r) for r in range(max(f.arity - 1, 0), max_len + 1)}
 
 
 def oracle_coboundary(f: Cochain) -> Cochain:
@@ -636,3 +647,22 @@ def oracle_derived_hh1_dim(algebra, size_cap) -> int:
     if not rows:
         return 0
     return Subspace.from_rows(algebra.field, np.stack(rows)).dim
+
+
+def oracle_defining_relation(kappa, size_cap=None):
+    """verify_properties' defining relation, one pairing per (i, r, c) triple."""
+    a = kappa.algebra
+    f = a.field
+    exp = f.p**kappa.n
+    coh_m = hh_cohomology(a, kappa.m, size_cap)
+    for i in range(coh_m.dim):
+        fp = cup_power(coh_m.cochain(i), exp, size_cap)
+        fc = coh_m.cochain(i)
+        for r in range(kappa.source.dim):
+            for c in range(1, f.q):
+                chain = f.vscale(c, kappa.source.rep_vector(r))
+                coords = kappa.apply(f.vscale(c, np.eye(kappa.source.dim, dtype=np.int8)[r]))
+                lift = f.matmul(coords.reshape(1, -1), kappa.target.reps.data).reshape(-1)
+                if pairing(fp, chain) != f.frobenius(pairing(fc, lift), kappa.n):
+                    return False, {"cohomology_basis": i, "homology_basis": r, "scalar": c}
+    return True, None

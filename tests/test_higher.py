@@ -1,5 +1,6 @@
 """Cup-power adjoints on higher Hochschild homology."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -15,7 +16,7 @@ from derinv.algebras import (
 )
 from derinv.errors import FormRequired, InvariantViolation, SizeCapExceeded
 from derinv import higher
-from derinv.gerstenhaber import bracket, coderivation, sigma_p
+from derinv.gerstenhaber import bracket, coderivation_component, sigma_p
 from derinv.higher import (
     HigherKappa,
     kappa_nm,
@@ -36,7 +37,7 @@ from derinv.hochschild import (
     resolve_size_cap,
 )
 from derinv.kulshammer import kappa_n, t_n_center_space
-from derinv.linalg import Mat, field_kron
+from derinv.linalg import Mat, SemilinearOperator, field_kron
 from derinv.signature import SignatureConfig
 
 import oracles
@@ -243,6 +244,36 @@ class TestTFromPairing:
         assert str(by_pairing.value).startswith("p^1-th cup power is not additive on HH^1")
 
 
+class TestDefiningRelation:
+    """The defining relation, one pairing matrix per scalar, against one pairing per triple."""
+
+    @pytest.mark.parametrize("fixture", CONFTEST_CORPUS)
+    def test_matches_per_triple_oracle(self, request, fixture):
+        a = request.getfixturevalue(fixture)
+        p, cap = a.field.p, resolve_size_cap()
+        triples = ((0, 1, 1), (1, 1, 1), (2, 1, 1)) if p == 2 else ((0, 1, 1), (1, 1, 1))
+        for m, n, _ in triples:
+            if a.dim ** (2 * p**n * m + 3) > cap:
+                continue
+            kap = kappa_nm(a, m, n)
+            got = higher._defining_relation_holds(kap, None)
+            assert got == oracles.oracle_defining_relation(kap) == (True, None), (m, n)
+            if not all(kap.operator.matrix.shape):
+                continue
+            # one entry changed, then a random operator: both paths must
+            # report the same first failing triple
+            bent = kap.operator.matrix.data.copy()
+            bent[-1, -1] = a.field.add(int(bent[-1, -1]), 1)
+            noise = np.random.default_rng(m).integers(0, a.field.q, size=bent.shape)
+            for data in (bent, noise.astype(np.int8)):
+                op = SemilinearOperator(Mat(a.field, data), kap.operator.twist)
+                moved = dataclasses.replace(kap, operator=op)
+                got = higher._defining_relation_holds(moved, None)
+                assert got == oracles.oracle_defining_relation(moved), (m, n)
+                if data is bent:
+                    assert got[0] is False, (m, n)
+
+
 def _transport_classes(f, src_basis, dst_basis, g_inv, factors):
     """Class-coordinate matrix of the chain map induced by a basis change."""
     k = g_inv.data
@@ -285,8 +316,8 @@ def _cold_c4():
 
 def _cold_component():
     a = make_truncated_polynomial(GF(3), 3)
-    d_f = coderivation(Cochain(a, 2, Mat(a.field, np.ones((3, 9), dtype=np.int8))), 5)
-    return partial(d_f.component, 5)
+    f = Cochain(a, 2, Mat(a.field, np.ones((3, 9), dtype=np.int8)))
+    return partial(coderivation_component, f, 5)
 
 
 def _cold_c4_cochains(*arities):
@@ -294,8 +325,8 @@ def _cold_c4_cochains(*arities):
     return [Cochain(a, m, Mat(a.field, np.ones((4, 4**m), dtype=np.int8))) for m in arities]
 
 
-# each entry builds a call on a cold algebra (or coderivation) whose
-# cap of 1000 entries is exceeded: 1024 entries in degree 1 or 2 of C4,
+# each entry builds a call on a cold algebra whose cap of 1000 entries
+# is exceeded: 1024 entries in degree 1 or 2 of C4,
 # 4^7 in degree p^n m = 2, 3^4 * 3^5 for the length-5 component, and
 # 4^2 * 4^3 for the length-3 components of arity-2 brackets and powers
 _COLD_CALLS = {
@@ -307,7 +338,7 @@ _COLD_CALLS = {
     "power_class_matrix": lambda: partial(power_class_matrix, _cold_c4(), 1, 1),
     "t_nm_space": lambda: partial(t_nm_space, _cold_c4(), 1, 1),
     "kappa_nm": lambda: partial(kappa_nm, _cold_c4(), 1, 1),
-    "Coderivation.component": _cold_component,
+    "coderivation_component": _cold_component,
     "bracket": lambda: partial(bracket, *_cold_c4_cochains(2, 2)),
     "sigma_p": lambda: partial(sigma_p, *_cold_c4_cochains(2)),
     "coboundary": lambda: partial(coboundary, *_cold_c4_cochains(1)),

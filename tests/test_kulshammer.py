@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from derinv import GF, Mat
+from derinv import GF, Mat, kulshammer
 from derinv.algebras import Algebra, algebra_from_json, algebra_to_json, make_truncated_polynomial
-from derinv.errors import FormRequired
+from derinv.errors import DegeneratePairing, FormRequired
 from derinv.kulshammer import (
     kappa_image,
     kappa_kernel,
@@ -65,6 +67,14 @@ class TestQuotient:
             x = s3_2.field.varr(rng.integers(0, 2, size=s3_2.dim))
             back = q.lift(q.class_coords(x))
             assert q.ka.contains(s3_2.field.vsub(x, back))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2)])
+    def test_singular_induced_pairing_is_degenerate(self, monkeypatch, shape):
+        a = make_truncated_polynomial(GF(2), 2)
+        q = dataclasses.replace(quotient_mod_ka(a), induced_gram=Mat.zeros(a.field, *shape))
+        monkeypatch.setattr(kulshammer, "quotient_mod_ka", lambda algebra: q)
+        with pytest.raises(DegeneratePairing, match=r"^pairing of Z\(A\) with A/KA is not invertible$"):
+            kappa_n(a, 1)
 
     def test_pairing_square(self, s3_2, dual4, uv):
         for a in (s3_2, dual4, uv):
