@@ -59,10 +59,10 @@ so the span of sigma over all classes is that of the classes of
 sigma(f_i) and [f_i, f_j] (signature.sigma_class_rank).
 
 A component matrix in source tensor length r has d^(r-m+1) x d^r
-entries and respects the same size cap as the bar complex assemblies.
-bracket and sigma_p build none of them, but check the caps of the
-components the dense reference multiplies for tau o [D_f, D_g] and
-tau o D_f^p, in the same order, so every cap decision is the dense one.
+entries, checked against the size cap of the bar complex assemblies
+before coderivation_component builds it.  Nothing else here builds a
+component: each insertion (hochschild._pre_lie) checks the d^(r+1)
+entries of the arity-r cochains it returns, the array it allocates.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ COBOUNDARY_BRACKET_SIGN = -1
 _BELOW_COUNIT = "the p-th power of an arity-0 cochain lands below the counit"
 
 
-def _check_component_cap(algebra: Algebra, arity: int, r: int, size_cap: int | None) -> None:
-    d = algebra.dim
-    _check_cap(d ** (r - arity + 1) * d**r, resolve_size_cap(size_cap),
-               f"coderivation component at length {r}")
-
-
 def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> Mat:
     """D_f restricted to tensor length r, a (d^(r-m+1), d^r) matrix."""
     if r < 0:
@@ -105,7 +99,7 @@ def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> M
     if out_len < 0:
         raise DegreeMismatch(f"arity {m} has no component on tensor length {r}")
     rows, cols = d**out_len, d**r
-    _check_component_cap(a, m, r, size_cap)
+    _check_cap(rows * cols, resolve_size_cap(size_cap), f"coderivation component at length {r}")
     acc = np.zeros((rows, cols), dtype=CODE_DTYPE)
     block_pos = f.matrix.data
     block_neg = fld.vneg(block_pos)
@@ -191,22 +185,15 @@ def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> dic
     return {1: coderivation_component(mu, 1, size_cap), **parts}
 
 
-def _bracket_caps(algebra: Algebra, m: int, n: int, size_cap: int | None) -> None:
-    r = m + n - 1
-    for arity, length in ((m, m), (n, r), (n, n), (m, r)):
-        _check_component_cap(algebra, arity, length, size_cap)
-
-
 def _brackets(algebra: Algebra, f: np.ndarray, m: int, g: np.ndarray, n: int,
               size_cap: int | None = None) -> np.ndarray:
     """[f, g] on stacks f (..., d, d^m) and g (..., d, d^n) of code arrays, broadcast."""
     d = algebra.dim
     if m + n == 0:
         return np.zeros(np.broadcast_shapes(f.shape[:-2], g.shape[:-2]) + (d, 1), dtype=CODE_DTYPE)
-    _bracket_caps(algebra, m, n, size_cap)
     fld = algebra.field
-    fg = _pre_lie(fld, f, m, g, n)
-    gf = _pre_lie(fld, g, n, f, m)
+    fg = _pre_lie(fld, f, m, g, n, size_cap)
+    gf = _pre_lie(fld, g, n, f, m, size_cap)
     if ((m - 1) * (n - 1)) % 2 == 1:
         gf = fld.vneg(gf)
     return fld.vsub(fg, gf)
@@ -217,9 +204,7 @@ def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
 
     Two arity-0 cochains bracket to a map landing below the counit,
     which is identically zero; that case returns the zero 0-cochain.
-    The cap is checked on the four coderivation components whose
-    products give the two circle products as tau o [D_f, D_g], in the
-    order the coalgebra model multiplies them; none of them is built.
+    The cap is checked on the d^(m+n) entries of the result.
     """
     if f.algebra is not g.algebra:
         raise DimensionMismatch("cochains over different algebras")
@@ -251,14 +236,10 @@ def _powers(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None = None
         )
     if m == 0:
         raise ValueError(_BELOW_COUNIT)
-    s = m - 1
-    target = p * s + 1
-    for j in range(p):
-        _check_component_cap(algebra, m, target - j * s, size_cap)
     power, arity = f, m
     for _ in range(p - 1):
-        power = _pre_lie(algebra.field, power, arity, f, m)
-        arity += s
+        power = _pre_lie(algebra.field, power, arity, f, m, size_cap)
+        arity += m - 1
     return power
 
 
@@ -270,8 +251,8 @@ def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
     the coderivation is not a coderivation and ParityViolation is raised.
     The result has arity p*(arity-1) + 1; on cocycles it descends to
     cohomology classes.  It is computed as p - 1 left-nested circle
-    products (..(f o f) o ..) o f, under the cap of the components
-    D_f on tensor lengths p*(arity-1)+1 down to arity.
+    products (..(f o f) o ..) o f, each under the cap of the cochain it
+    returns, the last one of d^(p*(arity-1)+2) entries.
     """
     a, m = f.algebra, f.arity
     power = _powers(a, f.matrix.data, m, size_cap)
@@ -414,10 +395,6 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
         # pairs (i, j) in row-major order
         ii, jj = np.divmod(np.arange(k * k), k)
         r = target + m - 1
-        _bracket_caps(algebra, target, m, size_cap)
-        for t in range(p):
-            _bracket_caps(algebra, m, m + t * (m - 1), size_cap)
-        coh_r = hh_cohomology(algebra, r, size_cap)
 
         def ad_power(sl):
             i, j = ii[sl], jj[sl]
@@ -427,7 +404,8 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
                 v = _brackets(algebra, reps[i], m, v, arity, size_cap)
                 arity += m - 1
             rows = np.concatenate([lhs.reshape(len(i), -1), v.reshape(len(i), -1)])
-            got = coh_r.class_coords(rows)
+            # HH^r after the brackets: one pair at a time caps them first
+            got = hh_cohomology(algebra, r, size_cap).class_coords(rows)
             return (got[:len(i)] == got[len(i):]).all(axis=1)
 
         _record(entry, "ad_power", _flags(ad_power, k * k, 2 * d ** (r + 1)),

@@ -76,16 +76,19 @@ multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
 
 and each of its m + 2 slot insertions is one product against a
 d x d^m or d x d^2 matrix.  coboundary and Cochain.is_cocycle take this
-path, under the cap of coboundary_matrix.  _pre_lie and _delta take
-stacks of cochains, (..., d, d^m), with one product per slot for the
-whole stack, and HomologyBasis.class_coords solves a stack of
-(co)cycles with one residual and one reconstruction product.
+path.  _pre_lie and _delta take stacks of cochains, (..., d, d^m), with
+one product per slot for the whole stack, and HomologyBasis.class_coords
+solves a stack of (co)cycles with one residual and one reconstruction
+product.
 
 Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
 entry point here is an `algebras.memo` function that checks that count
 against a cap (KK_SIZE_CAP in the environment, default 2^27) before its
 cache, and raises SizeCapExceeded instead of allocating.  The cap counts
-the dense entries even where only blocks are allocated.
+the dense entries even where only blocks are allocated.  _pre_lie is the
+one cap of the insertions: it charges the d^(r+1) entries of each
+arity-r cochain it returns, the array it allocates, before the first
+product.
 """
 
 from __future__ import annotations
@@ -202,15 +205,8 @@ def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Ma
     return _dense(algebra.field, *_boundary_map(algebra, m))
 
 
-def _coboundary_entries(a: Algebra, m: int) -> int:
-    return a.dim ** (m + 2) * a.dim ** (m + 1)
-
-
-def _coboundary_what(a: Algebra, m: int) -> str:
-    return f"coboundary matrix on degree {m}"
-
-
-@memo(_coboundary_entries, _coboundary_what)
+@memo(lambda a, m: a.dim ** (m + 2) * a.dim ** (m + 1),
+      lambda a, m: f"coboundary matrix on degree {m}")
 def coboundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     """Hochschild coboundary on m-cochains, a (d^(m+2), d^(m+1)) matrix."""
     if m < 0:
@@ -299,7 +295,8 @@ def multiplication_cochain(algebra: Algebra) -> Cochain:
     return Cochain(algebra, 2, Mat(algebra.field, algebra.mult_matrix.data.T))
 
 
-def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
+def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int,
+             size_cap: int | None = None) -> np.ndarray:
     """Gerstenhaber's circle product f o g = sum_i (-1)^((n-1)(i-1)) f o_i g.
 
     f and g are code arrays of cochains of arities m and n (m + n >= 1),
@@ -307,9 +304,11 @@ def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.nda
     axes; the result holds the d x d^(m+n-1) arrays of the arity
     m + n - 1 cochains.  The insertion f o_i g feeds the output of g into
     slot i of f: one product of f, with slot i moved last, against g,
-    for the whole stack.
+    for the whole stack.  The d^(m+n) entries of one result are checked
+    against the cap before anything is allocated.
     """
     d = f.shape[-2]
+    _check_cap(d ** (m + n), resolve_size_cap(size_cap), f"circle product of arity {m + n - 1}")
     lead = np.broadcast_shapes(f.shape[:-2], g.shape[:-2])
     out = np.zeros(lead + (d, d ** (m + n - 1)), dtype=CODE_DTYPE)
     for i in range(1, m + 1):
@@ -322,18 +321,13 @@ def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.nda
 
 
 def _delta(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None) -> np.ndarray:
-    """delta f = (-1)^(m-1) mu o f - f o mu on a stack f (..., d, d^m) of arity-m cochains.
-
-    Checks the cap of the coboundary matrix on degree m, but never builds it.
-    """
-    _check_cap(_coboundary_entries(algebra, m), resolve_size_cap(size_cap),
-               _coboundary_what(algebra, m))
+    """delta f = (-1)^(m-1) mu o f - f o mu on a stack f (..., d, d^m) of arity-m cochains."""
     mu = multiplication_cochain(algebra).matrix.data
     fld = algebra.field
-    left = _pre_lie(fld, mu, 2, f, m)
+    left = _pre_lie(fld, mu, 2, f, m, size_cap)
     if m % 2 == 0:
         left = fld.vneg(left)
-    return fld.vsub(left, _pre_lie(fld, f, m, mu, 2))
+    return fld.vsub(left, _pre_lie(fld, f, m, mu, 2, size_cap))
 
 
 def coboundary(f: Cochain, size_cap: int | None = None) -> Cochain:

@@ -23,7 +23,6 @@ from .algebras import Algebra, WeakAlgebra, memo
 from .errors import (
     DegeneratePairing,
     DimensionMismatch,
-    FormRequired,
     InvariantViolation,
     SingularMatrix,
 )
@@ -33,7 +32,6 @@ from .linalg import (
     SemilinearOperator,
     Subspace,
     orthogonal_complement,
-    semilinear_solve,
 )
 
 
@@ -170,16 +168,15 @@ def zeta_n(algebra: Algebra, n: int) -> SemilinearOperator:
     center = algebra.center()
     zb = center.basis
     powers = _basis_p_powers(algebra, False, n)  # rows b_i^(p^n)
-    rhs_rows = f.matmul(f.matmul(zb.data, form.gram.data), powers.T)  # zdim x d
-    cols = []
-    for j in range(zb.rows):
-        w = semilinear_solve(form.gram, rhs_rows[j], n)
-        residue, coeffs = center.reduce(w)
-        if residue.any():
-            raise InvariantViolation(f"zeta_{n} of center basis {j} is not central")
-        cols.append(coeffs)
-    wz = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=CODE_DTYPE)
-    return SemilinearOperator(Mat(f, wz), -n)
+    rhs = f.matmul(f.matmul(zb.data, form.gram.data), powers.T)  # zdim x d
+    # row j is w_j with w_j^T gram = Fr^(-n)(rhs_j)
+    w = f.matmul(f.vfrob(rhs, -n), form.gram.inverse().data)
+    coeffs = w[:, center.pivots()]
+    residue = f.vsub(w, f.matmul(coeffs, zb.data))
+    bad = np.flatnonzero(residue.any(axis=1))
+    if bad.size:
+        raise InvariantViolation(f"zeta_{n} of center basis {bad[0]} is not central")
+    return SemilinearOperator(Mat(f, coeffs.T.copy()), -n)
 
 
 def zeta_image(algebra: Algebra, n: int) -> Subspace:
@@ -204,11 +201,8 @@ def kappa_n(algebra: Algebra, n: int) -> SemilinearOperator:
     form = algebra.require_form()
     f = algebra.field
     q = quotient_mod_ka(algebra)
-    p = q.induced_gram
-    if p is None:
-        raise FormRequired("kappa needs a symmetrizing form")
     try:
-        p_inv = p.inverse()
+        p_inv = q.induced_gram.inverse()
     except SingularMatrix:
         raise DegeneratePairing("pairing of Z(A) with A/KA is not invertible") from None
     zpowers = _basis_p_powers(algebra, True, n)  # zdim x d

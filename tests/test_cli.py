@@ -239,6 +239,16 @@ class TestDegreeCommands:
         assert doc["sigma_rank"] == 2 and doc["dim_derived_hh1"] == 1
         assert doc["restricted_axioms"]["all_passed"] is True
 
+    def test_gerst_cap_exit_3(self, capsys, c4_file, monkeypatch):
+        # 2^20 entries admit HH^2 and HH^3 of GF(2)[C4] (4^7 and 4^9), but
+        # not HH^4 (4^11), whose classes the ad-power axiom compares
+        monkeypatch.setenv("KK_SIZE_CAP", str(2**20))
+        code = cli.main(["gerst", c4_file, "--degree", "2", "--check-restricted"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("error: coboundary matrix on degree 4 needs 4194304 entries,"
+                                " cap is 1048576\n")
+
     def test_gerst_parity_marker(self, capsys, tmp_path, trunc3_3):
         path = tmp_path / "t3.json"
         save_algebra(trunc3_3, path)

@@ -621,8 +621,8 @@ class TestWitnesses:
         shift = hh_cohomology(klein, 4).reps.data[0].reshape(klein.dim, -1)
         real = gerstenhaber._pre_lie
 
-        def wrong(fld, f, m, g, n):
-            out = real(fld, f, m, g, n)
+        def wrong(fld, f, m, g, n, size_cap=None):
+            out = real(fld, f, m, g, n, size_cap)
             if (m, n) != (3, 2):
                 return out
             lead = out.shape[:-2]

@@ -1,6 +1,7 @@
 """Cup-power adjoints on higher Hochschild homology."""
 
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -327,8 +328,9 @@ def _cold_c4_cochains(*arities):
 
 # each entry builds a call on a cold algebra whose cap of 1000 entries
 # is exceeded: 1024 entries in degree 1 or 2 of C4,
-# 4^7 in degree p^n m = 2, 3^4 * 3^5 for the length-5 component, and
-# 4^2 * 4^3 for the length-3 components of arity-2 brackets and powers
+# 4^7 in degree p^n m = 2, 3^4 * 3^5 for the length-5 component,
+# 4 * 4^4 for the arity-4 results of bracket and coboundary, and
+# 4 * 4^5 for the arity-5 power of an arity-3 cochain
 _COLD_CALLS = {
     "boundary_matrix": lambda: partial(boundary_matrix, _cold_c4(), 2),
     "coboundary_matrix": lambda: partial(coboundary_matrix, _cold_c4(), 1),
@@ -339,18 +341,27 @@ _COLD_CALLS = {
     "t_nm_space": lambda: partial(t_nm_space, _cold_c4(), 1, 1),
     "kappa_nm": lambda: partial(kappa_nm, _cold_c4(), 1, 1),
     "coderivation_component": _cold_component,
-    "bracket": lambda: partial(bracket, *_cold_c4_cochains(2, 2)),
-    "sigma_p": lambda: partial(sigma_p, *_cold_c4_cochains(2)),
-    "coboundary": lambda: partial(coboundary, *_cold_c4_cochains(1)),
-    "Cochain.is_cocycle": lambda: _cold_c4_cochains(1)[0].is_cocycle,
+    "bracket": lambda: partial(bracket, *_cold_c4_cochains(3, 2)),
+    "sigma_p": lambda: partial(sigma_p, *_cold_c4_cochains(3)),
+    "coboundary": lambda: partial(coboundary, *_cold_c4_cochains(3)),
+    "Cochain.is_cocycle": lambda: _cold_c4_cochains(3)[0].is_cocycle,
 }
 
-# the Gerstenhaber layer builds none of these matrices, but caps on them
+# the Gerstenhaber layer caps each insertion on the cochain it returns
 _CAP_MESSAGES = {
-    "bracket": "coderivation component at length 3 needs 1024 entries, cap is 1000",
-    "sigma_p": "coderivation component at length 3 needs 1024 entries, cap is 1000",
-    "coboundary": "coboundary matrix on degree 1 needs 1024 entries, cap is 1000",
-    "Cochain.is_cocycle": "coboundary matrix on degree 1 needs 1024 entries, cap is 1000",
+    "bracket": "circle product of arity 4 needs 1024 entries, cap is 1000",
+    "sigma_p": "circle product of arity 5 needs 4096 entries, cap is 1000",
+    "coboundary": "circle product of arity 4 needs 1024 entries, cap is 1000",
+    "Cochain.is_cocycle": "circle product of arity 4 needs 1024 entries, cap is 1000",
+}
+
+# (call, dense reference, arities): each result has at most 4^6 entries
+# on C4, while the dense model multiplies a component of 4^7 entries
+# (bracket) or 4^8 (sigma_p), or applies the 4^9-entry coboundary matrix
+_UNDER_RESULT_CAP = {
+    "bracket": (bracket, oracles.oracle_bracket_kron, (3, 2)),
+    "sigma_p": (sigma_p, oracles.oracle_sigma_p_kron, (3,)),
+    "coboundary": (coboundary, oracles.oracle_coboundary, (3,)),
 }
 
 
@@ -367,10 +378,37 @@ class TestCapsAndErrors:
             cold.value.entries, cold.value.cap, str(cold.value))
 
     @pytest.mark.parametrize("name", list(_CAP_MESSAGES))
-    def test_gerstenhaber_cap_names_the_dense_matrix(self, name):
+    def test_gerstenhaber_cap_names_the_result(self, name):
         with pytest.raises(SizeCapExceeded) as exc:
             _COLD_CALLS[name]()(size_cap=1000)
         assert str(exc.value) == _CAP_MESSAGES[name]
+
+    @pytest.mark.parametrize("name", list(_UNDER_RESULT_CAP))
+    def test_gerstenhaber_computes_what_fits_the_cap(self, name):
+        call, dense, arities = _UNDER_RESULT_CAP[name]
+        a = _cold_c4()
+        rng = np.random.default_rng(len(name))
+        args = [Cochain(a, m, Mat(a.field, rng.integers(0, 2, (4, 4**m)).astype(np.int8)))
+                for m in arities]
+        assert call(*args, size_cap=8192) == dense(*args)
+
+    def test_insertion_memory_is_bounded_by_its_result(self):
+        # one arity-9 result on C4 is 4^10 = 2^20 entries, one float64
+        # panel of Field.matmul: about 28 bytes an entry for the float64
+        # product, its int64 copies and the int8 result, where the dense
+        # model multiplies a 4^5 x 4^9 component
+        f, g = _cold_c4_cochains(5, 5)
+        entries = 4**10
+        tracemalloc.start()
+        try:
+            out = bracket(f, g, size_cap=entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.matrix.shape == (4, 4**9) and out.algebra is f.algebra
+        assert peak < 32 * entries
+        with pytest.raises(SizeCapExceeded):
+            bracket(f, g, size_cap=entries - 1)
 
     def test_size_cap_propagates(self, trunc3_3):
         with pytest.raises(SizeCapExceeded):

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from derinv import GF, Mat, kulshammer
-from derinv.algebras import Algebra, algebra_from_json, algebra_to_json, make_truncated_polynomial
-from derinv.errors import DegeneratePairing, FormRequired
+from derinv.algebras import (
+    Algebra,
+    algebra_from_json,
+    algebra_to_json,
+    cyclic_table,
+    make_group_algebra,
+    make_truncated_polynomial,
+)
+from derinv.errors import DegeneratePairing, FormRequired, InvariantViolation
 from derinv.kulshammer import (
     kappa_image,
     kappa_kernel,
@@ -22,7 +29,7 @@ from derinv.kulshammer import (
     zeta_image_chain,
     zeta_n,
 )
-from derinv.linalg import orthogonal_complement
+from derinv.linalg import Subspace, orthogonal_complement
 from derinv.signature import compute_signature
 from oracles import (
     all_vectors,
@@ -186,6 +193,15 @@ class TestAdjointIdentities:
             for m in (1, 2):
                 assert zeta_n(a, n + m) == zeta_n(a, m).compose(zeta_n(a, n))
                 assert kappa_n(a, n + m) == kappa_n(a, m).compose(kappa_n(a, n))
+
+    def test_zeta_names_the_first_non_central_image(self, monkeypatch):
+        # on GF(2)[C4], zeta_1(g) = 0 and zeta_1(g^2) = g + g^3; posing
+        # span{g, g^2} as the center leaves center basis 1 outside it
+        a = make_group_algebra(GF(2), cyclic_table(4))
+        posed = Subspace.from_rows(a.field, np.eye(4, dtype=np.int8)[1:3])
+        monkeypatch.setattr(a, "center", lambda: posed)
+        with pytest.raises(InvariantViolation, match="^zeta_1 of center basis 1 is not central$"):
+            zeta_n(a, 1)
 
     def test_semilinearity(self, dual4):
         f = dual4.field

@@ -305,10 +305,12 @@ def test_chunked_rref_ranks(f, rows, cols, inner, rank):
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["tall", "sparse", "product", "narrow"]))
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["tall", "sparse", "product", "narrow", "wide"]))
 @settings(max_examples=30, deadline=None)
 def test_chunked_rref_over_gf2_matches_packed(seed, kind):
-    # tall GF(2) matrices through the generic path, chunked, against the packed one
+    # GF(2) matrices of more than 64 rows through the generic path (chunked
+    # when tall, per pivot when wide) against the packed one
     from derinv.linalg import _rref_generic, _rref_gf2
 
     a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
