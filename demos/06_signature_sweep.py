@@ -9,7 +9,7 @@ they must (and do) come out INCONCLUSIVE against A every time."""
 from derinv import GF, SignatureConfig, compare, compute_signature, make_group_algebra
 from derinv.algebras import cyclic_table, klein_table, make_matrix_algebra, make_truncated_polynomial
 
-cfg = SignatureConfig(m_max=2, kappa_pairs=((0, 1), (0, 2)), sigma_enumeration_limit=2**10)
+cfg = SignatureConfig(m_max=2, kappa_pairs=((0, 1), (0, 2)))
 
 family = [
     ("GF(2)[C4]", make_group_algebra(GF(2), cyclic_table(4))),

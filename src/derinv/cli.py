@@ -256,7 +256,7 @@ def cmd_gerst(args) -> int:
     if a.field.p > 2 and deg % 2 == 0:
         doc["sigma_rank"] = SKIPPED_PARITY
     else:
-        doc["sigma_rank"] = sigma_class_rank(a, deg, 2**20, None)
+        doc["sigma_rank"] = sigma_class_rank(a, deg, None)
     if deg == 1:
         doc["dim_derived_hh1"] = derived_hh1_dim(a, None)
     if args.check_restricted:

@@ -298,7 +298,8 @@ class Field:
             bf = b.astype(np.float64)
             for i in range(0, rows, step):
                 prod = a[..., i:i + step, :].astype(np.float64) @ bf
-                out[..., i:i + step, :] = np.mod(np.rint(prod).astype(np.int64), p)
+                # exact integers below k (p - 1)^2 < 2^53: reduce in place
+                out[..., i:i + step, :] = np.fmod(prod, p, out=prod)
             return out
         db = [((b.astype(np.int16) // p ** t) % p).astype(np.float64) for t in range(e)]
         for i in range(0, rows, step):

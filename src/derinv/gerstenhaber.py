@@ -50,22 +50,22 @@ sigma_p and jacobson_si are the one-cochain case of _brackets, _powers
 and _jacobson.  restricted_axioms_check runs each axiom as one stage
 over all pairs of basis classes (or all random draws), in slices of at
 most fields._PANEL // 32 entries, with one class_coords solve per slice.
-In characteristic 2 the p-power map is quadratic,
-
-    sigma(sum c_i f_i) = sum c_i^2 sigma(f_i) + sum_{i<j} c_i c_j [f_i, f_j],
-
-exactly at cochain level, since o is bilinear and f o g + g o f = [f, g];
-so the span of sigma over all classes is that of the classes of
-sigma(f_i) and [f_i, f_j] (signature.sigma_class_rank).
+The span of sigma_p over all classes is that of the classes of the
+coefficients of sigma_p(sum c_i f_i), a polynomial in c
+(_power_coefficients, read by signature.sigma_class_rank).
 
 A component matrix in source tensor length r has d^(r-m+1) x d^r
 entries, checked against the size cap of the bar complex assemblies
 before coderivation_component builds it.  Nothing else here builds a
 component: each insertion (hochschild._pre_lie) checks the d^(r+1)
-entries of the arity-r cochains it returns, the array it allocates.
+entries of the arity-r cochains it returns, the array it allocates, and
+_power_coefficients its whole coefficient stack.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -227,17 +227,20 @@ def coderivation_power_component(f: Cochain, k: int, r: int,
     return Mat(fld, out)
 
 
-def _powers(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None = None) -> np.ndarray:
-    """sigma_p on a stack f (..., d, d^m) of arity-m code arrays."""
-    p = algebra.field.p
+def _check_power(p: int, m: int) -> None:
     if p > 2 and m % 2 == 0:
         raise ParityViolation(
             f"p-th Gerstenhaber power needs odd arity for p = {p}, got {m}"
         )
     if m == 0:
         raise ValueError(_BELOW_COUNIT)
+
+
+def _powers(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None = None) -> np.ndarray:
+    """sigma_p on a stack f (..., d, d^m) of arity-m code arrays."""
+    _check_power(algebra.field.p, m)
     power, arity = f, m
-    for _ in range(p - 1):
+    for _ in range(algebra.field.p - 1):
         power = _pre_lie(algebra.field, power, arity, f, m, size_cap)
         arity += m - 1
     return power
@@ -257,6 +260,45 @@ def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
     a, m = f.algebra, f.arity
     power = _powers(a, f.matrix.data, m, size_cap)
     return Cochain(a, a.field.p * (m - 1) + 1, Mat(a.field, power))
+
+
+def _power_coefficients(algebra: Algebra, reps: np.ndarray, m: int,
+                        size_cap: int | None = None) -> np.ndarray:
+    """The coefficients C_alpha of sigma_p(sum_i c_i f_i) = sum_alpha c^alpha C_alpha.
+
+    reps stacks the f_i, (k, d, d^m); alpha runs over the multisets of p
+    indices in combinations_with_replacement order, and C_alpha, as o is
+    bilinear, sums the left-nested products over the orderings of alpha.
+    Level by level, alpha + {j} gains P[alpha] o f_j, one circle product
+    per j in _slices.  The (C(k+p-1, p), d, d^t) result, t = p(m-1) + 1,
+    is capped first; the earlier levels are smaller.
+
+    Monomials with all exponents below q are linearly independent
+    functions on GF(q)^k, so the values of a polynomial map span what
+    its reduced coefficients span.  Of degree p, only c_i^p reaches q
+    (when q = p) and reduces to c_i, which no other monomial meets.  So
+    the C_alpha are combinations of values of sigma_p: cocycles when the
+    f_i are, whose classes span those of all values.
+    """
+    fld, d = algebra.field, algebra.dim
+    p, k = fld.p, len(reps)
+    _check_power(p, m)
+    t = p * (m - 1) + 1
+    _check_cap(math.comb(k + p - 1, p) * d ** (t + 1), resolve_size_cap(size_cap),
+               f"sigma_p coefficients of arity {t}")
+    level, arity = reps, m
+    for size in range(2, p + 1):
+        keys = list(combinations_with_replacement(range(k), size - 1))
+        index = {key: n for n, key in enumerate(combinations_with_replacement(range(k), size))}
+        nxt = np.zeros((len(index), d, d ** (arity + m - 1)), dtype=CODE_DTYPE)
+        for j in range(k):
+            # alpha -> alpha + {j} is one to one, so no bin is hit twice
+            dest = np.array([index[tuple(sorted(key + (j,)))] for key in keys])
+            for sl in _slices(len(keys), d ** (arity + m)):
+                prods = _pre_lie(fld, level[sl], arity, reps[j], m, size_cap)
+                nxt[dest[sl]] = fld.vadd(nxt[dest[sl]], prods)
+        level, arity = nxt, arity + m - 1
+    return level
 
 
 def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int,
@@ -356,7 +398,8 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
     all draws, taken as stacks in slices: the insertions of a slice are
     one product per slot, and its classes one class_coords solve.  A
     witness is the first failing pair in row-major order, or the first
-    failing draw.
+    failing draw.  HH^r, r = t + m - 1 the largest degree reached, and
+    HH^t are fetched before any insertion, so a capped degree fails fast.
     """
     fld, d = algebra.field, algebra.dim
     if p != fld.p:
@@ -386,6 +429,9 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
         k = coh.dim
         reps = coh.reps.data.reshape(k, d, d**m)
         target = p * (m - 1) + 1
+        r = target + m - 1
+        coh_r = hh_cohomology(algebra, r, size_cap)
+        coh_t = hh_cohomology(algebra, target, size_cap)
         powers = np.concatenate([_powers(algebra, reps[sl], m, size_cap)
                                  for sl in _slices(k, d ** (target + 1))])
         closed = _flags(lambda sl: ~_delta(algebra, powers[sl], target, size_cap).any(axis=(1, 2)),
@@ -394,7 +440,6 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
 
         # pairs (i, j) in row-major order
         ii, jj = np.divmod(np.arange(k * k), k)
-        r = target + m - 1
 
         def ad_power(sl):
             i, j = ii[sl], jj[sl]
@@ -404,8 +449,7 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
                 v = _brackets(algebra, reps[i], m, v, arity, size_cap)
                 arity += m - 1
             rows = np.concatenate([lhs.reshape(len(i), -1), v.reshape(len(i), -1)])
-            # HH^r after the brackets: one pair at a time caps them first
-            got = hh_cohomology(algebra, r, size_cap).class_coords(rows)
+            got = coh_r.class_coords(rows)
             return (got[:len(i)] == got[len(i):]).all(axis=1)
 
         _record(entry, "ad_power", _flags(ad_power, k * k, 2 * d ** (r + 1)),
@@ -422,7 +466,6 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
 
         _record(entry, "scaling", _flags(scaling, scalars, d ** (target + 1)), lambda w: draws[w])
 
-        coh_t = hh_cohomology(algebra, target, size_cap)
         power_classes = coh_t.class_coords(powers.reshape(k, -1))
 
         def additivity(sl):

@@ -67,28 +67,26 @@ components of hh_homology(m) map to blocks of cochain coordinates,
 joined where their images meet.  HH^m costs one RREF of the moved
 annihilator rows per block and space, on top of the homology
 eliminations; the blocks label the cochains for the B inside Z check.
-A degree that is one block takes one dense RREF per space.
 
 The coboundary of one cochain needs no matrix of delta.  With mu the
 multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
 
     delta f = (-1)^(m-1) mu o f - f o mu,
 
-and each of its m + 2 slot insertions is one product against a
-d x d^m or d x d^2 matrix.  coboundary and Cochain.is_cocycle take this
-path.  _pre_lie and _delta take stacks of cochains, (..., d, d^m), with
-one product per slot for the whole stack, and HomologyBasis.class_coords
-solves a stack of (co)cycles with one residual and one reconstruction
-product.
+and each of its m + 2 slot insertions (_insert) is one product against
+a d x d^m or d x d^2 matrix.  coboundary, Cochain.is_cocycle and cup,
+f cup g = (mu o_2 g) o_1 f, take this path.  _pre_lie and _delta take
+stacks of cochains, (..., d, d^m), with one product per slot for the
+whole stack, and HomologyBasis.class_coords solves a stack of
+(co)cycles with one residual and one reconstruction product.
 
 Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
 entry point here is an `algebras.memo` function that checks that count
 against a cap (KK_SIZE_CAP in the environment, default 2^27) before its
 cache, and raises SizeCapExceeded instead of allocating.  The cap counts
-the dense entries even where only blocks are allocated.  _pre_lie is the
-one cap of the insertions: it charges the d^(r+1) entries of each
-arity-r cochain it returns, the array it allocates, before the first
-product.
+the dense entries even where only blocks are allocated.  _pre_lie and
+cup are the caps of the insertions: each charges the d^(r+1) entries of
+an arity-r cochain it allocates before the first product.
 """
 
 from __future__ import annotations
@@ -125,7 +123,6 @@ from .linalg import (
     _null_rows,
     _rref_array,
     _runs,
-    field_kron,
 )
 
 
@@ -295,27 +292,35 @@ def multiplication_cochain(algebra: Algebra) -> Cochain:
     return Cochain(algebra, 2, Mat(algebra.field, algebra.mult_matrix.data.T))
 
 
+def _insert(fld: Field, f: np.ndarray, m: int, i: int, g: np.ndarray, n: int) -> np.ndarray:
+    """f o_i g, the output of g fed into slot i of f: one product of f, slot i last, with g.
+
+    f and g are code arrays of cochains of arities m and n, of shapes
+    (..., d, d^m) and (..., d, d^n) broadcast over the leading axes.
+    """
+    d = f.shape[-2]
+    lead = np.broadcast_shapes(f.shape[:-2], g.shape[:-2])
+    pre, post = d ** (i - 1), d ** (m - i)
+    slot_last = f.reshape(f.shape[:-2] + (d, pre, d, post)).swapaxes(-1, -2)
+    term = fld.matmul(slot_last.reshape(f.shape[:-2] + (-1, d)), g)
+    return term.reshape(lead + (d, pre, post, -1)).swapaxes(-1, -2).reshape(
+        lead + (d, d ** (m + n - 1)))
+
+
 def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int,
              size_cap: int | None = None) -> np.ndarray:
     """Gerstenhaber's circle product f o g = sum_i (-1)^((n-1)(i-1)) f o_i g.
 
-    f and g are code arrays of cochains of arities m and n (m + n >= 1),
-    of shapes (..., d, d^m) and (..., d, d^n) broadcast over the leading
-    axes; the result holds the d x d^(m+n-1) arrays of the arity
-    m + n - 1 cochains.  The insertion f o_i g feeds the output of g into
-    slot i of f: one product of f, with slot i moved last, against g,
-    for the whole stack.  The d^(m+n) entries of one result are checked
-    against the cap before anything is allocated.
+    Arities and stacks as in _insert, with m + n >= 1.  The d^(m+n)
+    entries of one result are checked against the cap before anything
+    is allocated.
     """
     d = f.shape[-2]
     _check_cap(d ** (m + n), resolve_size_cap(size_cap), f"circle product of arity {m + n - 1}")
     lead = np.broadcast_shapes(f.shape[:-2], g.shape[:-2])
     out = np.zeros(lead + (d, d ** (m + n - 1)), dtype=CODE_DTYPE)
     for i in range(1, m + 1):
-        pre, post = d ** (i - 1), d ** (m - i)
-        slot_last = f.reshape(f.shape[:-2] + (d, pre, d, post)).swapaxes(-1, -2)
-        term = fld.matmul(slot_last.reshape(f.shape[:-2] + (-1, d)), g)
-        term = term.reshape(lead + (d, pre, post, -1)).swapaxes(-1, -2).reshape(out.shape)
+        term = _insert(fld, f, m, i, g, n)
         out = fld.vsub(out, term) if (n - 1) * (i - 1) % 2 else fld.vadd(out, term)
     return out
 
@@ -504,33 +509,17 @@ def hh_cohomology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homo
         raise ValueError("m must be >= 0")
     if algebra.form is None:
         return _cohomology_from_dual(algebra, m)
-    return _cohomology_from_form(algebra, m, size_cap)
+    # With Phi_m = G x I_{d^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
+    # cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
+    hom = hh_homology(algebra, m, size_cap)
+    plan = _Transport(algebra.field, algebra.form.gram.inverse().data, hom.components)
+    return _quotient_basis(algebra, m, "cohomology", plan.perp(hom.boundaries),
+                           plan.perp(hom.cycles), plan.labels)
 
 
 def _cohomology_from_dual(algebra: Algebra, m: int) -> HomologyBasis:
     into = _coboundary_map(algebra, m - 1) if m else None
     return _homology(algebra, m, "cohomology", _coboundary_map(algebra, m), into)
-
-
-def _cohomology_from_form(algebra: Algebra, m: int,
-                          size_cap: int | None) -> HomologyBasis:
-    # With Phi_m = G x I_{d^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
-    # cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
-    f = algebra.field
-    hom = hh_homology(algebra, m, size_cap)
-    ginv = algebra.form.gram.inverse().data
-    labels = hom.components
-    if labels.min() == labels.max():
-        def transported_perp(space: Subspace) -> Subspace:
-            moved = _left_multiply(f, ginv, space.annihilator_rows())
-            return Subspace.from_rows(f, Mat(f, moved))
-        labels = None
-    else:
-        plan = _Transport(f, ginv, labels)
-        transported_perp, labels = plan.perp, plan.labels
-    cycles = transported_perp(hom.boundaries)
-    boundaries = transported_perp(hom.cycles)
-    return _quotient_basis(algebra, m, "cohomology", cycles, boundaries, labels)
 
 
 class _Transport:
@@ -663,16 +652,19 @@ def pairing_gram(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
 
 
 def cup(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
-    """Cup product: (f cup g)(a1 .. a_{m+n}) = f(a1 .. a_m) g(.. a_{m+n})."""
+    """Cup product: (f cup g)(a1 .. a_{m+n}) = f(a1 .. a_m) g(.. a_{m+n}).
+
+    It is (mu o_2 g) o_1 f, capped on the larger of the d^(m+n+1) entries
+    of the result and the d^(n+2) of mu o_2 g.
+    """
     if f.algebra is not g.algebra:
         raise DimensionMismatch("cochains over different algebras")
     a = f.algebra
     fld, d = a.field, a.dim
-    arity = f.arity + g.arity
-    _check_cap(d * d * d**arity, resolve_size_cap(size_cap), "cup product tensor")
-    big = field_kron(fld, f.matrix.data, g.matrix.data)  # d^2 x d^arity
-    out = fld.matmul(a.mult_matrix.data.T, big)
-    return Cochain(a, arity, Mat(fld, out))
+    m, n = f.arity, g.arity
+    _check_cap(d ** (max(m, 1) + n + 1), resolve_size_cap(size_cap), f"cup product of arity {m + n}")
+    left = _insert(fld, multiplication_cochain(a).matrix.data, 2, 2, g.matrix.data, n)
+    return Cochain(a, m + n, Mat(fld, _insert(fld, left, n + 1, 1, f.matrix.data, m)))
 
 
 def cup_power(f: Cochain, k: int, size_cap: int | None = None) -> Cochain:

@@ -482,12 +482,6 @@ def _bin_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def field_kron(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of code arrays with field multiplication."""
-    out = f.vmul(a[:, None, :, None], b[None, :, None, :])
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 # -- subspaces --
 
 
@@ -530,13 +524,6 @@ class Subspace:
         if self.dim == 0:
             return np.zeros(0, dtype=np.int64)
         return np.argmax(self.basis.data != 0, axis=1)
-
-    def annihilator_rows(self) -> np.ndarray:
-        """Rows spanning {x : b . x = 0 for all b in self}, not reduced.
-
-        Read off the RREF basis without any elimination.
-        """
-        return _null_rows(self.field, self.basis.data, self.pivots(), self.ambient_dim)
 
     def reduce(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(residue, coefficients): v = coeffs @ basis + residue."""

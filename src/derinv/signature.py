@@ -6,7 +6,9 @@ orthogonal, central p-power spaces, zeta/kappa ranks, stabilization
 index), Hochschild homology and cohomology dimensions, the higher
 kappa adjoint ranks for a configured set of (m, n) pairs, and the
 Gerstenhaber block (rank of the sigma_p image span and the derived
-subalgebra of HH^1).
+subalgebra of HH^1).  The sigma_p span is read off the coefficients of
+sigma_p(sum c_i f_i) as a polynomial in the class coordinates c, one
+rule in every characteristic.
 
 Two signatures over the same field are compared entry by entry, but
 only on the entries that are invariant under derived equivalence; the
@@ -27,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .fields import is_json_int
-from .gerstenhaber import _brackets, _powers, _slices, sigma_p
-from .hochschild import Cochain, HomologyBasis, hh_cohomology, hh_homology
+from .gerstenhaber import _brackets, _power_coefficients, _slices
+from .hochschild import HomologyBasis, hh_cohomology, hh_homology
 from .higher import kappa_nm
 from .kulshammer import (
     kappa_kernel,
@@ -57,7 +58,6 @@ from .linalg import Subspace
 SCHEMA_VERSION = 1
 
 SKIPPED_CAP = "skipped: cap"
-SKIPPED_ENUMERATION = "skipped: enumeration"
 SKIPPED_PARITY = "skipped: parity"
 
 # entries outside any derived-equivalence invariant: recorded for
@@ -76,16 +76,15 @@ class SignatureConfig:
     """Degrees and caps for one signature computation.
 
     ``kappa_pairs = None`` selects the characteristic-dependent default
-    set of (m, n) adjoint degrees.  ``sigma_enumeration_limit`` bounds
-    the number of cohomology classes enumerated for the sigma_p image
-    span; larger class groups get a "skipped: enumeration" marker.
+    set of (m, n) adjoint degrees.  ``gerstenhaber_degrees`` are the
+    degrees of the sigma_p span entries.  ``size_cap`` bounds every
+    matrix and stack, as KK_SIZE_CAP does when it is None.
     """
 
     n_max: int = 3
     m_max: int = 3
     kappa_pairs: tuple[tuple[int, int], ...] | None = None
     gerstenhaber_degrees: tuple[int, ...] = (1,)
-    sigma_enumeration_limit: int = 2**20
     size_cap: int | None = None
 
     def resolved_pairs(self, p: int) -> tuple[tuple[int, int], ...]:
@@ -110,59 +109,36 @@ class InvariantSignature:
         ]
 
 
-def sigma_class_rank(algebra: Algebra, m: int, limit: int, size_cap: int | None):
+def _class_rank(target: HomologyBasis, stacks) -> int:
+    """Rank of the classes in target of the cocycles in stacks; one solve a stack."""
+    rows = [target.class_coords(x.reshape(len(x), -1)) for x in stacks]
+    return Subspace.from_rows(target.algebra.field, np.concatenate(rows)).dim if rows else 0
+
+
+def sigma_class_rank(algebra: Algebra, m: int, size_cap: int | None):
     """Dimension of the span of sigma_p over all degree-m classes.
 
-    In characteristic 2, sigma(sum c_i f_i) = sum c_i^2 sigma(f_i) +
-    sum_{i<j} c_i c_j [f_i, f_j] holds exactly at cochain level, since o
-    is bilinear and f o g + g o f = [f, g]; so the span is that of the
-    classes of sigma(f_i) and [f_i, f_j], i < j.  Odd p enumerates every
-    class.  Either way, more than ``limit`` classes are not enumerated.
+    It is the rank of the classes of the coefficients of sigma_p(sum_i
+    c_i f_i) as a polynomial in c, over the basis classes f_i
+    (gerstenhaber._power_coefficients).
     """
-    f, d = algebra.field, algebra.dim
+    d = algebra.dim
     coh = hh_cohomology(algebra, m, size_cap)
-    target = hh_cohomology(algebra, f.p * (m - 1) + 1, size_cap)
+    target = hh_cohomology(algebra, algebra.field.p * (m - 1) + 1, size_cap)
     if coh.dim == 0:
         return 0
-    if f.q**coh.dim > limit:
-        return SKIPPED_ENUMERATION
-    if f.p == 2:
-        reps = coh.reps.data.reshape(coh.dim, d, d**m)
-        rows = [target.class_coords(_powers(algebra, part, m, size_cap).reshape(len(part), -1))
-                for part in (reps[sl] for sl in _slices(coh.dim, d ** (2 * m)))]
-        rows += _bracket_classes(target, reps, m, size_cap)
-        return Subspace.from_rows(f, np.concatenate(rows)).dim
-    reps_flat = np.stack([c.flat() for c in coh.cochains()])
-    span = Subspace.zero(f, target.dim)
-    for coeffs in product(range(f.q), repeat=coh.dim):
-        row = np.asarray(coeffs, dtype=np.int8).reshape(1, -1)
-        combo = Cochain.from_flat(algebra, m, f.matmul(row, reps_flat).reshape(-1))
-        coords = target.class_coords(sigma_p(combo, size_cap).flat())
-        if not span.contains(coords):
-            span = span.add(Subspace.from_rows(f, coords.reshape(1, -1)))
-            if span.dim == target.dim:
-                break
-    return span.dim
-
-
-def _bracket_classes(target: HomologyBasis, reps: np.ndarray, m: int,
-                     size_cap: int | None) -> list[np.ndarray]:
-    """Classes in target of [f_i, f_j], i < j, of a stack of arity-m cochains; one solve a slice."""
-    algebra = target.algebra
-    i, j = np.triu_indices(len(reps), 1)
-    return [target.class_coords(_brackets(algebra, reps[i[sl]], m, reps[j[sl]], m, size_cap)
-                                .reshape(len(i[sl]), -1))
-            for sl in _slices(len(i), algebra.dim ** (2 * m))]
+    coeffs = _power_coefficients(algebra, coh.reps.data.reshape(coh.dim, d, d**m), m, size_cap)
+    return _class_rank(target, (coeffs[sl] for sl in _slices(len(coeffs), coeffs[0].size)))
 
 
 def derived_hh1_dim(algebra: Algebra, size_cap: int | None) -> int:
-    """dim of the span of [HH^1, HH^1] inside HH^1."""
+    """dim of the span of [HH^1, HH^1] inside HH^1; the brackets a slice of pairs at a time."""
     coh = hh_cohomology(algebra, 1, size_cap)
     d = algebra.dim
-    rows = _bracket_classes(coh, coh.reps.data.reshape(coh.dim, d, d), 1, size_cap)
-    if not rows:
-        return 0
-    return Subspace.from_rows(algebra.field, np.concatenate(rows)).dim
+    reps = coh.reps.data.reshape(coh.dim, d, d)
+    i, j = np.triu_indices(coh.dim, 1)
+    return _class_rank(coh, (_brackets(algebra, reps[i[sl]], 1, reps[j[sl]], 1, size_cap)
+                             for sl in _slices(len(i), d**2)))
 
 
 def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -> InvariantSignature:
@@ -229,7 +205,7 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
             entries[key] = SKIPPED_PARITY
             continue
         try:
-            entries[key] = sigma_class_rank(algebra, deg, config.sigma_enumeration_limit, cap)
+            entries[key] = sigma_class_rank(algebra, deg, cap)
         except SizeCapExceeded:
             entries[key] = SKIPPED_CAP
     try:

@@ -25,9 +25,9 @@ classes at a time, with one class solve per cochain, and
 oracle_sigma_class_rank the sigma_p rank by enumerating every class,
 and oracle_derived_hh1_dim one bracket and one class solve per pair;
 restricted_axioms_check runs each axiom on stacks of pairs,
-sigma_class_rank in characteristic 2 reads the rank off sigma(f_i) and
-[f_i, f_j], and derived_hh1_dim solves the classes of a stack of
-brackets at once.  oracle_defining_relation is verify_properties'
+sigma_class_rank reads the rank off the coefficients of sigma_p as a
+polynomial in the class coordinates, and derived_hh1_dim solves the
+classes of a stack of brackets at once.  oracle_defining_relation is verify_properties'
 defining relation with one pairing per basis pair and scalar, which
 verify_properties now takes as one pairing matrix per scalar.
 coderivation_components collects the dense components of D_f up to a
@@ -61,7 +61,7 @@ from derinv.hochschild import (
     hh_cohomology,
     pairing,
 )
-from derinv.linalg import Mat, Subspace
+from derinv.linalg import Mat, Subspace, _null_rows
 
 
 def all_vectors(field: Field, dim: int) -> Iterable[np.ndarray]:
@@ -474,7 +474,8 @@ def oracle_transported_perp(algebra, space: Subspace) -> Subspace:
     """Phi^-1 of the annihilator of a chain space, as one dense elimination."""
     f = algebra.field
     ginv = algebra.form.gram.inverse().data
-    return Subspace.from_rows(f, Mat(f, _left_multiply(f, ginv, space.annihilator_rows())))
+    ann = _null_rows(f, space.basis.data, space.pivots(), space.ambient_dim)
+    return Subspace.from_rows(f, Mat(f, _left_multiply(f, ginv, ann)))
 
 
 def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
@@ -551,6 +552,9 @@ def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
             continue
         reps = coh.cochains()
         target = p * (m - 1) + 1
+        # the largest basis of the degree, then HH^t, before any insertion
+        hh_cohomology(algebra, target + m - 1, size_cap)
+        hh_cohomology(algebra, target, size_cap)
         powers = [sigma_p(f, size_cap) for f in reps]
         power_class = functools.cache(lambda i: _class_of(algebra, powers[i], size_cap))
 

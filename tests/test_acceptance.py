@@ -306,7 +306,7 @@ def test_criterion_08_restricted_axioms_across_corpus(corpus):
 
 def _invariance_config(a: Algebra) -> SignatureConfig:
     pairs = ((0, 1), (0, 2), (1, 1)) if a.field.p == 2 else ((0, 1), (0, 2))
-    return SignatureConfig(m_max=1, kappa_pairs=pairs, sigma_enumeration_limit=2**10)
+    return SignatureConfig(m_max=1, kappa_pairs=pairs)
 
 
 def test_criterion_09_basis_change_invariance(corpus):

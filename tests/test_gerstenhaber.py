@@ -680,8 +680,8 @@ class TestStackMemory:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_peak_on_a_warm_algebra(self, klein, m):
-        # degree 2 passes; degree 3 raises at the cap of HH^7, after the
-        # power and cocycle stages.  Unsliced stacks peak at 9.2 and 7.4 MiB.
+        # degree 2 passes; degree 3 raises at the cap of HH^7, before any
+        # insertion.  Unsliced degree-2 stacks peak at 9.2 MiB.
         want = _outcome(oracles.oracle_restricted_axioms_check, klein, 2, [m])
         tracemalloc.start()
         try:

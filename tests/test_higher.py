@@ -38,7 +38,7 @@ from derinv.hochschild import (
     resolve_size_cap,
 )
 from derinv.kulshammer import kappa_n, t_n_center_space
-from derinv.linalg import Mat, SemilinearOperator, field_kron
+from derinv.linalg import Mat, SemilinearOperator
 from derinv.signature import SignatureConfig
 
 import oracles
@@ -280,7 +280,8 @@ def _transport_classes(f, src_basis, dst_basis, g_inv, factors):
     k = g_inv.data
     big = k
     for _ in range(factors - 1):
-        big = field_kron(f, big, k)
+        big = f.vmul(big[:, None, :, None], k[None, :, None, :]).reshape(
+            big.shape[0] * k.shape[0], big.shape[1] * k.shape[1])
     cols = []
     for r in range(src_basis.dim):
         moved = f.matmul(src_basis.rep_vector(r).reshape(1, -1), big).reshape(-1)
@@ -393,9 +394,7 @@ class TestCapsAndErrors:
         assert call(*args, size_cap=8192) == dense(*args)
 
     def test_insertion_memory_is_bounded_by_its_result(self):
-        # one arity-9 result on C4 is 4^10 = 2^20 entries, one float64
-        # panel of Field.matmul: about 28 bytes an entry for the float64
-        # product, its int64 copies and the int8 result, where the dense
+        # one arity-9 result on C4 is 4^10 = 2^20 entries, where the dense
         # model multiplies a 4^5 x 4^9 component
         f, g = _cold_c4_cochains(5, 5)
         entries = 4**10
@@ -409,6 +408,19 @@ class TestCapsAndErrors:
         assert peak < 32 * entries
         with pytest.raises(SizeCapExceeded):
             bracket(f, g, size_cap=entries - 1)
+
+    def test_matmul_panels_reduce_in_place(self):
+        # the same bracket, with one float64 panel of Field.matmul reduced
+        # in place into the int8 result: about 12 bytes an entry, where
+        # int64 copies of the panel would take 28
+        f, g = _cold_c4_cochains(5, 5)
+        tracemalloc.start()
+        try:
+            bracket(f, g, size_cap=4**10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**10
 
     def test_size_cap_propagates(self, trunc3_3):
         with pytest.raises(SizeCapExceeded):
