@@ -39,7 +39,7 @@ print(f"  Jacobson correction terms: {len(s)}; additivity holds: {lhs == total}"
 # the restricted axioms, checked class-by-class with random inputs
 t33 = make_truncated_polynomial(GF(3), 3)
 for name, a, degrees in (("GF(2)[x]/(x^2)", dual, (1, 2)), ("GF(3)[x]/(x^3)", t33, (1,))):
-    rep = restricted_axioms_check(a, a.field.p, degrees)
+    rep = restricted_axioms_check(a, degrees)
     print(f"\nrestricted axioms on {name}, degrees {degrees}: "
           f"all_passed={rep['all_passed']}")
     for deg, block in rep["degrees"].items():

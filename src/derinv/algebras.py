@@ -52,14 +52,18 @@ DEFAULT_SIZE_CAP = 2**27
 SIZE_CAP_ENV = "KK_SIZE_CAP"
 
 
-def resolve_size_cap(size_cap: int | None = None) -> int:
-    if size_cap is not None:
-        return size_cap
+def resolve_size_cap() -> int:
+    """The entry cap: KK_SIZE_CAP from the environment, read at each call, or the default."""
     env = os.environ.get(SIZE_CAP_ENV)
-    return int(env) if env else DEFAULT_SIZE_CAP
+    if not env:
+        return DEFAULT_SIZE_CAP
+    if not (env.isascii() and env.isdigit()) or int(env) < 1:
+        raise DerinvError(f"{SIZE_CAP_ENV} must be a decimal integer >= 1, got {env!r}")
+    return int(env)
 
 
-def _check_cap(entries: int, cap: int, what: str) -> None:
+def _check_cap(entries: int, what: str) -> None:
+    cap = resolve_size_cap()
     if entries > cap:
         raise SizeCapExceeded(entries, cap, what)
 
@@ -67,41 +71,23 @@ def _check_cap(entries: int, cap: int, what: str) -> None:
 def memo(entries: Callable[..., int] | None = None, what: Callable[..., str] | None = None):
     """Cache fn(algebra, *args) in algebra._cache under (fn.__name__, *args).
 
-    A capped function takes a trailing size_cap, by position or by name,
-    and gives its entry count and message as entries(algebra, *args) and
-    what(algebra, *args).  The cap is checked before the cache lookup, so
-    a capped call raises SizeCapExceeded whether or not the result is
-    already cached.
+    A capped function gives its entry count and message as
+    entries(algebra, *args) and what(algebra, *args).  The cap is checked
+    before the cache lookup, so a capped call raises SizeCapExceeded
+    whether or not the result is already cached.
     """
 
     def decorate(fn):
         name = fn.__name__
-        if entries is None:
-
-            @functools.wraps(fn)
-            def cached(algebra, *args):
-                key = (name, *args)
-                out = algebra._cache.get(key)
-                if out is None:
-                    out = algebra._cache[key] = fn(algebra, *args)
-                return out
-
-            return cached
-
-        # key arguments are the ones between the algebra and size_cap
-        nkey = fn.__code__.co_varnames.index("size_cap") - 1
 
         @functools.wraps(fn)
-        def cached(algebra, *args, size_cap=None):
-            if len(args) > nkey:
-                args, (size_cap,) = args[:nkey], args[nkey:]
-            n, cap = entries(algebra, *args), resolve_size_cap(size_cap)
-            if n > cap:
-                raise SizeCapExceeded(n, cap, what(algebra, *args))
+        def cached(algebra, *args):
+            if entries is not None:
+                _check_cap(entries(algebra, *args), what(algebra, *args))
             key = (name, *args)
             out = algebra._cache.get(key)
             if out is None:
-                out = algebra._cache[key] = fn(algebra, *args, size_cap)
+                out = algebra._cache[key] = fn(algebra, *args)
             return out
 
         return cached
@@ -334,16 +320,11 @@ class Algebra:
 
     @memo()
     def center(self) -> Subspace:
-        f, d = self.field, self.dim
-        k = Mat.identity(f, d)  # rows span the current candidate space
-        for i in range(d):
-            if k.rows == 0:
-                break
-            op = self.left_mult_matrix(i) - self.right_mult_matrix(i)
-            restricted = op @ k.T  # d x k
-            ker = restricted.kernel()  # coefficients in current basis
-            k = ker @ k
-        return Subspace.from_rows(f, k) if k.rows else Subspace.zero(f, d)
+        """Kernel of x -> (b_i x - x b_i)_i, one (d^2, d) matrix with rows (i, k)."""
+        d = self.dim
+        t = self.mult_tensor
+        diffs = self.field.vsub(t, t.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(d * d, d)
+        return Subspace.from_rows(self.field, Mat(self.field, diffs).kernel())
 
     @memo()
     def commutator_space(self) -> Subspace:

@@ -256,11 +256,11 @@ def cmd_gerst(args) -> int:
     if a.field.p > 2 and deg % 2 == 0:
         doc["sigma_rank"] = SKIPPED_PARITY
     else:
-        doc["sigma_rank"] = sigma_class_rank(a, deg, None)
+        doc["sigma_rank"] = sigma_class_rank(a, deg)
     if deg == 1:
-        doc["dim_derived_hh1"] = derived_hh1_dim(a, None)
+        doc["dim_derived_hh1"] = derived_hh1_dim(a)
     if args.check_restricted:
-        doc["restricted_axioms"] = restricted_axioms_check(a, a.field.p, (deg,))
+        doc["restricted_axioms"] = restricted_axioms_check(a, (deg,))
     _emit(doc)
     return EXIT_OK
 

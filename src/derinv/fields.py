@@ -302,21 +302,30 @@ class Field:
                 out[..., i:i + step, :] = np.fmod(prod, p, out=prod)
             return out
         db = [((b.astype(np.int16) // p ** t) % p).astype(np.float64) for t in range(e)]
+        # per output digit u, the (s, t, r) with r = digit u of alpha^(s+t)
+        # reduced, never empty as alpha^u is its own reduction
+        terms = [[(s, t, int(self._alpha_red[s + t][u])) for s in range(e) for t in range(e)
+                  if self._alpha_red[s + t][u]] for u in range(e)]
         for i in range(0, rows, step):
             panel = a[..., i:i + step, :].astype(np.int16)
             da = [((panel // p ** s) % p).astype(np.float64) for s in range(e)]
-            planes = [np.zeros(panel.shape[:-1] + (c,), dtype=np.int64) for _ in range(e)]
-            for s in range(e):
-                for t in range(e):
-                    q = np.rint(da[s] @ db[t]).astype(np.int64) % p
-                    red = self._alpha_red[s + t]
-                    for u in range(e):
-                        if red[u]:
-                            planes[u] += red[u] * q
-            acc = np.zeros_like(planes[0])
+            dst = out[..., i:i + step, :]
+            dst[...] = 0
             for u in range(e):
-                acc += (planes[u] % p) * p ** u
-            out[..., i:i + step, :] = acc
+                # one float64 digit plane at a time, exact integers below
+                # e^2 k (p - 1)^3 < 2^53; reduced as int64, since np.fmod
+                # takes tens of ns an entry once the entries pass 64
+                acc = None
+                for s, t, r in terms[u]:
+                    prod = da[s] @ db[t]
+                    if r != 1:
+                        prod *= r
+                    acc = prod if acc is None else np.add(acc, prod, out=acc)
+                digit = acc.astype(np.int64)
+                del acc, prod
+                np.remainder(digit, p, out=digit)
+                digit *= p ** u
+                np.add(dst, digit, out=dst, casting="unsafe")
         return out
 
     def vdot(self, x: np.ndarray, y: np.ndarray) -> int:

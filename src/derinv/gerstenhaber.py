@@ -56,7 +56,8 @@ coefficients of sigma_p(sum c_i f_i), a polynomial in c
 
 A component matrix in source tensor length r has d^(r-m+1) x d^r
 entries, checked against the size cap of the bar complex assemblies
-before coderivation_component builds it.  Nothing else here builds a
+(KK_SIZE_CAP, read at each check by algebras._check_cap) before
+coderivation_component builds it.  Nothing else here builds a
 component: each insertion (hochschild._pre_lie) checks the d^(r+1)
 entries of the arity-r cochains it returns, the array it allocates, and
 _power_coefficients its whole coefficient stack.
@@ -69,7 +70,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .algebras import Algebra, _check_cap, resolve_size_cap
+from .algebras import Algebra, _check_cap
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -87,8 +88,13 @@ COBOUNDARY_BRACKET_SIGN = -1
 
 _BELOW_COUNIT = "the p-th power of an arity-0 cochain lands below the counit"
 
+# random draws of restricted_axioms_check: coboundary shifts of the
+# well-definedness probe, and (scalar, class) pairs of the scaling axiom
+_TRIALS = 10
+_SCALARS = 20
 
-def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> Mat:
+
+def coderivation_component(f: Cochain, r: int) -> Mat:
     """D_f restricted to tensor length r, a (d^(r-m+1), d^r) matrix."""
     if r < 0:
         raise ValueError("tensor length must be >= 0")
@@ -99,7 +105,7 @@ def coderivation_component(f: Cochain, r: int, size_cap: int | None = None) -> M
     if out_len < 0:
         raise DegreeMismatch(f"arity {m} has no component on tensor length {r}")
     rows, cols = d**out_len, d**r
-    _check_cap(rows * cols, resolve_size_cap(size_cap), f"coderivation component at length {r}")
+    _check_cap(rows * cols, f"coderivation component at length {r}")
     acc = np.zeros((rows, cols), dtype=CODE_DTYPE)
     block_pos = f.matrix.data
     block_neg = fld.vneg(block_pos)
@@ -162,7 +168,7 @@ def is_coderivation(algebra: Algebra, shift: int, components: dict[int, Mat]):
     return True, None
 
 
-def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> dict[int, Mat]:
+def build_dA(algebra: Algebra, max_len: int) -> dict[int, Mat]:
     """The differential d_A, the coderivation of the multiplication.
 
     Asserts tau o d_A = m_A and d_A o d_A = 0 on every tensor length up
@@ -174,32 +180,31 @@ def build_dA(algebra: Algebra, max_len: int, size_cap: int | None = None) -> dic
         raise ValueError("need max_len >= 2 to see the multiplication")
     mu = multiplication_cochain(algebra)
     fld = algebra.field
-    parts = {2: coderivation_component(mu, 2, size_cap)}
+    parts = {2: coderivation_component(mu, 2)}
     if parts[2] != mu.matrix:
         raise InvariantViolation("tau o d_A differs from the multiplication")
     for r in range(3, max_len + 1):
-        parts[r] = coderivation_component(mu, r, size_cap)
+        parts[r] = coderivation_component(mu, r)
         if fld.matmul(parts[r - 1].data, parts[r].data).any():
             raise InvariantViolation(f"d_A^2 is nonzero on tensor length {r}")
     # length 1 is the smallest component and enters neither check
-    return {1: coderivation_component(mu, 1, size_cap), **parts}
+    return {1: coderivation_component(mu, 1), **parts}
 
 
-def _brackets(algebra: Algebra, f: np.ndarray, m: int, g: np.ndarray, n: int,
-              size_cap: int | None = None) -> np.ndarray:
+def _brackets(algebra: Algebra, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
     """[f, g] on stacks f (..., d, d^m) and g (..., d, d^n) of code arrays, broadcast."""
     d = algebra.dim
     if m + n == 0:
         return np.zeros(np.broadcast_shapes(f.shape[:-2], g.shape[:-2]) + (d, 1), dtype=CODE_DTYPE)
     fld = algebra.field
-    fg = _pre_lie(fld, f, m, g, n, size_cap)
-    gf = _pre_lie(fld, g, n, f, m, size_cap)
+    fg = _pre_lie(fld, f, m, g, n)
+    gf = _pre_lie(fld, g, n, f, m)
     if ((m - 1) * (n - 1)) % 2 == 1:
         gf = fld.vneg(gf)
     return fld.vsub(fg, gf)
 
 
-def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
+def bracket(f: Cochain, g: Cochain) -> Cochain:
     """Gerstenhaber bracket f o g - (-1)^((m-1)(n-1)) g o f, arity m + n - 1.
 
     Two arity-0 cochains bracket to a map landing below the counit,
@@ -209,21 +214,20 @@ def bracket(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
     if f.algebra is not g.algebra:
         raise DimensionMismatch("cochains over different algebras")
     a, m, n = f.algebra, f.arity, g.arity
-    out = _brackets(a, f.matrix.data, m, g.matrix.data, n, size_cap)
+    out = _brackets(a, f.matrix.data, m, g.matrix.data, n)
     return Cochain(a, max(m + n - 1, 0), Mat(a.field, out))
 
 
-def coderivation_power_component(f: Cochain, k: int, r: int,
-                                 size_cap: int | None = None) -> Mat:
+def coderivation_power_component(f: Cochain, k: int, r: int) -> Mat:
     """(D_f)^k restricted to source tensor length r."""
     if k < 1:
         raise ValueError("power needs k >= 1")
     a = f.algebra
     fld = a.field
     s = f.arity - 1
-    out = coderivation_component(f, r, size_cap).data
+    out = coderivation_component(f, r).data
     for j in range(1, k):
-        out = fld.matmul(coderivation_component(f, r - j * s, size_cap).data, out)
+        out = fld.matmul(coderivation_component(f, r - j * s).data, out)
     return Mat(fld, out)
 
 
@@ -236,17 +240,17 @@ def _check_power(p: int, m: int) -> None:
         raise ValueError(_BELOW_COUNIT)
 
 
-def _powers(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None = None) -> np.ndarray:
+def _powers(algebra: Algebra, f: np.ndarray, m: int) -> np.ndarray:
     """sigma_p on a stack f (..., d, d^m) of arity-m code arrays."""
     _check_power(algebra.field.p, m)
     power, arity = f, m
     for _ in range(algebra.field.p - 1):
-        power = _pre_lie(algebra.field, power, arity, f, m, size_cap)
+        power = _pre_lie(algebra.field, power, arity, f, m)
         arity += m - 1
     return power
 
 
-def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
+def sigma_p(f: Cochain) -> Cochain:
     """tau o (D_f)^p: the p-power operation of the restricted structure.
 
     Defined for every arity >= 1 in characteristic 2; for odd p the
@@ -258,12 +262,11 @@ def sigma_p(f: Cochain, size_cap: int | None = None) -> Cochain:
     returns, the last one of d^(p*(arity-1)+2) entries.
     """
     a, m = f.algebra, f.arity
-    power = _powers(a, f.matrix.data, m, size_cap)
+    power = _powers(a, f.matrix.data, m)
     return Cochain(a, a.field.p * (m - 1) + 1, Mat(a.field, power))
 
 
-def _power_coefficients(algebra: Algebra, reps: np.ndarray, m: int,
-                        size_cap: int | None = None) -> np.ndarray:
+def _power_coefficients(algebra: Algebra, reps: np.ndarray, m: int) -> np.ndarray:
     """The coefficients C_alpha of sigma_p(sum_i c_i f_i) = sum_alpha c^alpha C_alpha.
 
     reps stacks the f_i, (k, d, d^m); alpha runs over the multisets of p
@@ -284,8 +287,7 @@ def _power_coefficients(algebra: Algebra, reps: np.ndarray, m: int,
     p, k = fld.p, len(reps)
     _check_power(p, m)
     t = p * (m - 1) + 1
-    _check_cap(math.comb(k + p - 1, p) * d ** (t + 1), resolve_size_cap(size_cap),
-               f"sigma_p coefficients of arity {t}")
+    _check_cap(math.comb(k + p - 1, p) * d ** (t + 1), f"sigma_p coefficients of arity {t}")
     level, arity = reps, m
     for size in range(2, p + 1):
         keys = list(combinations_with_replacement(range(k), size - 1))
@@ -295,14 +297,13 @@ def _power_coefficients(algebra: Algebra, reps: np.ndarray, m: int,
             # alpha -> alpha + {j} is one to one, so no bin is hit twice
             dest = np.array([index[tuple(sorted(key + (j,)))] for key in keys])
             for sl in _slices(len(keys), d ** (arity + m)):
-                prods = _pre_lie(fld, level[sl], arity, reps[j], m, size_cap)
+                prods = _pre_lie(fld, level[sl], arity, reps[j], m)
                 nxt[dest[sl]] = fld.vadd(nxt[dest[sl]], prods)
         level, arity = nxt, arity + m - 1
     return level
 
 
-def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int,
-              size_cap: int | None = None) -> list[np.ndarray]:
+def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int) -> list[np.ndarray]:
     """s_1 .. s_(p-1) on stacks a and b of arity-m code arrays, broadcast."""
     if m == 0:
         raise ValueError(_BELOW_COUNIT)
@@ -317,9 +318,9 @@ def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int,
         for t in range(p if step < p - 1 else p - 1):
             terms = []
             if t >= 1 and coeffs[t - 1] is not None:
-                terms.append(_brackets(algebra, a, m, coeffs[t - 1], arity, size_cap))
+                terms.append(_brackets(algebra, a, m, coeffs[t - 1], arity))
             if coeffs[t] is not None:
-                terms.append(_brackets(algebra, b, m, coeffs[t], arity, size_cap))
+                terms.append(_brackets(algebra, b, m, coeffs[t], arity))
             if terms:
                 nxt[t] = terms[0] if len(terms) == 1 else fld.vadd(*terms)
         coeffs = nxt
@@ -330,8 +331,7 @@ def _jacobson(algebra: Algebra, a: np.ndarray, b: np.ndarray, m: int,
             for i, c in enumerate(coeffs[:p - 1], start=1)]
 
 
-def jacobson_si(a: Cochain, b: Cochain, p: int | None = None,
-                size_cap: int | None = None) -> list[Cochain]:
+def jacobson_si(a: Cochain, b: Cochain) -> list[Cochain]:
     """Jacobson polynomials s_1 .. s_(p-1) of two equal-arity cochains.
 
     (ad(a X + b))^(p-1) applied to a, expanded over k[X] with cochain
@@ -344,15 +344,10 @@ def jacobson_si(a: Cochain, b: Cochain, p: int | None = None,
         raise DimensionMismatch("cochains over different algebras")
     if a.arity != b.arity:
         raise DegreeMismatch("Jacobson polynomials need equal arities")
-    alg = a.algebra
+    alg, m = a.algebra, a.arity
     fld = alg.field
-    if p is None:
-        p = fld.p
-    elif p != fld.p:
-        raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")
-    m = a.arity
-    parts = _jacobson(alg, a.matrix.data, b.matrix.data, m, size_cap)
-    return [Cochain(alg, m + (p - 1) * (m - 1), Mat(fld, s)) for s in parts]
+    parts = _jacobson(alg, a.matrix.data, b.matrix.data, m)
+    return [Cochain(alg, m + (fld.p - 1) * (m - 1), Mat(fld, s)) for s in parts]
 
 
 def _slices(count: int, width: int):
@@ -381,18 +376,17 @@ def _record(entry: dict, key: str, ok: np.ndarray, witness) -> None:
     entry[key] = not bad.size
 
 
-def restricted_axioms_check(algebra: Algebra, p: int, degrees,
-                            size_cap: int | None = None,
-                            trials: int = 10, scalars: int = 20) -> dict:
+def restricted_axioms_check(algebra: Algebra, degrees) -> dict:
     """Verify the p-restricted Lie axioms on HH classes degree by degree.
 
-    For each cohomological degree m in ``degrees`` (p = 2: any; p odd:
-    odd only, others are reported as skipped) the three axioms are
-    checked over the full canonical class basis: ad(a^[p]) = (ad a)^p
-    and the Jacobson additivity law as class identities, scaling over
-    ``scalars`` random field elements as exact cochain identities.
-    Well-definedness of the power map on classes is probed by shifting
-    basis cocycles with ``trials`` random coboundaries.
+    p is the characteristic of the field.  For each cohomological degree
+    m in ``degrees`` (p = 2: any; p odd: odd only, others are reported
+    as skipped) the three axioms are checked over the full canonical
+    class basis: ad(a^[p]) = (ad a)^p and the Jacobson additivity law as
+    class identities, scaling over _SCALARS random field elements as
+    exact cochain identities.  Well-definedness of the power map on
+    classes is probed by shifting basis cocycles with _TRIALS random
+    coboundaries.
 
     Each axiom is one stage over all pairs (i, j) of basis cocycles, or
     all draws, taken as stacks in slices: the insertions of a slice are
@@ -402,8 +396,7 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
     HH^t are fetched before any insertion, so a capped degree fails fast.
     """
     fld, d = algebra.field, algebra.dim
-    if p != fld.p:
-        raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")
+    p = fld.p
     rng = np.random.default_rng(0xC0DE)
     report: dict = {
         "p": p,
@@ -418,7 +411,7 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
             report["degrees"][m] = {"skipped": "even degree is outside the odd-p regime"}
             continue
         entry: dict = {}
-        coh = hh_cohomology(algebra, m, size_cap)
+        coh = hh_cohomology(algebra, m)
         if coh.dim == 0:
             entry.update(
                 vacuous=True, power_of_cocycle_is_cocycle=True, ad_power=True,
@@ -430,11 +423,11 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
         reps = coh.reps.data.reshape(k, d, d**m)
         target = p * (m - 1) + 1
         r = target + m - 1
-        coh_r = hh_cohomology(algebra, r, size_cap)
-        coh_t = hh_cohomology(algebra, target, size_cap)
-        powers = np.concatenate([_powers(algebra, reps[sl], m, size_cap)
+        coh_r = hh_cohomology(algebra, r)
+        coh_t = hh_cohomology(algebra, target)
+        powers = np.concatenate([_powers(algebra, reps[sl], m)
                                  for sl in _slices(k, d ** (target + 1))])
-        closed = _flags(lambda sl: ~_delta(algebra, powers[sl], target, size_cap).any(axis=(1, 2)),
+        closed = _flags(lambda sl: ~_delta(algebra, powers[sl], target).any(axis=(1, 2)),
                         k, d ** (target + 2))
         entry["power_of_cocycle_is_cocycle"] = bool(closed.all())
 
@@ -443,10 +436,10 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
 
         def ad_power(sl):
             i, j = ii[sl], jj[sl]
-            lhs = _brackets(algebra, powers[i], target, reps[j], m, size_cap)
+            lhs = _brackets(algebra, powers[i], target, reps[j], m)
             v, arity = reps[j], m
             for _ in range(p):
-                v = _brackets(algebra, reps[i], m, v, arity, size_cap)
+                v = _brackets(algebra, reps[i], m, v, arity)
                 arity += m - 1
             rows = np.concatenate([lhs.reshape(len(i), -1), v.reshape(len(i), -1)])
             got = coh_r.class_coords(rows)
@@ -455,24 +448,24 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
         _record(entry, "ad_power", _flags(ad_power, k * k, 2 * d ** (r + 1)),
                 lambda w: (int(ii[w]), int(jj[w])))
 
-        draws = [(int(rng.integers(1, fld.q)), int(rng.integers(0, k))) for _ in range(scalars)]
+        draws = [(int(rng.integers(1, fld.q)), int(rng.integers(0, k))) for _ in range(_SCALARS)]
         cs = np.array([c for c, _ in draws], dtype=CODE_DTYPE).reshape(-1, 1, 1)
         cps = np.array([fld.pow(c, p) for c, _ in draws], dtype=CODE_DTYPE).reshape(-1, 1, 1)
         picked = np.array([i for _, i in draws], dtype=np.int64)
 
         def scaling(sl):
-            got = _powers(algebra, fld.vmul(cs[sl], reps[picked[sl]]), m, size_cap)
+            got = _powers(algebra, fld.vmul(cs[sl], reps[picked[sl]]), m)
             return (got == fld.vmul(cps[sl], powers[picked[sl]])).all(axis=(1, 2))
 
-        _record(entry, "scaling", _flags(scaling, scalars, d ** (target + 1)), lambda w: draws[w])
+        _record(entry, "scaling", _flags(scaling, _SCALARS, d ** (target + 1)), lambda w: draws[w])
 
         power_classes = coh_t.class_coords(powers.reshape(k, -1))
 
         def additivity(sl):
             i, j = ii[sl], jj[sl]
-            parts = _jacobson(algebra, reps[i], reps[j], m, size_cap)
+            parts = _jacobson(algebra, reps[i], reps[j], m)
             # sigma_p(f_i + f_j) directly, not through the law under test
-            parts.append(_powers(algebra, fld.vadd(reps[i], reps[j]), m, size_cap))
+            parts.append(_powers(algebra, fld.vadd(reps[i], reps[j]), m))
             rows = np.concatenate([x.reshape(len(i), -1) for x in parts])
             classes = coh_t.class_coords(rows).reshape(len(parts), len(i), -1)
             want = fld.vadd(power_classes[i], power_classes[j])
@@ -484,18 +477,18 @@ def restricted_axioms_check(algebra: Algebra, p: int, degrees,
                 lambda w: (int(ii[w]), int(jj[w])))
 
         chosen, shifts = [], []
-        for _ in range(trials):
+        for _ in range(_TRIALS):
             chosen.append(int(rng.integers(0, k)))
             shifts.append(rng.integers(0, fld.q, size=(d, d ** (m - 1))).astype(CODE_DTYPE))
         chosen = np.array(chosen, dtype=np.int64)
-        shifts = np.array(shifts, dtype=CODE_DTYPE).reshape(trials, d, d ** (m - 1))
+        shifts = np.array(shifts, dtype=CODE_DTYPE).reshape(_TRIALS, d, d ** (m - 1))
 
         def well_defined(sl):
-            moved = fld.vadd(reps[chosen[sl]], _delta(algebra, shifts[sl], m - 1, size_cap))
-            got = coh_t.class_coords(_powers(algebra, moved, m, size_cap).reshape(len(moved), -1))
+            moved = fld.vadd(reps[chosen[sl]], _delta(algebra, shifts[sl], m - 1))
+            got = coh_t.class_coords(_powers(algebra, moved, m).reshape(len(moved), -1))
             return (got == power_classes[chosen[sl]]).all(axis=1)
 
-        _record(entry, "class_well_defined", _flags(well_defined, trials, d ** (target + 1)),
+        _record(entry, "class_well_defined", _flags(well_defined, _TRIALS, d ** (target + 1)),
                 lambda w: int(chosen[w]))
 
         entry["target_degree"] = target

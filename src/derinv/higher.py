@@ -108,8 +108,7 @@ def _target_what(a: Algebra, m: int, n: int) -> str:
 
 
 @memo(_target_entries, _target_what)
-def power_class_matrix(algebra: Algebra, m: int, n: int,
-                       size_cap: int | None = None) -> Mat:
+def power_class_matrix(algebra: Algebra, m: int, n: int) -> Mat:
     """Class-level matrix of f -> f^(p^n), HH^m -> HH^(p^n m) coordinates.
 
     Column a holds the class of the p^n-th cup power of the a-th
@@ -121,18 +120,18 @@ def power_class_matrix(algebra: Algebra, m: int, n: int,
         raise ValueError("degrees must be >= 0")
     f = algebra.field
     exp = f.p**n
-    coh_m = hh_cohomology(algebra, m, size_cap)
-    coh_d = hh_cohomology(algebra, exp * m, size_cap)
+    coh_m = hh_cohomology(algebra, m)
+    coh_d = hh_cohomology(algebra, exp * m)
     if coh_m.dim == 0:
         return Mat.zeros(f, coh_d.dim, 0)
     cols = np.zeros((coh_d.dim, coh_m.dim), dtype=np.int8)
     for a in range(coh_m.dim):
-        fp = cup_power(coh_m.cochain(a), exp, size_cap)
+        fp = cup_power(coh_m.cochain(a), exp)
         cols[:, a] = coh_d.class_coords(fp.flat())
     out = Mat(f, cols)
 
     for a, b in _additivity_pairs(m, n, coh_m.dim):
-        both = cup_power(coh_m.cochain(a) + coh_m.cochain(b), exp, size_cap)
+        both = cup_power(coh_m.cochain(a) + coh_m.cochain(b), exp)
         want = f.vadd(cols[:, a], cols[:, b])
         if not np.array_equal(coh_d.class_coords(both.flat()), want):
             raise _not_additive(m, n, a, b)
@@ -153,16 +152,14 @@ def _not_additive(m: int, n: int, a: int, b: int) -> InvariantViolation:
 
 
 @memo(_target_entries, _target_what)
-def t_nm_space(algebra: Algebra, m: int, n: int,
-               size_cap: int | None = None) -> Subspace:
+def t_nm_space(algebra: Algebra, m: int, n: int) -> Subspace:
     """T_n^(m) = classes in HH^m whose p^n-th cup power vanishes."""
-    mat = power_class_matrix(algebra, m, n, size_cap)
+    mat = power_class_matrix(algebra, m, n)
     return SemilinearOperator(mat, n).kernel()
 
 
 @memo(_target_entries, _target_what)
-def kappa_nm(algebra: Algebra, m: int, n: int,
-             size_cap: int | None = None) -> HigherKappa:
+def kappa_nm(algebra: Algebra, m: int, n: int) -> HigherKappa:
     """Adjoint of the p^n-th cup power, HH_{p^n m} -> HH_m.
 
     Solves pairing_gram(m) @ C = Fr^(-n)(L) where
@@ -177,20 +174,20 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
     algebra.require_form()
     f = algebra.field
     exp = f.p**n
-    coh_m = hh_cohomology(algebra, m, size_cap)
-    hom_m = hh_homology(algebra, m, size_cap)
-    hom_d = hh_homology(algebra, exp * m, size_cap)
-    gram = pairing_gram(algebra, m, size_cap)
+    coh_m = hh_cohomology(algebra, m)
+    hom_m = hh_homology(algebra, m)
+    hom_d = hh_homology(algebra, exp * m)
+    gram = pairing_gram(algebra, m)
     if coh_m.dim == 0 or hom_d.dim == 0:
         powers = np.zeros((coh_m.dim, hom_d.dim), dtype=np.int8)
         mat = Mat.zeros(f, hom_m.dim, hom_d.dim)
     else:
         cochains = coh_m.cochains()
-        flat = np.stack([cup_power(fc, exp, size_cap).flat() for fc in cochains])
+        flat = np.stack([cup_power(fc, exp).flat() for fc in cochains])
         powers = _pairing_matrix(algebra, flat, hom_d.reps.data)
         pairs = _additivity_pairs(m, n, coh_m.dim)
         if pairs:
-            both = np.stack([cup_power(cochains[a] + cochains[b], exp, size_cap).flat()
+            both = np.stack([cup_power(cochains[a] + cochains[b], exp).flat()
                              for a, b in pairs])
             got = _pairing_matrix(algebra, both, hom_d.reps.data)
             for (a, b), row in zip(pairs, got):
@@ -203,7 +200,7 @@ def kappa_nm(algebra: Algebra, m: int, n: int,
     )
 
 
-def _defining_relation_holds(kappa: HigherKappa, size_cap: int | None):
+def _defining_relation_holds(kappa: HigherKappa):
     """(f^(p^n), c x_r) == ((f, kappa(c x_r)))^(p^n) over basis pairs and scalars.
 
     For each scalar c both sides are one pairing matrix over all pairs
@@ -213,10 +210,10 @@ def _defining_relation_holds(kappa: HigherKappa, size_cap: int | None):
     a = kappa.algebra
     f = a.field
     exp = f.p**kappa.n
-    coh_m = hh_cohomology(a, kappa.m, size_cap)
+    coh_m = hh_cohomology(a, kappa.m)
     if coh_m.dim == 0:
         return True, None
-    powers = np.stack([cup_power(fc, exp, size_cap).flat() for fc in coh_m.cochains()])
+    powers = np.stack([cup_power(fc, exp).flat() for fc in coh_m.cochains()])
     op, eye = kappa.operator, np.eye(kappa.source.dim, dtype=np.int8)
     bad = []
     for c in range(1, f.q):
@@ -233,8 +230,7 @@ def _defining_relation_holds(kappa: HigherKappa, size_cap: int | None):
     return False, {"cohomology_basis": i, "homology_basis": r, "scalar": c + 1}
 
 
-def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
-                      size_cap: int | None = None) -> dict:
+def verify_properties(algebra: Algebra, m: int, n: int, ell: int) -> dict:
     """Check the defining relation and the structure theorems exactly.
 
     Returns a report with one boolean per statement: the semilinear
@@ -252,7 +248,7 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
     non-failing.
     """
     f = algebra.field
-    kap = kappa_nm(algebra, m, n, size_cap)
+    kap = kappa_nm(algebra, m, n)
     report: dict = {
         "m": m,
         "n": n,
@@ -261,7 +257,7 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
         "witnesses": {},
     }
 
-    ok, witness = _defining_relation_holds(kap, size_cap)
+    ok, witness = _defining_relation_holds(kap)
     report["semilinear_defining_relation"] = ok
     if witness:
         report["witnesses"]["semilinear_defining_relation"] = witness
@@ -269,9 +265,9 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
     # the composition factors through degree p^(n+ell) m, which can dwarf
     # the degree of the map itself; report a marker instead of failing
     try:
-        total = kappa_nm(algebra, m, n + ell, size_cap)
-        outer = kappa_nm(algebra, m, ell, size_cap)
-        inner = kappa_nm(algebra, f.p**ell * m, n, size_cap)
+        total = kappa_nm(algebra, m, n + ell)
+        outer = kappa_nm(algebra, m, ell)
+        inner = kappa_nm(algebra, f.p**ell * m, n)
         ok = total.operator == outer.operator.compose(inner.operator)
         report["composition"] = ok
         if not ok:
@@ -282,8 +278,8 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
     except SizeCapExceeded:
         report["composition"] = "skipped: cap"
 
-    t_space = t_nm_space(algebra, m, n, size_cap)
-    ok = kap.image() == orthogonal_complement(pairing_gram(algebra, m, size_cap), t_space)
+    t_space = t_nm_space(algebra, m, n)
+    ok = kap.image() == orthogonal_complement(pairing_gram(algebra, m), t_space)
     report["image_is_orthogonal_of_t"] = ok
     if not ok:
         report["witnesses"]["image_is_orthogonal_of_t"] = {
@@ -291,9 +287,9 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
             "t_dim": t_space.dim,
         }
 
-    powers = SemilinearOperator(power_class_matrix(algebra, m, n, size_cap), n).image()
+    powers = SemilinearOperator(power_class_matrix(algebra, m, n), n).image()
     deg = f.p**n * m
-    ok = kap.kernel() == orthogonal_complement(pairing_gram(algebra, deg, size_cap), powers)
+    ok = kap.kernel() == orthogonal_complement(pairing_gram(algebra, deg), powers)
     report["kernel_is_orthogonal_of_powers"] = ok
     if not ok:
         report["witnesses"]["kernel_is_orthogonal_of_powers"] = {
@@ -301,7 +297,7 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int,
             "powers_dim": powers.dim,
         }
 
-    coh_dim = hh_cohomology(algebra, m, size_cap).dim
+    coh_dim = hh_cohomology(algebra, m).dim
     ok = kap.rank == coh_dim - t_space.dim
     report["dimension_formula"] = ok
     if not ok:

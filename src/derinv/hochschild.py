@@ -82,11 +82,13 @@ whole stack, and HomologyBasis.class_coords solves a stack of
 
 Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
 entry point here is an `algebras.memo` function that checks that count
-against a cap (KK_SIZE_CAP in the environment, default 2^27) before its
-cache, and raises SizeCapExceeded instead of allocating.  The cap counts
-the dense entries even where only blocks are allocated.  _pre_lie and
-cup are the caps of the insertions: each charges the d^(r+1) entries of
-an arity-r cochain it allocates before the first product.
+against the one entry cap before its cache, and raises SizeCapExceeded
+instead of allocating.  The cap is KK_SIZE_CAP in the environment
+(default 2^27), read at each check; no function takes it as an
+argument.  It counts the dense entries even where only blocks are
+allocated.  _pre_lie and cup are the caps of the insertions: each
+charges the d^(r+1) entries of an arity-r cochain it allocates before
+the first product.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ from .algebras import (  # DEFAULT_SIZE_CAP and SIZE_CAP_ENV are re-exported
     WeakAlgebra,
     _check_cap,
     memo,
-    resolve_size_cap,
 )
 from .errors import (
     DegeneratePairing,
@@ -195,7 +196,7 @@ def _dense(f: Field, shape: tuple[int, int], coo) -> Mat:
 
 
 @memo(lambda a, m: a.dim**m * a.dim ** (m + 1), lambda a, m: f"boundary matrix b_{m}")
-def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
+def boundary_matrix(algebra: Algebra, m: int) -> Mat:
     """Bar boundary b_m as a (d^m, d^(m+1)) matrix; m >= 1."""
     if m < 1:
         raise ValueError("boundary is defined for m >= 1")
@@ -204,7 +205,7 @@ def boundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Ma
 
 @memo(lambda a, m: a.dim ** (m + 2) * a.dim ** (m + 1),
       lambda a, m: f"coboundary matrix on degree {m}")
-def coboundary_matrix(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
+def coboundary_matrix(algebra: Algebra, m: int) -> Mat:
     """Hochschild coboundary on m-cochains, a (d^(m+2), d^(m+1)) matrix."""
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -249,8 +250,8 @@ class Cochain:
             t = f.vmul(t[:, None], a[None, :]).reshape(-1)
         return self.matrix.mul_vec(t)
 
-    def is_cocycle(self, size_cap: int | None = None) -> bool:
-        return not coboundary(self, size_cap).matrix.data.any()
+    def is_cocycle(self) -> bool:
+        return not coboundary(self).matrix.data.any()
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check(other)
@@ -307,8 +308,7 @@ def _insert(fld: Field, f: np.ndarray, m: int, i: int, g: np.ndarray, n: int) ->
         lead + (d, d ** (m + n - 1)))
 
 
-def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int,
-             size_cap: int | None = None) -> np.ndarray:
+def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
     """Gerstenhaber's circle product f o g = sum_i (-1)^((n-1)(i-1)) f o_i g.
 
     Arities and stacks as in _insert, with m + n >= 1.  The d^(m+n)
@@ -316,7 +316,7 @@ def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int,
     is allocated.
     """
     d = f.shape[-2]
-    _check_cap(d ** (m + n), resolve_size_cap(size_cap), f"circle product of arity {m + n - 1}")
+    _check_cap(d ** (m + n), f"circle product of arity {m + n - 1}")
     lead = np.broadcast_shapes(f.shape[:-2], g.shape[:-2])
     out = np.zeros(lead + (d, d ** (m + n - 1)), dtype=CODE_DTYPE)
     for i in range(1, m + 1):
@@ -325,20 +325,20 @@ def _pre_lie(fld: Field, f: np.ndarray, m: int, g: np.ndarray, n: int,
     return out
 
 
-def _delta(algebra: Algebra, f: np.ndarray, m: int, size_cap: int | None) -> np.ndarray:
+def _delta(algebra: Algebra, f: np.ndarray, m: int) -> np.ndarray:
     """delta f = (-1)^(m-1) mu o f - f o mu on a stack f (..., d, d^m) of arity-m cochains."""
     mu = multiplication_cochain(algebra).matrix.data
     fld = algebra.field
-    left = _pre_lie(fld, mu, 2, f, m, size_cap)
+    left = _pre_lie(fld, mu, 2, f, m)
     if m % 2 == 0:
         left = fld.vneg(left)
-    return fld.vsub(left, _pre_lie(fld, f, m, mu, 2, size_cap))
+    return fld.vsub(left, _pre_lie(fld, f, m, mu, 2))
 
 
-def coboundary(f: Cochain, size_cap: int | None = None) -> Cochain:
+def coboundary(f: Cochain) -> Cochain:
     """delta f = (-1)^(m-1) mu o f - f o mu for an arity-m cochain f and the product mu."""
     a, m = f.algebra, f.arity
-    return Cochain(a, m + 1, Mat(a.field, _delta(a, f.matrix.data, m, size_cap)))
+    return Cochain(a, m + 1, Mat(a.field, _delta(a, f.matrix.data, m)))
 
 
 @dataclass(frozen=True)
@@ -486,7 +486,7 @@ def _hh_entries(a: Algebra, m: int) -> int:
 
 
 @memo(_hh_entries, lambda a, m: f"boundary matrix b_{m + 1}")
-def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> HomologyBasis:
+def hh_homology(algebra: Algebra, m: int) -> HomologyBasis:
     """HH_m as a quotient of the degree-m cycle space of the bar complex."""
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -498,7 +498,7 @@ def hh_homology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homolo
 
 
 @memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
-def hh_cohomology(algebra: Algebra, m: int, size_cap: int | None = None) -> HomologyBasis:
+def hh_cohomology(algebra: Algebra, m: int) -> HomologyBasis:
     """HH^m as a quotient of the degree-m cocycle space.
 
     With a symmetrizing form the (co)cycle spaces are transported from
@@ -511,7 +511,7 @@ def hh_cohomology(algebra: Algebra, m: int, size_cap: int | None = None) -> Homo
         return _cohomology_from_dual(algebra, m)
     # With Phi_m = G x I_{d^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
     # cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
-    hom = hh_homology(algebra, m, size_cap)
+    hom = hh_homology(algebra, m)
     plan = _Transport(algebra.field, algebra.form.gram.inverse().data, hom.components)
     return _quotient_basis(algebra, m, "cohomology", plan.perp(hom.boundaries),
                            plan.perp(hom.cycles), plan.labels)
@@ -634,15 +634,15 @@ def pairing(f: Cochain, chain: np.ndarray) -> int:
 
 
 @memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
-def pairing_gram(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
+def pairing_gram(algebra: Algebra, m: int) -> Mat:
     """Gram matrix of the HH^m x HH_m pairing on canonical representatives.
 
     Square and invertible for a symmetric algebra; raises
     DegeneratePairing otherwise.
     """
     algebra.require_form()
-    coh = hh_cohomology(algebra, m, size_cap)
-    hom = hh_homology(algebra, m, size_cap)
+    coh = hh_cohomology(algebra, m)
+    hom = hh_homology(algebra, m)
     g = Mat(algebra.field, _pairing_matrix(algebra, coh.reps.data, hom.reps.data))
     if g.rows != g.cols:
         raise DegeneratePairing(f"HH^{m} and HH_{m} have different dimensions {g.rows} vs {g.cols}")
@@ -651,7 +651,7 @@ def pairing_gram(algebra: Algebra, m: int, size_cap: int | None = None) -> Mat:
     return g
 
 
-def cup(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
+def cup(f: Cochain, g: Cochain) -> Cochain:
     """Cup product: (f cup g)(a1 .. a_{m+n}) = f(a1 .. a_m) g(.. a_{m+n}).
 
     It is (mu o_2 g) o_1 f, capped on the larger of the d^(m+n+1) entries
@@ -662,16 +662,16 @@ def cup(f: Cochain, g: Cochain, size_cap: int | None = None) -> Cochain:
     a = f.algebra
     fld, d = a.field, a.dim
     m, n = f.arity, g.arity
-    _check_cap(d ** (max(m, 1) + n + 1), resolve_size_cap(size_cap), f"cup product of arity {m + n}")
+    _check_cap(d ** (max(m, 1) + n + 1), f"cup product of arity {m + n}")
     left = _insert(fld, multiplication_cochain(a).matrix.data, 2, 2, g.matrix.data, n)
     return Cochain(a, m + n, Mat(fld, _insert(fld, left, n + 1, 1, f.matrix.data, m)))
 
 
-def cup_power(f: Cochain, k: int, size_cap: int | None = None) -> Cochain:
+def cup_power(f: Cochain, k: int) -> Cochain:
     """k-fold cup power of f; k >= 1."""
     if k < 1:
         raise ValueError("cup power needs k >= 1")
     out = f
     for _ in range(k - 1):
-        out = cup(out, f, size_cap)
+        out = cup(out, f)
     return out

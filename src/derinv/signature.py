@@ -20,8 +20,9 @@ comparison.  Unequal shared entries certify that the two algebras are
 not derived equivalent (verdict DISTINGUISHED); equal signatures are
 INCONCLUSIVE, never a claim of equivalence.
 
-Signatures are pure functions of (algebra, config): no randomness, no
-environment, stable key order, byte-identical serialization.
+Signatures are pure functions of (algebra, config) and the entry cap
+KK_SIZE_CAP: no randomness, no other environment, stable key order,
+byte-identical serialization.
 """
 
 from __future__ import annotations
@@ -73,19 +74,19 @@ def _default_kappa_pairs(p: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class SignatureConfig:
-    """Degrees and caps for one signature computation.
+    """Degrees for one signature computation.
 
     ``kappa_pairs = None`` selects the characteristic-dependent default
     set of (m, n) adjoint degrees.  ``gerstenhaber_degrees`` are the
-    degrees of the sigma_p span entries.  ``size_cap`` bounds every
-    matrix and stack, as KK_SIZE_CAP does when it is None.
+    degrees of the sigma_p span entries.  Every matrix and stack is
+    bounded by the one entry cap, KK_SIZE_CAP in the environment; an
+    entry that exceeds it is recorded as "skipped: cap".
     """
 
     n_max: int = 3
     m_max: int = 3
     kappa_pairs: tuple[tuple[int, int], ...] | None = None
     gerstenhaber_degrees: tuple[int, ...] = (1,)
-    size_cap: int | None = None
 
     def resolved_pairs(self, p: int) -> tuple[tuple[int, int], ...]:
         if self.kappa_pairs is None:
@@ -115,7 +116,7 @@ def _class_rank(target: HomologyBasis, stacks) -> int:
     return Subspace.from_rows(target.algebra.field, np.concatenate(rows)).dim if rows else 0
 
 
-def sigma_class_rank(algebra: Algebra, m: int, size_cap: int | None):
+def sigma_class_rank(algebra: Algebra, m: int):
     """Dimension of the span of sigma_p over all degree-m classes.
 
     It is the rank of the classes of the coefficients of sigma_p(sum_i
@@ -123,21 +124,21 @@ def sigma_class_rank(algebra: Algebra, m: int, size_cap: int | None):
     (gerstenhaber._power_coefficients).
     """
     d = algebra.dim
-    coh = hh_cohomology(algebra, m, size_cap)
-    target = hh_cohomology(algebra, algebra.field.p * (m - 1) + 1, size_cap)
+    coh = hh_cohomology(algebra, m)
+    target = hh_cohomology(algebra, algebra.field.p * (m - 1) + 1)
     if coh.dim == 0:
         return 0
-    coeffs = _power_coefficients(algebra, coh.reps.data.reshape(coh.dim, d, d**m), m, size_cap)
+    coeffs = _power_coefficients(algebra, coh.reps.data.reshape(coh.dim, d, d**m), m)
     return _class_rank(target, (coeffs[sl] for sl in _slices(len(coeffs), coeffs[0].size)))
 
 
-def derived_hh1_dim(algebra: Algebra, size_cap: int | None) -> int:
+def derived_hh1_dim(algebra: Algebra) -> int:
     """dim of the span of [HH^1, HH^1] inside HH^1; the brackets a slice of pairs at a time."""
-    coh = hh_cohomology(algebra, 1, size_cap)
+    coh = hh_cohomology(algebra, 1)
     d = algebra.dim
     reps = coh.reps.data.reshape(coh.dim, d, d)
     i, j = np.triu_indices(coh.dim, 1)
-    return _class_rank(coh, (_brackets(algebra, reps[i[sl]], 1, reps[j[sl]], 1, size_cap)
+    return _class_rank(coh, (_brackets(algebra, reps[i[sl]], 1, reps[j[sl]], 1)
                              for sl in _slices(len(i), d**2)))
 
 
@@ -145,7 +146,6 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
     config = config or SignatureConfig()
     form = algebra.require_form()
     f = algebra.field
-    cap = config.size_cap
     entries: dict = {}
 
     entries["dim_a"] = algebra.dim
@@ -174,20 +174,20 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
 
     for m in range(config.m_max + 1):
         try:
-            entries[f"dim_hh_homology_{m}"] = hh_homology(algebra, m, cap).dim
+            entries[f"dim_hh_homology_{m}"] = hh_homology(algebra, m).dim
         except SizeCapExceeded:
             entries[f"dim_hh_homology_{m}"] = SKIPPED_CAP
         try:
-            entries[f"dim_hh_cohomology_{m}"] = hh_cohomology(algebra, m, cap).dim
+            entries[f"dim_hh_cohomology_{m}"] = hh_cohomology(algebra, m).dim
         except SizeCapExceeded:
             entries[f"dim_hh_cohomology_{m}"] = SKIPPED_CAP
 
     for m, n in config.resolved_pairs(f.p):
         keys = (f"dim_im_kappa_m{m}_n{n}", f"dim_t_m{m}_n{n}", f"dim_ker_kappa_m{m}_n{n}")
         try:
-            kap = kappa_nm(algebra, m, n, cap)
+            kap = kappa_nm(algebra, m, n)
             t_dim = kap.t_space().dim
-            coh_dim = hh_cohomology(algebra, m, cap).dim
+            coh_dim = hh_cohomology(algebra, m).dim
             # T comes from the same pairing matrix L as kappa, so this is
             # rank-nullity for L; verify_properties checks T independently
             if kap.rank != coh_dim - t_dim:
@@ -205,11 +205,11 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
             entries[key] = SKIPPED_PARITY
             continue
         try:
-            entries[key] = sigma_class_rank(algebra, deg, cap)
+            entries[key] = sigma_class_rank(algebra, deg)
         except SizeCapExceeded:
             entries[key] = SKIPPED_CAP
     try:
-        entries["dim_derived_hh1"] = derived_hh1_dim(algebra, cap)
+        entries["dim_derived_hh1"] = derived_hh1_dim(algebra)
     except SizeCapExceeded:
         entries["dim_derived_hh1"] = SKIPPED_CAP
 

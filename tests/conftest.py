@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from derinv import GF
 from derinv.algebras import (
+    SIZE_CAP_ENV,
     Algebra,
     change_basis,
     cyclic_table,
@@ -27,6 +28,20 @@ def upper_triangular(f, n: int) -> Algebra:
     pos = {t: k for k, t in enumerate(idx)}
     mult = {(pos[(i, j)], pos[(j, l)]): {pos[(i, l)]: 1} for i, j in idx for l in range(j, n)}
     return Algebra(f, len(idx), mult, [int(i == j) for i, j in idx])
+
+
+@pytest.fixture
+def set_cap(monkeypatch):
+    """set_cap(n) sets the entry cap KK_SIZE_CAP to n for the rest of the
+    test, and set_cap(None) unsets it, back to the default cap."""
+
+    def put(cap):
+        if cap is None:
+            monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SIZE_CAP_ENV, str(cap))
+
+    return put
 
 
 # The recurring test corpus.  Session scope: algebras are immutable and

@@ -432,9 +432,9 @@ def oracle_hh_homology(algebra, m: int):
     if m == 0:
         cycles = Subspace.full(f, d)
     else:
-        bm = dense(algebra, m, None)
+        bm = dense(algebra, m)
         cycles = Subspace(f, bm.cols, bm.kernel())
-    bnext = dense(algebra, m + 1, None)
+    bnext = dense(algebra, m + 1)
     boundaries = Subspace.from_rows(f, Mat(f, bnext.data.T))
     return _quotient_basis(algebra, m, "homology", cycles, boundaries)
 
@@ -518,16 +518,14 @@ def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple
     return M, row, tuple(pivots)
 
 
-def _class_of(algebra, f: Cochain, size_cap):
-    return hh_cohomology(algebra, f.arity, size_cap).class_coords(f.flat())
+def _class_of(algebra, f: Cochain):
+    return hh_cohomology(algebra, f.arity).class_coords(f.flat())
 
 
-def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
-                                   trials: int = 10, scalars: int = 20) -> dict:
+def oracle_restricted_axioms_check(algebra, degrees) -> dict:
     """restricted_axioms_check one pair of classes at a time, as before stacking."""
     fld = algebra.field
-    if p != fld.p:
-        raise ValueError(f"p = {p} does not match the field characteristic {fld.p}")
+    p = fld.p
     rng = np.random.default_rng(0xC0DE)
     report: dict = {
         "p": p,
@@ -542,7 +540,7 @@ def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
             report["degrees"][m] = {"skipped": "even degree is outside the odd-p regime"}
             continue
         entry: dict = {}
-        coh = hh_cohomology(algebra, m, size_cap)
+        coh = hh_cohomology(algebra, m)
         if coh.dim == 0:
             entry.update(
                 vacuous=True, power_of_cocycle_is_cocycle=True, ad_power=True,
@@ -553,32 +551,32 @@ def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
         reps = coh.cochains()
         target = p * (m - 1) + 1
         # the largest basis of the degree, then HH^t, before any insertion
-        hh_cohomology(algebra, target + m - 1, size_cap)
-        hh_cohomology(algebra, target, size_cap)
-        powers = [sigma_p(f, size_cap) for f in reps]
-        power_class = functools.cache(lambda i: _class_of(algebra, powers[i], size_cap))
+        hh_cohomology(algebra, target + m - 1)
+        hh_cohomology(algebra, target)
+        powers = [sigma_p(f) for f in reps]
+        power_class = functools.cache(lambda i: _class_of(algebra, powers[i]))
 
-        entry["power_of_cocycle_is_cocycle"] = all(s.is_cocycle(size_cap) for s in powers)
+        entry["power_of_cocycle_is_cocycle"] = all(s.is_cocycle() for s in powers)
 
         ok = True
         for i, fa in enumerate(reps):
             for j, gb in enumerate(reps):
-                lhs = bracket(powers[i], gb, size_cap)
+                lhs = bracket(powers[i], gb)
                 v = gb
                 for _ in range(p):
-                    v = bracket(fa, v, size_cap)
+                    v = bracket(fa, v)
                 if not np.array_equal(
-                    _class_of(algebra, lhs, size_cap), _class_of(algebra, v, size_cap)
+                    _class_of(algebra, lhs), _class_of(algebra, v)
                 ):
                     ok = False
                     entry.setdefault("witness_ad_power", (i, j))
         entry["ad_power"] = ok
 
         ok = True
-        for _ in range(scalars):
+        for _ in range(20):
             c = int(rng.integers(1, fld.q))
             i = int(rng.integers(0, len(reps)))
-            if sigma_p(reps[i].scale(c), size_cap) != powers[i].scale(fld.pow(c, p)):
+            if sigma_p(reps[i].scale(c)) != powers[i].scale(fld.pow(c, p)):
                 ok = False
                 entry.setdefault("witness_scaling", (c, i))
         entry["scaling"] = ok
@@ -587,21 +585,21 @@ def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
         for i, fa in enumerate(reps):
             for j, gb in enumerate(reps):
                 want = fld.vadd(power_class(i), power_class(j))
-                for s in jacobson_si(fa, gb, p, size_cap):
-                    want = fld.vadd(want, _class_of(algebra, s, size_cap))
-                got = _class_of(algebra, sigma_p(fa + gb, size_cap), size_cap)
+                for s in jacobson_si(fa, gb):
+                    want = fld.vadd(want, _class_of(algebra, s))
+                got = _class_of(algebra, sigma_p(fa + gb))
                 if not np.array_equal(got, want):
                     ok = False
                     entry.setdefault("witness_additivity", (i, j))
         entry["additivity"] = ok
 
         ok = True
-        for _ in range(trials):
+        for _ in range(10):
             i = int(rng.integers(0, len(reps)))
             emat = rng.integers(0, fld.q, size=(algebra.dim, algebra.dim ** (m - 1)))
-            shift = coboundary(Cochain(algebra, m - 1, Mat(fld, emat.astype(CODE_DTYPE))), size_cap)
-            moved = sigma_p(reps[i] + shift, size_cap)
-            if not np.array_equal(_class_of(algebra, moved, size_cap), power_class(i)):
+            shift = coboundary(Cochain(algebra, m - 1, Mat(fld, emat.astype(CODE_DTYPE))))
+            moved = sigma_p(reps[i] + shift)
+            if not np.array_equal(_class_of(algebra, moved), power_class(i)):
                 ok = False
                 entry.setdefault("witness_class_well_defined", i)
         entry["class_well_defined"] = ok
@@ -620,11 +618,11 @@ def oracle_restricted_axioms_check(algebra, p: int, degrees, size_cap=None,
     return report
 
 
-def oracle_sigma_class_rank(algebra, m: int, limit: int, size_cap):
+def oracle_sigma_class_rank(algebra, m: int, limit: int):
     """Dimension of the span of sigma_p over all degree-m classes, by enumerating them."""
     f = algebra.field
-    coh = hh_cohomology(algebra, m, size_cap)
-    target = hh_cohomology(algebra, f.p * (m - 1) + 1, size_cap)
+    coh = hh_cohomology(algebra, m)
+    target = hh_cohomology(algebra, f.p * (m - 1) + 1)
     if coh.dim == 0:
         return 0
     if f.q**coh.dim > limit:
@@ -634,7 +632,7 @@ def oracle_sigma_class_rank(algebra, m: int, limit: int, size_cap):
     for coeffs in itertools.product(range(f.q), repeat=coh.dim):
         row = np.asarray(coeffs, dtype=np.int8).reshape(1, -1)
         combo = Cochain.from_flat(algebra, m, f.matmul(row, reps_flat).reshape(-1))
-        coords = target.class_coords(sigma_p(combo, size_cap).flat())
+        coords = target.class_coords(sigma_p(combo).flat())
         if not span.contains(coords):
             span = span.add(Subspace.from_rows(f, coords.reshape(1, -1)))
             if span.dim == target.dim:
@@ -642,25 +640,25 @@ def oracle_sigma_class_rank(algebra, m: int, limit: int, size_cap):
     return span.dim
 
 
-def oracle_derived_hh1_dim(algebra, size_cap) -> int:
+def oracle_derived_hh1_dim(algebra) -> int:
     """dim of the span of [HH^1, HH^1], one bracket at a time."""
-    coh = hh_cohomology(algebra, 1, size_cap)
+    coh = hh_cohomology(algebra, 1)
     reps = coh.cochains()
-    rows = [coh.class_coords(bracket(reps[i], reps[j], size_cap).flat())
+    rows = [coh.class_coords(bracket(reps[i], reps[j]).flat())
             for i in range(len(reps)) for j in range(i + 1, len(reps))]
     if not rows:
         return 0
     return Subspace.from_rows(algebra.field, np.stack(rows)).dim
 
 
-def oracle_defining_relation(kappa, size_cap=None):
+def oracle_defining_relation(kappa):
     """verify_properties' defining relation, one pairing per (i, r, c) triple."""
     a = kappa.algebra
     f = a.field
     exp = f.p**kappa.n
-    coh_m = hh_cohomology(a, kappa.m, size_cap)
+    coh_m = hh_cohomology(a, kappa.m)
     for i in range(coh_m.dim):
-        fp = cup_power(coh_m.cochain(i), exp, size_cap)
+        fp = cup_power(coh_m.cochain(i), exp)
         fc = coh_m.cochain(i)
         for r in range(kappa.source.dim):
             for c in range(1, f.q):

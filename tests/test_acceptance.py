@@ -295,11 +295,11 @@ def test_criterion_08_restricted_axioms_across_corpus(corpus):
     for name, a in corpus:
         p = a.field.p
         degrees = (1, 2) if p == 2 and a.dim <= 5 else (1,)
-        rep = restricted_axioms_check(a, p, degrees)
+        rep = restricted_axioms_check(a, degrees)
         assert rep["all_passed"], (name, rep)
         checked.append(name)
         if p > 2:
-            even = restricted_axioms_check(a, p, (2,))
+            even = restricted_axioms_check(a, (2,))
             assert "skipped" in even["degrees"][2]
     _report(8, f"restricted axioms (1)-(3) + 10-random-E stability on {len(checked)} algebras")
 

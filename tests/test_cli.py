@@ -205,6 +205,17 @@ class TestDegreeCommands:
         monkeypatch.setenv("KK_SIZE_CAP", "1000")
         assert cli.main(["hh", c4_file, "-m", "3"]) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1e6", "2**20"])
+    def test_malformed_cap_exit_2(self, capsys, c4_file, monkeypatch, value):
+        # a cap that is not a decimal integer >= 1 is an input error, not
+        # a cap that refuses everything
+        monkeypatch.setenv("KK_SIZE_CAP", value)
+        for argv in (["hh", c4_file, "-m", "1"], ["signature", c4_file]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: KK_SIZE_CAP must be a decimal integer >= 1")
+
     def test_command_frees_its_algebra(self, capsys, c4_file):
         # cached results hold their algebra by weak reference, so a
         # finished command leaves no algebra alive even with the

@@ -97,10 +97,11 @@ class TestComponents:
         with pytest.raises(ValueError):
             coderivation_component(f, -1)
 
-    def test_size_cap(self, trunc3_3):
+    def test_size_cap(self, trunc3_3, set_cap):
         f = rand_cochain(trunc3_3, 2, 3)
+        set_cap(1000)
         with pytest.raises(SizeCapExceeded) as exc:
-            coderivation_component(f, 8, size_cap=1000)
+            coderivation_component(f, 8)
         assert exc.value.entries == 3**7 * 3**8
 
 
@@ -410,10 +411,11 @@ class TestSigmaP:
                 moved = sigma_p(f + coboundary(e))
                 assert np.array_equal(coh.class_coords(moved.flat()), want)
 
-    def test_size_cap(self, trunc3_3):
+    def test_size_cap(self, trunc3_3, set_cap):
         f = rand_cochain(trunc3_3, 3, 24)
+        set_cap(1000)
         with pytest.raises(SizeCapExceeded):
-            sigma_p(f, size_cap=1000)
+            sigma_p(f)
 
 
 class TestJacobson:
@@ -434,7 +436,7 @@ class TestJacobson:
             for gb in reps:
                 want = coh.class_coords(sigma_p(fa).flat())
                 want = fld.vadd(want, coh.class_coords(sigma_p(gb).flat()))
-                for s in jacobson_si(fa, gb, 3):
+                for s in jacobson_si(fa, gb):
                     want = fld.vadd(want, coh.class_coords(s.flat()))
                 got = coh.class_coords(sigma_p(fa + gb).flat())
                 assert np.array_equal(got, want)
@@ -446,13 +448,6 @@ class TestJacobson:
         total = coh.class_coords(jacobson_si(f, f)[0].flat())
         total = trunc3_3.field.vadd(total, coh.class_coords(jacobson_si(f, f)[1].flat()))
         assert not total.any()
-
-    def test_explicit_p_is_validated(self, dual2):
-        f = rand_cochain(dual2, 1, 28)
-        g = rand_cochain(dual2, 1, 29)
-        assert jacobson_si(f, g, 2)[0] == bracket(f, g)
-        with pytest.raises(ValueError):
-            jacobson_si(f, g, 3)
 
     def test_arity_and_algebra_checks(self, dual2, c4):
         with pytest.raises(DegreeMismatch):
@@ -471,7 +466,7 @@ class TestJacobson:
 
 class TestRestrictedAxioms:
     def test_dual_numbers_degrees_one_and_two(self, dual2):
-        report = restricted_axioms_check(dual2, 2, [1, 2])
+        report = restricted_axioms_check(dual2, [1, 2])
         assert report["all_passed"]
         assert report["coboundary_bracket_sign"] == -1
         for m in (1, 2):
@@ -483,30 +478,26 @@ class TestRestrictedAxioms:
         assert report["degrees"][2]["target_degree"] == 3
 
     def test_klein_degree_one(self, klein):
-        assert restricted_axioms_check(klein, 2, [1])["all_passed"]
+        assert restricted_axioms_check(klein, [1])["all_passed"]
 
     def test_odd_characteristic_degree_one(self, trunc3_3):
-        report = restricted_axioms_check(trunc3_3, 3, [1, 2])
+        report = restricted_axioms_check(trunc3_3, [1, 2])
         assert report["all_passed"]
         assert report["degrees"][2] == {"skipped": "even degree is outside the odd-p regime"}
 
     def test_separable_algebra_is_vacuous(self, m2k):
-        report = restricted_axioms_check(m2k, 2, [1, 2])
+        report = restricted_axioms_check(m2k, [1, 2])
         assert report["all_passed"]
         assert report["degrees"][1]["vacuous"]
 
     def test_base_field_is_vacuous(self, k2):
-        report = restricted_axioms_check(k2, 2, [1, 2])
+        report = restricted_axioms_check(k2, [1, 2])
         assert report["all_passed"]
         assert all(report["degrees"][m]["vacuous"] for m in (1, 2))
 
-    def test_wrong_characteristic_rejected(self, dual2):
-        with pytest.raises(ValueError):
-            restricted_axioms_check(dual2, 3, [1])
-
     def test_degree_zero_rejected(self, dual2):
         with pytest.raises(ValueError):
-            restricted_axioms_check(dual2, 2, [0])
+            restricted_axioms_check(dual2, [0])
 
     def test_each_class_computed_once(self, klein, monkeypatch):
         # the classes of the powers sigma_p(f_i) are solved once, not once
@@ -521,10 +512,10 @@ class TestRestrictedAxioms:
             return real(self, vec)
 
         monkeypatch.setattr(HomologyBasis, "class_coords", counting)
-        assert restricted_axioms_check(klein, 2, [1, 2])["all_passed"]
+        assert restricted_axioms_check(klein, [1, 2])["all_passed"]
         stacked = Counter(asked)
         asked.clear()
-        assert oracles.oracle_restricted_axioms_check(klein, 2, [1, 2])["all_passed"]
+        assert oracles.oracle_restricted_axioms_check(klein, [1, 2])["all_passed"]
         assert stacked == Counter(asked)
         for m in (1, 2):
             k = hh_cohomology(klein, m).dim
@@ -568,21 +559,23 @@ class TestStackedMatchesPerPair:
     def test_reports(self, request, name):
         a = _algebra(request, name)
         for m in (1, 2, 3):
-            want = _outcome(oracles.oracle_restricted_axioms_check, a, a.field.p, [m])
-            got = _outcome(restricted_axioms_check, a, a.field.p, [m])
+            want = _outcome(oracles.oracle_restricted_axioms_check, a, [m])
+            got = _outcome(restricted_axioms_check, a, [m])
             # repr also compares key order and the types of flags and witnesses
             assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("name", FIXTURES + EXTRA)
     @pytest.mark.parametrize("cap", [2**12, 2**16])
-    def test_cap_messages_cold_and_warm(self, request, name, cap):
+    def test_cap_messages_cold_and_warm(self, request, name, cap, set_cap):
         a = _algebra(request, name)
+        checks = (oracles.oracle_restricted_axioms_check, restricted_axioms_check)
         for m in (1, 2, 3):
-            cold = [_outcome(check, _fresh(a), a.field.p, [m], size_cap=cap)
-                    for check in (oracles.oracle_restricted_axioms_check, restricted_axioms_check)]
-            _outcome(restricted_axioms_check, a, a.field.p, [m])
-            warm = [_outcome(check, a, a.field.p, [m], size_cap=cap)
-                    for check in (oracles.oracle_restricted_axioms_check, restricted_axioms_check)]
+            set_cap(cap)
+            cold = [_outcome(check, _fresh(a), [m]) for check in checks]
+            set_cap(None)
+            _outcome(restricted_axioms_check, a, [m])
+            set_cap(cap)
+            warm = [_outcome(check, a, [m]) for check in checks]
             assert repr(cold[1]) == repr(cold[0]) == repr(warm[0]) == repr(warm[1])
 
 
@@ -604,8 +597,8 @@ def _perturb_class(monkeypatch, degree: int, bad: np.ndarray) -> None:
 
 
 def _both(algebra, m):
-    want = oracles.oracle_restricted_axioms_check(algebra, algebra.field.p, [m])
-    got = restricted_axioms_check(algebra, algebra.field.p, [m])
+    want = oracles.oracle_restricted_axioms_check(algebra, [m])
+    got = restricted_axioms_check(algebra, [m])
     assert repr(got) == repr(want)
     return got["degrees"][m]
 
@@ -621,8 +614,8 @@ class TestWitnesses:
         shift = hh_cohomology(klein, 4).reps.data[0].reshape(klein.dim, -1)
         real = gerstenhaber._pre_lie
 
-        def wrong(fld, f, m, g, n, size_cap=None):
-            out = real(fld, f, m, g, n, size_cap)
+        def wrong(fld, f, m, g, n):
+            out = real(fld, f, m, g, n)
             if (m, n) != (3, 2):
                 return out
             lead = out.shape[:-2]
@@ -682,10 +675,10 @@ class TestStackMemory:
     def test_peak_on_a_warm_algebra(self, klein, m):
         # degree 2 passes; degree 3 raises at the cap of HH^7, before any
         # insertion.  Unsliced degree-2 stacks peak at 9.2 MiB.
-        want = _outcome(oracles.oracle_restricted_axioms_check, klein, 2, [m])
+        want = _outcome(oracles.oracle_restricted_axioms_check, klein, [m])
         tracemalloc.start()
         try:
-            got = _outcome(restricted_axioms_check, klein, 2, [m])
+            got = _outcome(restricted_axioms_check, klein, [m])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -785,4 +778,4 @@ class TestInsertionsMatchKronecker:
             f, g = rand_cochain(a, 2, 13), rand_cochain(a, 3, 14)
             assert bracket(f, g).arity == 4
             assert sigma_p(rand_cochain(a, 1, 15)).arity == 1
-            assert restricted_axioms_check(a, a.field.p, degrees)["all_passed"]
+            assert restricted_axioms_check(a, degrees)["all_passed"]

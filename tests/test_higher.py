@@ -14,6 +14,7 @@ from derinv.algebras import (
     cyclic_table,
     make_group_algebra,
     make_truncated_polynomial,
+    resolve_size_cap,
 )
 from derinv.errors import FormRequired, InvariantViolation, SizeCapExceeded
 from derinv import higher
@@ -35,7 +36,6 @@ from derinv.hochschild import (
     hh_homology,
     pairing,
     pairing_gram,
-    resolve_size_cap,
 )
 from derinv.kulshammer import kappa_n, t_n_center_space
 from derinv.linalg import Mat, SemilinearOperator
@@ -236,7 +236,7 @@ class TestTFromPairing:
         a = _cold_c4()
         shift = hh_cohomology(a, 2).cochain(0)
         real = higher.cup_power
-        monkeypatch.setattr(higher, "cup_power", lambda f, k, cap=None: real(f, k, cap) + shift)
+        monkeypatch.setattr(higher, "cup_power", lambda f, k: real(f, k) + shift)
         with pytest.raises(InvariantViolation) as by_classes:
             power_class_matrix(a, 1, 1)
         with pytest.raises(InvariantViolation) as by_pairing:
@@ -257,7 +257,7 @@ class TestDefiningRelation:
             if a.dim ** (2 * p**n * m + 3) > cap:
                 continue
             kap = kappa_nm(a, m, n)
-            got = higher._defining_relation_holds(kap, None)
+            got = higher._defining_relation_holds(kap)
             assert got == oracles.oracle_defining_relation(kap) == (True, None), (m, n)
             if not all(kap.operator.matrix.shape):
                 continue
@@ -269,7 +269,7 @@ class TestDefiningRelation:
             for data in (bent, noise.astype(np.int8)):
                 op = SemilinearOperator(Mat(a.field, data), kap.operator.twist)
                 moved = dataclasses.replace(kap, operator=op)
-                got = higher._defining_relation_holds(moved, None)
+                got = higher._defining_relation_holds(moved)
                 assert got == oracles.oracle_defining_relation(moved), (m, n)
                 if data is bent:
                     assert got[0] is False, (m, n)
@@ -368,59 +368,85 @@ _UNDER_RESULT_CAP = {
 
 class TestCapsAndErrors:
     @pytest.mark.parametrize("name", list(_COLD_CALLS))
-    def test_cap_same_cold_and_warm(self, name):
+    def test_cap_same_cold_and_warm(self, name, set_cap):
         call = _COLD_CALLS[name]()
+        set_cap(1000)
         with pytest.raises(SizeCapExceeded) as cold:
-            call(size_cap=1000)
-        call(size_cap=None)
+            call()
+        set_cap(None)
+        call()
+        set_cap(1000)
         with pytest.raises(SizeCapExceeded) as warm:
-            call(size_cap=1000)
+            call()
         assert (warm.value.entries, warm.value.cap, str(warm.value)) == (
             cold.value.entries, cold.value.cap, str(cold.value))
 
     @pytest.mark.parametrize("name", list(_CAP_MESSAGES))
-    def test_gerstenhaber_cap_names_the_result(self, name):
+    def test_gerstenhaber_cap_names_the_result(self, name, set_cap):
+        set_cap(1000)
         with pytest.raises(SizeCapExceeded) as exc:
-            _COLD_CALLS[name]()(size_cap=1000)
+            _COLD_CALLS[name]()()
         assert str(exc.value) == _CAP_MESSAGES[name]
 
     @pytest.mark.parametrize("name", list(_UNDER_RESULT_CAP))
-    def test_gerstenhaber_computes_what_fits_the_cap(self, name):
+    def test_gerstenhaber_computes_what_fits_the_cap(self, name, set_cap):
         call, dense, arities = _UNDER_RESULT_CAP[name]
         a = _cold_c4()
         rng = np.random.default_rng(len(name))
         args = [Cochain(a, m, Mat(a.field, rng.integers(0, 2, (4, 4**m)).astype(np.int8)))
                 for m in arities]
-        assert call(*args, size_cap=8192) == dense(*args)
+        set_cap(8192)
+        got = call(*args)
+        set_cap(None)
+        assert got == dense(*args)
 
-    def test_insertion_memory_is_bounded_by_its_result(self):
+    def test_insertion_memory_is_bounded_by_its_result(self, set_cap):
         # one arity-9 result on C4 is 4^10 = 2^20 entries, where the dense
         # model multiplies a 4^5 x 4^9 component
         f, g = _cold_c4_cochains(5, 5)
         entries = 4**10
+        set_cap(entries)
         tracemalloc.start()
         try:
-            out = bracket(f, g, size_cap=entries)
+            out = bracket(f, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.matrix.shape == (4, 4**9) and out.algebra is f.algebra
         assert peak < 32 * entries
+        set_cap(entries - 1)
         with pytest.raises(SizeCapExceeded):
-            bracket(f, g, size_cap=entries - 1)
+            bracket(f, g)
 
-    def test_matmul_panels_reduce_in_place(self):
+    def test_matmul_panels_reduce_in_place(self, set_cap):
         # the same bracket, with one float64 panel of Field.matmul reduced
         # in place into the int8 result: about 12 bytes an entry, where
         # int64 copies of the panel would take 28
         f, g = _cold_c4_cochains(5, 5)
+        set_cap(4**10)
         tracemalloc.start()
         try:
-            bracket(f, g, size_cap=4**10)
+            bracket(f, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 4**10
+
+    def test_extension_field_panels_keep_one_digit_plane(self):
+        # the same bracket over GF(4): one float64 digit plane of the
+        # result at a time, about 20 bytes an entry, where e int64 digit
+        # planes and their copies take 28
+        a = make_truncated_polynomial(GF(2, 2), 4)
+        f, g = (Cochain(a, 5, Mat(a.field, np.full((4, 4**5), 3, dtype=np.int8)))
+                for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = bracket(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.matrix.shape == (4, 4**9)
+        assert peak < 24 * 4**10
 
     def test_size_cap_propagates(self, trunc3_3):
         with pytest.raises(SizeCapExceeded):

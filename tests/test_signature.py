@@ -145,14 +145,14 @@ class TestGerstenhaberBlock:
         table = 3 * ((i[:, None] // 3 + i[None, :] // 3) % 3) + (i[:, None] + i[None, :]) % 3
         a = make_group_algebra(GF(3), table)
         assert hh_cohomology(a, 1).dim == 18
-        rank = sigma_class_rank(a, 1, None)
+        rank = sigma_class_rank(a, 1)
         assert isinstance(rank, int) and 0 <= rank <= 18
         rng = np.random.default_rng(91)
         while True:
             g = Mat(a.field, rng.integers(0, 3, size=(9, 9)).astype(np.int8))
             if g.rank() == 9:
                 break
-        assert sigma_class_rank(change_basis(a, g), 1, None) == rank
+        assert sigma_class_rank(change_basis(a, g), 1) == rank
 
     def test_parity_marker_for_even_degree_odd_p(self, trunc3_3):
         cfg = SignatureConfig(m_max=1, kappa_pairs=(), gerstenhaber_degrees=(1, 2))
@@ -202,26 +202,31 @@ class TestSigmaRankMatchesEnumeration:
     def test_ranks(self, request, name):
         a = self._algebra(request, name)
         for m, limit in self._limits(a).items():
-            want = _outcome(oracles.oracle_sigma_class_rank, a, m, limit, None)
-            assert self._agrees(a, m, _outcome(sigma_class_rank, a, m, None), want), m
-        assert _outcome(derived_hh1_dim, a, None) == _outcome(oracles.oracle_derived_hh1_dim, a, None)
+            want = _outcome(oracles.oracle_sigma_class_rank, a, m, limit)
+            assert self._agrees(a, m, _outcome(sigma_class_rank, a, m), want), m
+        assert _outcome(derived_hh1_dim, a) == _outcome(oracles.oracle_derived_hh1_dim, a)
 
     @pytest.mark.parametrize("name", FIXTURES + EXTRA)
     @pytest.mark.parametrize("cap", [2**8, 2**12])
-    def test_cap_messages_cold_and_warm(self, request, name, cap):
+    def test_cap_messages_cold_and_warm(self, request, name, cap, set_cap):
         a = self._algebra(request, name)
         for m, limit in self._limits(a).items():
             fresh = algebra_from_json(algebra_to_json(a))
-            cold = [_outcome(oracles.oracle_sigma_class_rank, fresh, m, limit, cap),
-                    _outcome(sigma_class_rank, fresh, m, cap)]
-            _outcome(sigma_class_rank, a, m, None)
-            warm = [_outcome(oracles.oracle_sigma_class_rank, a, m, limit, cap),
-                    _outcome(sigma_class_rank, a, m, cap)]
+            set_cap(cap)
+            cold = [_outcome(oracles.oracle_sigma_class_rank, fresh, m, limit),
+                    _outcome(sigma_class_rank, fresh, m)]
+            set_cap(None)
+            _outcome(sigma_class_rank, a, m)
+            set_cap(cap)
+            warm = [_outcome(oracles.oracle_sigma_class_rank, a, m, limit),
+                    _outcome(sigma_class_rank, a, m)]
             assert cold == warm
+            set_cap(None)
             assert self._agrees(a, m, cold[1], cold[0]), m
-        cold = [_outcome(fn, algebra_from_json(algebra_to_json(a)), cap)
-                for fn in (oracles.oracle_derived_hh1_dim, derived_hh1_dim)]
-        warm = [_outcome(fn, a, cap) for fn in (oracles.oracle_derived_hh1_dim, derived_hh1_dim)]
+        set_cap(cap)
+        hh1 = (oracles.oracle_derived_hh1_dim, derived_hh1_dim)
+        cold = [_outcome(fn, algebra_from_json(algebra_to_json(a))) for fn in hh1]
+        warm = [_outcome(fn, a) for fn in hh1]
         assert cold[1] == cold[0] == warm[0] == warm[1]
 
     @pytest.mark.parametrize("build", [
@@ -231,15 +236,16 @@ class TestSigmaRankMatchesEnumeration:
     ], ids=["gf5_c5", "gf5_x3", "gf9_x3"])
     def test_odd_characteristic_past_the_fixture_limit(self, build):
         a = build()
-        want = oracles.oracle_sigma_class_rank(a, 1, 2**12, None)
+        want = oracles.oracle_sigma_class_rank(a, 1, 2**12)
         assert isinstance(want, int)
-        assert sigma_class_rank(a, 1, None) == want
+        assert sigma_class_rank(a, 1) == want
 
 
 class TestSkippedMarkers:
-    def test_cap_markers_and_exclusion(self, c4):
+    def test_cap_markers_and_exclusion(self, c4, set_cap):
         full = compute_signature(c4)
-        capped = compute_signature(c4, SignatureConfig(size_cap=200))
+        set_cap(200)
+        capped = compute_signature(c4)
         e = capped.entries
         assert e["dim_hh_homology_3"] == SKIPPED_CAP
         assert e["dim_hh_cohomology_2"] == SKIPPED_CAP
@@ -249,8 +255,9 @@ class TestSkippedMarkers:
         # skipped entries never poison a comparison
         assert compare(full, capped)["verdict"] == "INCONCLUSIVE"
 
-    def test_degree_zero_survives_tiny_cap(self, klein):
-        e = compute_signature(klein, SignatureConfig(size_cap=300)).entries
+    def test_degree_zero_survives_tiny_cap(self, klein, set_cap):
+        set_cap(300)
+        e = compute_signature(klein).entries
         assert e["stabilization_index"] == 1
         assert [e[f"dim_t_perp_{n}"] for n in (1, 2, 3)] == [1, 1, 1]
 
@@ -396,8 +403,9 @@ class TestSerialization:
         with pytest.raises(MalformedDocument):
             parse_signature('["a", "list"]')
 
-    def test_skip_markers_round_trip(self, c4):
-        sig = compute_signature(c4, SignatureConfig(size_cap=200))
+    def test_skip_markers_round_trip(self, c4, set_cap):
+        set_cap(200)
+        sig = compute_signature(c4)
         back = parse_signature(serialize_signature(sig))
         assert back == sig
         assert back.entries["dim_hh_homology_3"] == SKIPPED_CAP

@@ -1,8 +1,11 @@
 """The benchmark tracer wraps derinv functions by name; each name must exist."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
+
+import derinv
 
 
 def _tracer(monkeypatch):
@@ -40,3 +43,13 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
                for key, h in holders.items()
                for attr, val in before[key].items() if vars(h).get(attr) is not val]
     assert not changed
+
+
+def test_no_function_takes_a_size_cap(monkeypatch):
+    # the entry cap has one setting, KK_SIZE_CAP, read where it is checked
+    tracer = _tracer(monkeypatch)
+    fns = [getattr(derinv, name) for name in derinv.__all__]
+    fns += [vars(owner)[name] for owner, name, _, _ in tracer._targets()]
+    takes = [getattr(fn, "__qualname__", repr(fn)) for fn in fns
+             if callable(fn) and "size_cap" in inspect.signature(fn).parameters]
+    assert not takes
