@@ -8,13 +8,18 @@ everything else runs on the generic table/modular path.  Matrix
 products go through float64 BLAS, which is exact at these sizes.
 
 The generic path picks its method by shape.  A matrix with more rows
-than columns and more than one chunk of 64 rows is eliminated a chunk at
-a time: the chunk is reduced against the RREF of the rows before it with
-one matrix product, its remaining rows are eliminated pivot by pivot on
-the columns that have no pivot yet, and the new pivot columns are
-cleared from the earlier rows with a second product.  It stops once
-every column has a pivot.  Any other matrix is eliminated pivot by pivot
-over all its rows.  The RREF is unique, so both give the same array.
+than columns and more than 64 rows is eliminated 64 rows at a time, any
+other matrix pivot by pivot over all its rows.  The GF(2) path always
+takes chunks, of as many rows as there are columns without a pivot yet
+and at least 2^17 entries' worth, so a matrix that is not tall, or is
+small, is one chunk.  Each chunk is reduced against the RREF R of the
+rows before it: with one matrix product on the generic path, and over
+GF(2) by XORing in R's packed rows wherever the chunk has a 1 at R's
+pivot columns.  That leaves each row zero on R's pivot columns, and a
+row in R's row space zero everywhere.  Such rows drop out before the
+per-pivot loop, which runs on the rows that are left, and the new pivot
+columns are cleared from R the same way.  It stops once every column
+has a pivot.  The RREF is unique, so every method gives the same array.
 
 A sparse matrix given by its nonzero entries is eliminated one connected
 component of its support at a time, with the same canonical result.
@@ -185,39 +190,111 @@ def _rref_array(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ..
     return _rref_generic(f, a)
 
 
-def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+# rows per chunk of the generic chunked elimination; a matrix with more
+# rows than this and than columns is eliminated in chunks
+_CHUNK = 64
+# entries of a GF(2) matrix that one chunk holds at least
+_CHUNK_ENTRIES = 1 << 17
+# uint64 words that one gather of packed GF(2) rows copies at most
+_GATHER = 1 << 17
+# bit j & 63 of a packed word, for column j
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _pack(a: np.ndarray) -> np.ndarray:
+    """The rows of a GF(2) array as uint64 words: column j is bit j & 63 of word j >> 6."""
     r, c = a.shape
-    # column j is bit (j & 63) of little-endian word j >> 6
-    nwords = (c + 63) >> 6
-    packed = np.zeros((r, nwords * 8), dtype=np.uint8)
-    packed[:, : (c + 7) >> 3] = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-    P = packed.view("<u8")
+    packed = np.zeros((r, ((c + 63) >> 6) * 8), dtype=np.uint8)
+    packed[:, :(c + 7) >> 3] = np.packbits(a, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _unpack(P: np.ndarray, c: int) -> np.ndarray:
+    """The first c columns of packed rows, as a 0/1 uint8 array."""
+    return np.unpackbits(P.view(np.uint8), axis=1, count=c, bitorder="little")
+
+
+def _gf2_pivots(P: np.ndarray) -> list[int]:
+    """RREF of the packed rows P in place, one pivot at a time; the pivot columns.
+
+    Only a column where some row has a bit can hold a pivot, so only
+    those are scanned, and the scan stops once every row has a pivot.
+    """
+    n = P.shape[0]
+    used = np.bitwise_or.reduce(P, axis=0).view(np.uint8)
     row = 0
     pivots: list[int] = []
-    for col in range(c):
-        word, bit = col >> 6, np.uint64(1) << np.uint64(col & 63)
-        hits = np.flatnonzero(P[:, word] & bit)
-        k = int(np.searchsorted(hits, row))
+    for col in np.unpackbits(used, bitorder="little").nonzero()[0].tolist():
+        word = col >> 6
+        hits = (P[:, word] & _BITS[col & 63]).nonzero()[0]
+        k = int(hits.searchsorted(row))
         if k == hits.size:
             continue
+        # rows from row on are zero left of col, so only the words from
+        # word on change.  The pivot row pr clears itself with the other
+        # hits and moves to row; row, which lacks the bit like every row
+        # before pr, moves to pr.
         pr = int(hits[k])
+        prow = P[pr, word:].copy()
+        P[hits, word:] ^= prow
         if pr != row:
-            # rows row..pr-1 lack the bit, so the row swapped into pr is clear
-            P[[row, pr]] = P[[pr, row]]
-        # columns left of col are zero in the pivot row
-        sel = hits[hits != pr]
-        if sel.size:
-            P[sel, word:] ^= P[row, word:]
+            P[pr] = P[row]
+        P[row, word:] = prow
         pivots.append(col)
         row += 1
-        if row == r:
+        if row == n:
             break
-    out = np.unpackbits(packed, axis=1, count=c, bitorder="little").astype(CODE_DTYPE)
-    return out, row, tuple(pivots)
+    return pivots
 
 
-# rows per chunk of the chunked elimination
-_CHUNK = 64
+def _xor_rows(T: np.ndarray, sel: np.ndarray, S: np.ndarray) -> None:
+    """T[i] ^= S[j] for every nonzero sel[i, j], over packed rows T and S.
+
+    The rows of S are gathered at most _GATHER words at a time.
+    """
+    i, j = np.nonzero(sel)
+    step = max(1, _GATHER // S.shape[1])
+    for s in range(0, i.size, step):
+        ii = i[s:s + step]
+        heads = np.flatnonzero(np.r_[True, ii[1:] != ii[:-1]])
+        T[ii[heads]] ^= np.bitwise_xor.reduceat(S[j[s:s + step]], heads, axis=0)
+
+
+def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF over GF(2), a chunk of rows at a time against the RREF R found so far.
+
+    R is kept as packed rows.  A chunk has as many rows as R has free
+    columns and at least _CHUNK_ENTRIES entries' worth, so a matrix that
+    is not tall, or is small, is one chunk.  XORing R[j] into each row
+    with a 1 at R's pivot column j leaves the row zero on every pivot
+    column, and a row in R's row space zero everywhere; those rows are
+    dropped, and the per-pivot loop runs on what is left.  The new pivot
+    columns are cleared from R the same way.  It stops once every column
+    has a pivot.
+    """
+    r, c = a.shape
+    R = np.zeros((min(r, c), (c + 63) >> 6), dtype=np.uint64)
+    piv = np.zeros(c, dtype=np.int64)
+    k = start = 0
+    while start < r and k < c:
+        chunk = a[start:start + max(c - k, _CHUNK_ENTRIES // c)]
+        start += chunk.shape[0]
+        P = _pack(chunk)
+        if k:
+            _xor_rows(P, chunk[:, piv[:k]], R[:k])
+            P = P[P.any(axis=1)]
+        new = np.array(_gf2_pivots(P), dtype=np.int64)
+        if not new.size:
+            continue
+        if k:
+            bits = R[:k, new >> 6] >> (new & 63).astype(np.uint64)
+            _xor_rows(R[:k], bits & np.uint64(1), P)
+        R[k:k + new.size], piv[k:k + new.size] = P[:new.size], new
+        k += new.size
+    order = np.argsort(piv[:k])
+    out = np.zeros((r, c), dtype=CODE_DTYPE)
+    out[:k] = _unpack(R[order], c)
+    return out, k, tuple(piv[order].tolist())
 
 
 def _rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
@@ -229,31 +306,31 @@ def _rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, 
 
 
 def _rref_rows(f: Field, M: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """RREF of M in place, one pivot at a time over every row."""
+    """RREF of M in place, one pivot at a time over every row.
+
+    A column that is zero in every row stays zero, so it is not scanned.
+    """
     r, c = M.shape
     row = 0
     pivots: list[int] = []
-    for col in range(c):
-        sub = M[row:, col]
-        nz = np.flatnonzero(sub)
+    for col in M.any(axis=0).nonzero()[0].tolist():
+        nz = M[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
         if pr != row:
-            M[[row, pr]] = M[[pr, row]]
+            M[row], M[pr] = M[pr], M[row].copy()
         pv = int(M[row, col])
         if pv != 1:
             M[row, col:] = f.vscale(f.inv(pv), M[row, col:])
-        sel = np.flatnonzero(M[:, col])
+        sel = M[:, col].nonzero()[0]
         sel = sel[sel != row]
         if sel.size:
             factors = M[sel, col]
             if f.e == 1:
-                upd = (
-                    M[sel, col:].astype(np.int32)
-                    - factors.astype(np.int32)[:, None] * M[row, col:].astype(np.int32)
-                ) % f.p
-                M[sel, col:] = upd.astype(CODE_DTYPE)
+                # magnitudes below p^2 < 2^15 before the remainder
+                prod = np.multiply.outer(factors, M[row, col:], dtype=np.int16)
+                M[sel, col:] = (M[sel, col:] - prod) % f.p
             else:
                 prod = f.vmul(factors[:, None], M[row, col:][None, :])
                 M[sel, col:] = f.vsub(M[sel, col:], prod)
@@ -268,9 +345,10 @@ def _rref_chunked(f: Field, M: np.ndarray) -> tuple[np.ndarray, int, tuple[int, 
     """RREF of a tall M, _CHUNK rows at a time against the RREF R found so far.
 
     A chunk loses its part in R's row space with one product, leaving
-    rows that vanish on R's pivot columns.  Those are eliminated on the
-    free columns alone, R is cleared on the new pivot columns with a
-    second product, and the rows of both are merged by leading column.
+    rows that vanish on R's pivot columns.  The rows that vanish
+    everywhere are dropped, the rest are eliminated on the free columns
+    alone, R is cleared on the new pivot columns with a second product,
+    and the rows of both are merged by leading column.
     """
     r, c = M.shape
     R = np.zeros((0, c), dtype=CODE_DTYPE)
@@ -282,6 +360,9 @@ def _rref_chunked(f: Field, M: np.ndarray) -> tuple[np.ndarray, int, tuple[int, 
         C = M[start:start + _CHUNK, free]
         if piv.size:
             C = f.vsub(C, f.matmul(M[start:start + _CHUNK, piv], R[:, free]))
+            C = C[C.any(axis=1)]
+            if not C.shape[0]:
+                continue
         N, k, new = _rref_rows(f, C)
         if not k:
             continue

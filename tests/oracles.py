@@ -8,8 +8,9 @@ vectors, and homology dimensions for k[x]/(x^2) come from the small
 Two exceptions are former library paths, kept as the references for
 the code that replaced them: oracle_hh_homology is the dense elimination
 of the whole bar matrices, which the block-wise hh_homology replaced,
-and oracle_rref_generic is the per-pivot elimination over every row,
-which tall matrices no longer take.  oracle_bracket_kron and
+and oracle_rref_generic and oracle_rref_gf2 are the per-pivot
+eliminations over every row, generic and bit-packed, which tall matrices
+no longer take.  oracle_bracket_kron and
 oracle_sigma_p_kron multiply the dense coderivation components, and
 oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
 and coboundary build neither.  oracle_coboundary_terms is that matrix
@@ -516,6 +517,41 @@ def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple
         if row == r:
             break
     return M, row, tuple(pivots)
+
+
+def oracle_rref_gf2(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF over GF(2) with bit-packed rows, each pivot clearing its column in every row.
+
+    The result is padded with zero rows to the shape of a.
+    """
+    r, c = a.shape
+    # column j is bit (j & 63) of little-endian word j >> 6
+    nwords = (c + 63) >> 6
+    packed = np.zeros((r, nwords * 8), dtype=np.uint8)
+    packed[:, : (c + 7) >> 3] = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    P = packed.view("<u8")
+    row = 0
+    pivots: list[int] = []
+    for col in range(c):
+        word, bit = col >> 6, np.uint64(1) << np.uint64(col & 63)
+        hits = np.flatnonzero(P[:, word] & bit)
+        k = int(np.searchsorted(hits, row))
+        if k == hits.size:
+            continue
+        pr = int(hits[k])
+        if pr != row:
+            # rows row..pr-1 lack the bit, so the row swapped into pr is clear
+            P[[row, pr]] = P[[pr, row]]
+        # columns left of col are zero in the pivot row
+        sel = hits[hits != pr]
+        if sel.size:
+            P[sel, word:] ^= P[row, word:]
+        pivots.append(col)
+        row += 1
+        if row == r:
+            break
+    out = np.unpackbits(packed, axis=1, count=c, bitorder="little").astype(CODE_DTYPE)
+    return out, row, tuple(pivots)
 
 
 def _class_of(algebra, f: Cochain):

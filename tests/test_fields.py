@@ -128,6 +128,27 @@ def test_stacked_matmul_matches_entrywise(f, panel, monkeypatch):
         assert got.dtype == np.int8 and got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("f", [GF(2), GF(3), GF(5)], ids=repr)
+def test_prime_field_matmul_matches_entrywise_over_long_inner_dims(f, small, monkeypatch):
+    # the float64 sums reach k (p - 1)^2 before they are reduced, for
+    # inner dimensions k from 1 to 4096; small panels make most products
+    # take several, the last one short
+    if small:
+        monkeypatch.setattr(fields, "_PANEL", 64)
+    rng = np.random.default_rng(73)
+    for k in (1, 2, 3, 63, 64, 65, 1000, 4096):
+        for sa, sb in (((5, k), (k, 3)), ((4, 5, k), (k, 3)), ((5, k), (4, k, 3)),
+                       ((4, 5, k), (4, k, 3))):
+            for top in (False, True):
+                a, b = (np.full(s, f.p - 1) if top else rng.integers(0, f.p, size=s)
+                        for s in (sa, sb))
+                want = (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2) % f.p
+                got = f.matmul(a.astype(np.int8), b.astype(np.int8))
+                assert got.dtype == np.int8 and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("f", [GF(3), GF(2, 2)], ids=repr)
 def test_stacked_matmul_peak_is_bounded_by_a_slice(f, monkeypatch):
     # a float64 copy of the left stack would be 8 bytes per entry

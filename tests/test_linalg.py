@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derinv.algebras import change_basis
 from derinv.errors import SingularForm, SingularMatrix
 from derinv.fields import GF
 from derinv.linalg import (
@@ -16,7 +19,13 @@ from derinv.linalg import (
     orthogonal_complement,
     semilinear_solve,
 )
-from oracles import all_vectors, oracle_kernel, oracle_orthogonal_complement, oracle_rref_generic
+from oracles import (
+    all_vectors,
+    oracle_kernel,
+    oracle_orthogonal_complement,
+    oracle_rref_generic,
+    oracle_rref_gf2,
+)
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
 
@@ -238,24 +247,30 @@ def test_block_helpers_match_dense_elimination(f, seed, nblocks):
     assert _block_image(f, dense.shape, coo) == Subspace.from_rows(f, Mat(f, dense.T))
 
 
+# the kinds of _rref_matrix
+KINDS = ["tall", "sparse", "product", "narrow", "wide", "low-rank tall"]
+
+
 def _rref_matrix(f, rng, kind: str) -> np.ndarray:
-    """A matrix of 65 to 300 rows with some zero rows and zero columns.
+    """A matrix of 65 to 300 rows (2000 if "low-rank tall") with some zero rows and zero columns.
 
     "tall", "sparse" and "product" have fewer columns than rows;
     "product" is A @ B through an inner dimension that may be small;
-    "narrow" has at most 64 columns, so a random matrix reaches full
-    column rank within the first chunk; "wide" has at least as many
-    columns as rows.
+    "low-rank tall" has up to 2000 rows and at most 300 columns, and is
+    such a product of rank at most a quarter of its columns, so most of
+    its rows are dependent; "narrow" has at most 64 columns, so a random
+    matrix reaches full column rank within the first chunk; "wide" has
+    at least as many columns as rows.
     """
-    rows = int(rng.integers(65, 301))
+    rows = int(rng.integers(65, 2001 if kind == "low-rank tall" else 301))
     if kind == "narrow":
         cols = int(rng.integers(1, 65))
     elif kind == "wide":
         cols = int(rng.integers(rows, 321))
     else:
-        cols = int(rng.integers(1, rows))
-    if kind == "product":
-        k = int(rng.integers(0, cols + 1))
+        cols = int(rng.integers(1, min(rows, 301)))
+    if kind in ("product", "low-rank tall"):
+        k = int(rng.integers(0, (cols if kind == "product" else cols // 4) + 1))
         a = f.matmul(rng.integers(0, f.q, size=(rows, k)).astype(np.int8),
                      rng.integers(0, f.q, size=(k, cols)).astype(np.int8))
     else:
@@ -269,8 +284,8 @@ def _rref_matrix(f, rng, kind: str) -> np.ndarray:
 
 
 @given(st.sampled_from([GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)]), st.integers(0, 2**32 - 1),
-       st.sampled_from(["tall", "sparse", "product", "narrow", "wide"]))
-@settings(max_examples=60, deadline=None)
+       st.sampled_from(KINDS))
+@settings(max_examples=72, deadline=None)
 def test_chunked_rref_matches_per_pivot_oracle(f, seed, kind):
     from derinv.linalg import _rref_generic
 
@@ -305,9 +320,95 @@ def test_chunked_rref_ranks(f, rows, cols, inner, rank):
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["tall", "sparse", "product", "narrow", "wide"]))
-@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_packed_rref_matches_all_rows_oracle(seed, kind, small):
+    # small chunks (as many rows as free columns) and small gathers, so
+    # that most matrices take many of both
+    from derinv import linalg
+
+    a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            mp.setattr(linalg, "_CHUNK_ENTRIES", 1)
+            mp.setattr(linalg, "_GATHER", 256)
+        R, rank, pivots = linalg._rref_gf2(a)
+    want = oracle_rref_gf2(a)
+    assert R.dtype == want[0].dtype and np.array_equal(R, want[0])
+    assert rank == want[1] and pivots == want[2]
+
+
+@pytest.mark.parametrize("name", ["s3_2", "c4", "klein"])
+def test_packed_rref_matches_all_rows_oracle_on_bar_blocks(name, request):
+    # every block of the transposed bar boundary b_(m+1) for m <= 3, in
+    # the natural basis and in two random ones
+    from derinv.algebras import resolve_size_cap
+    from derinv.hochschild import _boundary_map
+    from derinv.linalg import _blocks, _rref_gf2
+
+    base = request.getfixturevalue(name)
+    rng = np.random.default_rng(61)
+    moved = []
+    while len(moved) < 2:
+        g = Mat(base.field, rng.integers(0, 2, size=(base.dim, base.dim)).astype(np.int8))
+        if g.rank() == base.dim:
+            moved.append(change_basis(base, g))
+    tall = 0
+    for a in [base] + moved:
+        for m in range(4):
+            assert a.dim ** (2 * m + 3) <= resolve_size_cap()
+            for _, _, block in _blocks(*_boundary_map(a, m + 1), transpose=True):
+                R, rank, pivots = _rref_gf2(block)
+                want = oracle_rref_gf2(block)
+                assert R.dtype == want[0].dtype and np.array_equal(R, want[0])
+                assert rank == want[1] and pivots == want[2]
+                tall += block.shape[0] > max(block.shape[1], 64)
+    assert tall
+
+
+def test_packed_rref_peak_memory():
+    # 16384 x 512 of rank 64: the int8 result is one byte an entry, and
+    # the all-rows loop's copies of the whole matrix (as uint8, and its
+    # unpacked bits) bring it over two
+    f = GF(2)
+    rng = np.random.default_rng(67)
+    a = f.matmul(rng.integers(0, 2, size=(16384, 64)).astype(np.int8),
+                 rng.integers(0, 2, size=(64, 512)).astype(np.int8))
+    from derinv.linalg import _rref_gf2
+
+    tracemalloc.start()
+    try:
+        _, rank, _ = _rref_gf2(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 64
+    assert peak < 1.5 * a.size
+
+
+@pytest.mark.parametrize("f, entered, other", [(GF(2), "_rref_gf2", "_rref_generic"),
+                                               (GF(3), "_rref_generic", "_rref_gf2")],
+                         ids=["GF(2)", "GF(3)"])
+def test_one_entry_per_elimination(f, entered, other, monkeypatch):
+    # the benchmark counts eliminations by wrapping these two functions,
+    # so a tall matrix must enter one of them once, whatever it calls inside
+    from derinv import linalg
+
+    calls = {entered: 0, other: 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    rng = np.random.default_rng(71)
+    a = f.matmul(rng.integers(0, f.q, size=(3000, 20)).astype(np.int8),
+                 rng.integers(0, f.q, size=(20, 200)).astype(np.int8))
+    assert Subspace.from_rows(f, a).dim == 20
+    assert calls == {entered: 1, other: 0}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+@settings(max_examples=36, deadline=None)
 def test_chunked_rref_over_gf2_matches_packed(seed, kind):
     # GF(2) matrices of more than 64 rows through the generic path (chunked
     # when tall, per pivot when wide) against the packed one
