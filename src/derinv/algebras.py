@@ -1,7 +1,8 @@
 """Finite-dimensional associative algebras given by structure constants.
 
 An algebra is a field, a dimension, basis names, a unit vector and a
-sparse multiplication tensor c[i][j][k] (b_i * b_j = sum_k c[i][j][k] b_k).
+dense multiplication tensor c[i, j, k] of shape (d, d, d), with
+b_i * b_j = sum_k c[i, j, k] b_k.
 Validation checks associativity and the two-sided unit exactly and
 reports witness triples.  A symmetrizing form is a gram matrix that must
 be symmetric, invertible and associative: (ab, c) = (a, bc).
@@ -9,7 +10,8 @@ be symmetric, invertible and associative: (ab, c) = (a, bc).
 Constructors cover group algebras (from a Cayley table), truncated
 polynomial rings k[x]/(x^N), trivial extensions A + A*, and matrix
 algebras M_n(A); `change_basis` transports everything along an
-invertible matrix.  JSON (de)serialization uses integer coefficients
+invertible matrix.  The JSON document keeps the tensor as sparse rows
+[i, j, [[k, c], ...]] of its nonzero entries, with integer coefficients
 for prime fields and coefficient lists for e > 1.
 """
 
@@ -22,7 +24,7 @@ import json
 import os
 import weakref
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,8 +47,6 @@ from .fields import CODE_DTYPE, Field, GF, is_json_int
 from .linalg import Mat, Subspace
 
 ALGEBRA_SCHEMA_VERSION = 1
-
-MultSpec = Mapping[tuple[int, int], Mapping[int, int]]
 
 DEFAULT_SIZE_CAP = 2**27
 SIZE_CAP_ENV = "KK_SIZE_CAP"
@@ -141,13 +141,18 @@ class SymmetrizingForm:
 
 
 class Algebra:
-    """Immutable algebra over GF(p^e); validated on construction."""
+    """Immutable algebra over GF(p^e); validated on construction.
+
+    mult is the (dim, dim, dim) array c of structure constants, with
+    b_i * b_j = sum_k c[i, j, k] b_k.  Its entries are taken mod p over a
+    prime field and must be codes below q when e > 1, as are the unit's.
+    """
 
     def __init__(
         self,
         field: Field,
         dim: int,
-        mult: MultSpec,
+        mult: np.ndarray,
         unit: Sequence[int] | np.ndarray,
         basis_names: Sequence[str] | None = None,
         form: SymmetrizingForm | None = None,
@@ -167,14 +172,15 @@ class Algebra:
         if self.unit.shape[0] != dim:
             raise MalformedDocument("unit vector length != dim")
         self.unit.setflags(write=False)
-        if isinstance(mult, np.ndarray):
-            if mult.shape != (dim, dim, dim):
-                raise MalformedDocument("mult tensor must be dim^3")
-            dense = mult
-            mult = {}
-            for i, j, k in np.argwhere(dense):
-                mult.setdefault((int(i), int(j)), {})[int(k)] = int(dense[i, j, k])
-        self._mult = self._normalize_mult(mult)
+        codes = np.array(mult, dtype=np.int64)
+        if codes.shape != (dim, dim, dim):
+            raise MalformedDocument("mult tensor must be dim^3")
+        if field.e > 1:
+            bad = codes[(codes < 0) | (codes >= field.q)]
+            if bad.size:
+                raise MalformedDocument(f"coefficient code {bad[0]} out of range")
+        # row i*d + j holds the coordinates of b_i b_j
+        self.mult_matrix = Mat(field, field.varr(codes).reshape(dim * dim, dim))
         self.kind = dict(kind) if kind else None
         self._cache: dict = {}
         self._validate_structure()
@@ -183,48 +189,17 @@ class Algebra:
             self._validate_form(form)
             self.form = form
 
-    # -- construction helpers --
-
-    def _normalize_mult(self, mult: MultSpec) -> tuple[tuple[int, int, int, int], ...]:
-        entries = []
-        for (i, j), row in mult.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise MalformedDocument(f"mult index ({i},{j}) out of range")
-            for k, c in row.items():
-                if not 0 <= k < self.dim:
-                    raise MalformedDocument(f"mult target {k} out of range")
-                c = int(c)
-                if self.field.e == 1:
-                    c %= self.field.p
-                elif not 0 <= c < self.field.q:
-                    raise MalformedDocument(f"coefficient code {c} out of range")
-                if c:
-                    entries.append((i, j, k, c))
-        return tuple(sorted(entries))
-
-    @property
-    @memo()
-    def mult_matrix(self) -> Mat:
-        """Dense (d^2, d) matrix, row (i*d+j) = coordinates of b_i b_j."""
-        d = self.dim
-        arr = np.zeros((d * d, d), dtype=CODE_DTYPE)
-        for i, j, k, c in self._mult:
-            arr[i * d + j, k] = c
-        return Mat(self.field, arr)
-
     @property
     def mult_tensor(self) -> np.ndarray:
-        """Read-only view of the same data with axes (i, j, k)."""
+        """Read-only view of mult_matrix with axes (i, j, k)."""
         return self.mult_matrix.data.reshape(self.dim, self.dim, self.dim)
 
     @memo()
     def sparse_mult(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(I, J, K, V) arrays of the nonzero structure constants."""
-        if self._mult:
-            arr = np.array(self._mult, dtype=np.int64)
-        else:
-            arr = np.zeros((0, 4), dtype=np.int64)
-        return (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(CODE_DTYPE))
+        """(I, J, K, V) arrays of the nonzero structure constants, in (i, j, k) order."""
+        t = self.mult_tensor
+        ii, jj, kk = np.nonzero(t)
+        return ii, jj, kk, t[ii, jj, kk]
 
     # -- validation --
 
@@ -283,17 +258,20 @@ class Algebra:
         return v
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        f = self.field
-        a = f.varr(a).reshape(-1)
-        b = f.varr(b).reshape(-1)
-        outer = f.vmul(a[:, None], b[None, :]).reshape(1, -1)
-        return f.matmul(outer, self.mult_matrix.data).reshape(-1)
+        """Products of (..., d) stacks of elements, broadcast; one Field.matmul."""
+        f, d = self.field, self.dim
+        a, b = f.varr(a), f.varr(b)
+        if a.shape[-1:] != (d,) or b.shape[-1:] != (d,):
+            raise DimensionMismatch(f"elements of length {d} expected, got {a.shape} and {b.shape}")
+        outer = f.vmul(a[..., :, None], b[..., None, :])
+        return f.matmul(outer.reshape(-1, d * d), self.mult_matrix.data).reshape(outer.shape[:-1])
 
     def power(self, a: np.ndarray, n: int) -> np.ndarray:
+        """n-th powers of a (..., d) stack of elements, by square and multiply."""
         if n < 0:
             raise DerinvError("negative element powers are not defined")
-        result = self.unit.copy()
-        base = self.field.varr(a).reshape(-1)
+        base = self.field.varr(a)
+        result = np.broadcast_to(self.unit, base.shape).copy()
         while n:
             if n & 1:
                 result = self.multiply(result, base)
@@ -302,19 +280,11 @@ class Algebra:
         return result
 
     def p_power(self, a: np.ndarray, n: int) -> np.ndarray:
-        """a^(p^n) by n repeated p-th powers."""
-        x = self.field.varr(a).reshape(-1)
+        """a^(p^n) for a (..., d) stack a, by n repeated p-th powers."""
+        x = self.field.varr(a)
         for _ in range(n):
             x = self.power(x, self.field.p)
         return x
-
-    def left_mult_matrix(self, i: int) -> Mat:
-        """Matrix of x -> b_i x acting on column vectors."""
-        return Mat(self.field, self.mult_tensor[i].T)
-
-    def right_mult_matrix(self, i: int) -> Mat:
-        """Matrix of x -> x b_i acting on column vectors."""
-        return Mat(self.field, self.mult_tensor[:, i, :].T)
 
     # -- canonical subspaces --
 
@@ -370,7 +340,9 @@ def make_group_algebra(field: Field, table: Sequence[Sequence[int]] | np.ndarray
     t = np.asarray(table, dtype=np.int64)
     ident = _group_check(t)
     n = t.shape[0]
-    mult = {(i, j): {int(t[i, j]): 1} for i in range(n) for j in range(n)}
+    mult = np.zeros((n, n, n), dtype=CODE_DTYPE)
+    i, j = np.indices((n, n))
+    mult[i, j, t] = 1
     unit = np.zeros(n, dtype=np.int64)
     unit[ident] = 1
     gram = np.zeros((n, n), dtype=np.int64)
@@ -408,8 +380,10 @@ def make_truncated_polynomial(field: Field, n: int) -> Algebra:
     """k[x]/(x^n) with the form (x^i, x^j) = [i + j = n - 1]."""
     if n < 1:
         raise DerinvError("truncation order must be >= 1")
-    mult = {(i, j): {i + j: 1} for i in range(n) for j in range(n) if i + j < n}
-    mult.update({(i, j): {} for i in range(n) for j in range(n) if i + j >= n})
+    mult = np.zeros((n, n, n), dtype=CODE_DTYPE)
+    i, j = np.indices((n, n))
+    low = i + j < n
+    mult[i[low], j[low], (i + j)[low]] = 1
     unit = [1] + [0] * (n - 1)
     gram = np.fliplr(np.eye(n, dtype=np.int64))
     names = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
@@ -420,23 +394,11 @@ def make_truncated_polynomial(field: Field, n: int) -> Algebra:
 def make_trivial_extension(a: Algebra) -> Algebra:
     """T(A) = A + A* with (a,f)(b,g) = (ab, a.g + f.b) and form f(b) + g(a)."""
     f, d = a.field, a.dim
-    c3 = a.mult_tensor
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-
-    def put(i, j, k, v):
-        if v:
-            mult.setdefault((i, j), {})[k] = f.add(mult.get((i, j), {}).get(k, 0), v)
-
-    ii, jj, kk, vv = a.sparse_mult()
-    for i, j, k, v in zip(ii, jj, kk, vv):
-        put(int(i), int(j), int(k), int(v))  # A * A
-    for i in range(d):
-        for j in range(d):
-            for t in range(d):
-                # b_i . b_j*  = sum_t c[t,i,j] b_t*
-                put(i, d + j, d + t, int(c3[t, i, j]))
-                # b_j* . b_i  = sum_t c[i,t,j] b_t*
-                put(d + j, i, d + t, int(c3[i, t, j]))
+    c = a.mult_tensor
+    mult = np.zeros((2 * d, 2 * d, 2 * d), dtype=CODE_DTYPE)
+    mult[:d, :d, :d] = c  # A * A
+    mult[:d, d:, d:] = c.transpose(1, 2, 0)  # b_i . b_j* = sum_t c[t,i,j] b_t*
+    mult[d:, :d, d:] = c.transpose(2, 0, 1)  # b_j* . b_i = sum_t c[i,t,j] b_t*
     unit = np.concatenate([a.unit, np.zeros(d, dtype=CODE_DTYPE)])
     gram = np.zeros((2 * d, 2 * d), dtype=np.int64)
     gram[:d, d:] = np.eye(d, dtype=np.int64)
@@ -452,31 +414,15 @@ def make_matrix_algebra(a: Algebra, n: int) -> Algebra:
     if n < 1:
         raise DerinvError("matrix size must be >= 1")
     f, d = a.field, a.dim
-
-    def idx(k, i, j):
-        return (k * n + i) * n + j
-
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    ii, jj, kk, vv = a.sparse_mult()
-    for k, l, t, v in zip(ii, jj, kk, vv):
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    mult.setdefault((idx(int(k), i, j), idx(int(l), j, m)), {})[idx(int(t), i, m)] = int(v)
     dim = d * n * n
-    unit = np.zeros(dim, dtype=CODE_DTYPE)
-    for i in range(n):
-        for k in range(d):
-            unit[idx(k, i, i)] = a.unit[k]
+    eye = np.eye(n, dtype=CODE_DTYPE)
+    # basis index (k*n + i)*n + j for b_k E_ij; b_k E_ij . b_l E_jm = sum_t c[k,l,t] b_t E_im
+    mult = np.einsum("klt,ix,jy,mz->kijlymtxz", a.mult_tensor, eye, eye, eye).reshape(dim, dim, dim)
+    unit = np.einsum("k,ij->kij", a.unit, eye).reshape(dim)
     form = None
     if a.form is not None:
-        g = a.form.gram.data
-        gram = np.zeros((dim, dim), dtype=CODE_DTYPE)
-        for i in range(n):
-            for j in range(n):
-                rows = [idx(k, i, j) for k in range(d)]
-                cols = [idx(k, j, i) for k in range(d)]
-                gram[np.ix_(rows, cols)] = g
+        # (b_k E_ij, b_l E_yx) = (b_k, b_l) [x = i][y = j]
+        gram = np.einsum("kl,ix,jy->kijlyx", a.form.gram.data, eye, eye).reshape(dim, dim)
         form = SymmetrizingForm(Mat(f, gram))
     names = [f"{nm}E{i}{j}" for nm in a.basis_names for i in range(n) for j in range(n)]
     base = a.kind["name"] if a.kind and "name" in a.kind else "algebra"
@@ -494,18 +440,12 @@ def change_basis(a: Algebra, g: Mat) -> Algebra:
         raise SingularMatrix("basis change matrix is singular") from None
     gg = f.vmul(g.data[:, None, :, None], g.data[None, :, None, :]).reshape(d * d, d * d)
     new_mm = f.matmul(f.matmul(gg, a.mult_matrix.data), ginv.data)
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    for r in range(d * d):
-        row = new_mm[r]
-        nz = np.flatnonzero(row)
-        if nz.size:
-            mult[(r // d, r % d)] = {int(k): int(row[k]) for k in nz}
     unit = f.matmul(a.unit.reshape(1, -1), ginv.data).reshape(-1)
     form = None
     if a.form is not None:
         form = SymmetrizingForm(Mat(f, f.matmul(f.matmul(g.data, a.form.gram.data), g.data.T)))
     names = [f"u{i}" for i in range(d)]
-    return Algebra(f, d, mult, unit, names, form, a.kind)
+    return Algebra(f, d, new_mm.reshape(d, d, d), unit, names, form, a.kind)
 
 
 # -- JSON schema --
@@ -539,7 +479,7 @@ def _field_from_json(obj) -> Field:
 def algebra_to_json(a: Algebra) -> dict:
     f = a.field
     mult_rows: dict[tuple[int, int], list] = {}
-    for i, j, k, c in a._mult:
+    for i, j, k, c in zip(*(x.tolist() for x in a.sparse_mult())):
         mult_rows.setdefault((i, j), []).append([k, f.coeff_to_json(c)])
     doc = {
         "schema_version": ALGEBRA_SCHEMA_VERSION,
@@ -547,7 +487,7 @@ def algebra_to_json(a: Algebra) -> dict:
         "dim": a.dim,
         "basis": list(a.basis_names),
         "unit": [f.coeff_to_json(int(c)) for c in a.unit],
-        "mult": [[i, j, row] for (i, j), row in sorted(mult_rows.items())],
+        "mult": [[i, j, row] for (i, j), row in mult_rows.items()],
     }
     if a.form is not None:
         doc["form"] = [[f.coeff_to_json(int(c)) for c in row] for row in a.form.gram.data]
@@ -578,29 +518,35 @@ def algebra_from_json(doc) -> Algebra:
         raise MalformedDocument(f"bad unit: {exc}") from None
     if len(unit) != dim:
         raise MalformedDocument("unit vector length != dim")
-    mult: dict[tuple[int, int], dict[int, int]] = {}
     if not isinstance(doc["mult"], list):
         raise MalformedDocument("mult must be a list of [i, j, entries]")
+    mult = np.zeros((dim, dim, dim), dtype=CODE_DTYPE)
+    rows_seen = set()
     for row in doc["mult"]:
         if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
             raise MalformedDocument(f"bad mult row {row!r}")
         i, j, entries = row
         if not (is_json_int(i) and is_json_int(j)):
             raise MalformedDocument(f"bad mult indices in {row!r}")
-        if (i, j) in mult:
+        if (i, j) in rows_seen:
             raise MalformedDocument(f"duplicate mult row ({i},{j})")
-        parsed = {}
+        rows_seen.add((i, j))
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise MalformedDocument(f"mult index ({i},{j}) out of range")
+        targets = set()
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 2 and is_json_int(entry[0])):
                 raise MalformedDocument(f"bad mult entry {entry!r}")
             k, c = entry
-            if k in parsed:
+            if k in targets:
                 raise MalformedDocument(f"duplicate target {k} in mult row ({i},{j})")
+            targets.add(k)
+            if not 0 <= k < dim:
+                raise MalformedDocument(f"mult target {k} out of range")
             try:
-                parsed[k] = f.coeff_from_json(c)
+                mult[i, j, k] = f.coeff_from_json(c)
             except DerinvError as exc:
                 raise MalformedDocument(f"bad coefficient: {exc}") from None
-        mult[(i, j)] = parsed
     form = None
     if "form" in doc and doc["form"] is not None:
         rows = doc["form"]

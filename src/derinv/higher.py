@@ -42,7 +42,7 @@ from .algebras import Algebra, WeakAlgebra, memo
 from .errors import InvariantViolation, SizeCapExceeded
 from .hochschild import (
     HomologyBasis,
-    cup_power,
+    _cup_powers,
     hh_cohomology,
     hh_homology,
     pairing_gram,
@@ -119,22 +119,29 @@ def power_class_matrix(algebra: Algebra, m: int, n: int) -> Mat:
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     f = algebra.field
-    exp = f.p**n
     coh_m = hh_cohomology(algebra, m)
-    coh_d = hh_cohomology(algebra, exp * m)
+    coh_d = hh_cohomology(algebra, f.p**n * m)
     if coh_m.dim == 0:
         return Mat.zeros(f, coh_d.dim, 0)
-    cols = np.zeros((coh_d.dim, coh_m.dim), dtype=np.int8)
-    for a in range(coh_m.dim):
-        fp = cup_power(coh_m.cochain(a), exp)
-        cols[:, a] = coh_d.class_coords(fp.flat())
-    out = Mat(f, cols)
-
-    for a, b in _additivity_pairs(m, n, coh_m.dim):
-        both = cup_power(coh_m.cochain(a) + coh_m.cochain(b), exp)
-        want = f.vadd(cols[:, a], cols[:, b])
-        if not np.array_equal(coh_d.class_coords(both.flat()), want):
+    coords = coh_d.class_coords(_power_stack(algebra, m, n))
+    cols = coords[:coh_m.dim].T
+    for (a, b), got in zip(_additivity_pairs(m, n, coh_m.dim), coords[coh_m.dim:]):
+        if not np.array_equal(got, f.vadd(cols[:, a], cols[:, b])):
             raise _not_additive(m, n, a, b)
+    return Mat(f, cols)
+
+
+@memo()
+def _power_stack(algebra: Algebra, m: int, n: int) -> np.ndarray:
+    """Flat p^n-th cup powers of the canonical HH^m representatives, then of
+    the sums over _additivity_pairs, one row each."""
+    f, d = algebra.field, algebra.dim
+    coh = hh_cohomology(algebra, m)
+    reps = coh.reps.data
+    pairs = np.array(_additivity_pairs(m, n, coh.dim), dtype=np.int64).reshape(-1, 2)
+    stack = np.concatenate([reps, f.vadd(reps[pairs[:, 0]], reps[pairs[:, 1]])])
+    out = _cup_powers(algebra, stack.reshape(-1, d, d**m), m, f.p**n).reshape(stack.shape[0], -1)
+    out.setflags(write=False)
     return out
 
 
@@ -173,26 +180,19 @@ def kappa_nm(algebra: Algebra, m: int, n: int) -> HigherKappa:
         raise ValueError("degrees must be >= 0")
     algebra.require_form()
     f = algebra.field
-    exp = f.p**n
     coh_m = hh_cohomology(algebra, m)
     hom_m = hh_homology(algebra, m)
-    hom_d = hh_homology(algebra, exp * m)
+    hom_d = hh_homology(algebra, f.p**n * m)
     gram = pairing_gram(algebra, m)
     if coh_m.dim == 0 or hom_d.dim == 0:
         powers = np.zeros((coh_m.dim, hom_d.dim), dtype=np.int8)
         mat = Mat.zeros(f, hom_m.dim, hom_d.dim)
     else:
-        cochains = coh_m.cochains()
-        flat = np.stack([cup_power(fc, exp).flat() for fc in cochains])
-        powers = _pairing_matrix(algebra, flat, hom_d.reps.data)
-        pairs = _additivity_pairs(m, n, coh_m.dim)
-        if pairs:
-            both = np.stack([cup_power(cochains[a] + cochains[b], exp).flat()
-                             for a, b in pairs])
-            got = _pairing_matrix(algebra, both, hom_d.reps.data)
-            for (a, b), row in zip(pairs, got):
-                if not np.array_equal(row, f.vadd(powers[a], powers[b])):
-                    raise _not_additive(m, n, a, b)
+        rows = _pairing_matrix(algebra, _power_stack(algebra, m, n), hom_d.reps.data)
+        powers = rows[:coh_m.dim]
+        for (a, b), row in zip(_additivity_pairs(m, n, coh_m.dim), rows[coh_m.dim:]):
+            if not np.array_equal(row, f.vadd(powers[a], powers[b])):
+                raise _not_additive(m, n, a, b)
         mat = Mat(f, f.matmul(gram.inverse().data, f.vfrob(powers, -n)))
     return HigherKappa(
         algebra, m, n, hom_d, hom_m,
@@ -209,11 +209,10 @@ def _defining_relation_holds(kappa: HigherKappa):
     """
     a = kappa.algebra
     f = a.field
-    exp = f.p**kappa.n
     coh_m = hh_cohomology(a, kappa.m)
     if coh_m.dim == 0:
         return True, None
-    powers = np.stack([cup_power(fc, exp).flat() for fc in coh_m.cochains()])
+    powers = _power_stack(a, kappa.m, kappa.n)[:coh_m.dim]
     op, eye = kappa.operator, np.eye(kappa.source.dim, dtype=np.int8)
     bad = []
     for c in range(1, f.q):

@@ -651,27 +651,38 @@ def pairing_gram(algebra: Algebra, m: int) -> Mat:
     return g
 
 
-def cup(f: Cochain, g: Cochain) -> Cochain:
-    """Cup product: (f cup g)(a1 .. a_{m+n}) = f(a1 .. a_m) g(.. a_{m+n}).
+def _cup(algebra: Algebra, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
+    """Cup products of (..., d, d^m) and (..., d, d^n) stacks, broadcast: (mu o_2 g) o_1 f.
 
-    It is (mu o_2 g) o_1 f, capped on the larger of the d^(m+n+1) entries
-    of the result and the d^(n+2) of mu o_2 g.
+    Capped on the larger of the d^(m+n+1) entries of one result and the
+    d^(n+2) of one mu o_2 g.
     """
+    fld, d = algebra.field, algebra.dim
+    _check_cap(d ** (max(m, 1) + n + 1), f"cup product of arity {m + n}")
+    left = _insert(fld, multiplication_cochain(algebra).matrix.data, 2, 2, g, n)
+    return _insert(fld, left, n + 1, 1, f, m)
+
+
+def _cup_powers(algebra: Algebra, f: np.ndarray, m: int, k: int) -> np.ndarray:
+    """k-th cup powers, k >= 1, of a (..., d, d^m) stack of arity-m cochains; one cup per step."""
+    if k < 1:
+        raise ValueError("cup power needs k >= 1")
+    out = f
+    for j in range(1, k):
+        out = _cup(algebra, out, j * m, f, m)
+    return out
+
+
+def cup(f: Cochain, g: Cochain) -> Cochain:
+    """Cup product: (f cup g)(a1 .. a_{m+n}) = f(a1 .. a_m) g(.. a_{m+n})."""
     if f.algebra is not g.algebra:
         raise DimensionMismatch("cochains over different algebras")
     a = f.algebra
-    fld, d = a.field, a.dim
-    m, n = f.arity, g.arity
-    _check_cap(d ** (max(m, 1) + n + 1), f"cup product of arity {m + n}")
-    left = _insert(fld, multiplication_cochain(a).matrix.data, 2, 2, g.matrix.data, n)
-    return Cochain(a, m + n, Mat(fld, _insert(fld, left, n + 1, 1, f.matrix.data, m)))
+    out = _cup(a, f.matrix.data, f.arity, g.matrix.data, g.arity)
+    return Cochain(a, f.arity + g.arity, Mat(a.field, out))
 
 
 def cup_power(f: Cochain, k: int) -> Cochain:
     """k-fold cup power of f; k >= 1."""
-    if k < 1:
-        raise ValueError("cup power needs k >= 1")
-    out = f
-    for _ in range(k - 1):
-        out = cup(out, f)
-    return out
+    a = f.algebra
+    return Cochain(a, k * f.arity, Mat(a.field, _cup_powers(a, f.matrix.data, f.arity, k)))

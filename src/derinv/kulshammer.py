@@ -99,13 +99,13 @@ def quotient_mod_ka(algebra: Algebra) -> QuotientModKA:
 def _basis_p_powers(algebra: Algebra, center: bool, n: int) -> np.ndarray:
     """Rows b^(p^n) for the basis vectors b of A, or of Z(A) if center.
 
-    The table for n is the p-th powers of the rows of the table for n - 1.
+    The table for n is the p-th powers of the rows of the table for n - 1,
+    raised in one stacked call.
     """
     if n == 0:
         out = algebra.center().basis.data.copy() if center else np.eye(algebra.dim, dtype=CODE_DTYPE)
     else:
-        rows = _basis_p_powers(algebra, center, n - 1)
-        out = np.stack([algebra.p_power(r, 1) for r in rows]) if rows.shape[0] else rows.copy()
+        out = algebra.p_power(_basis_p_powers(algebra, center, n - 1), 1)
     out.setflags(write=False)
     return out
 
@@ -120,13 +120,17 @@ def t_n_space(algebra: Algebra, n: int) -> Subspace:
     powers = _basis_p_powers(algebra, False, n)  # d x d
     m = f.matmul(q.proj_matrix.data, powers.T)  # column i = class of b_i^(p^n)
     if n > 0:
+        # seeded basis pairs (i, j): the class of (b_i + b_j)^(p^n) against m_i + m_j
         rng = np.random.default_rng(0x5EED + n)
-        for _ in range(min(8, d * d)):
-            i, j = rng.integers(0, d, size=2)
-            lhs = q.class_coords(algebra.p_power(f.vadd(algebra.basis_vector(i), algebra.basis_vector(j)), n))
-            rhs = f.vadd(m[:, i], m[:, j])
-            if not np.array_equal(lhs, rhs):
-                raise InvariantViolation(f"power map not additive mod KA at basis pair ({i},{j})")
+        pairs = np.array([rng.integers(0, d, size=2) for _ in range(min(8, d * d))])
+        eye = np.eye(d, dtype=CODE_DTYPE)
+        sums = algebra.p_power(f.vadd(eye[pairs[:, 0]], eye[pairs[:, 1]]), n)
+        lhs = f.matmul(sums, q.proj_matrix.data.T)
+        rhs = f.vadd(m.T[pairs[:, 0]], m.T[pairs[:, 1]])
+        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        if bad.size:
+            i, j = pairs[bad[0]].tolist()
+            raise InvariantViolation(f"power map not additive mod KA at basis pair ({i},{j})")
     return SemilinearOperator(Mat(f, m), n).kernel()
 
 

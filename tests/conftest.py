@@ -20,6 +20,7 @@ from derinv.algebras import (
     symmetric_table,
 )
 from derinv.linalg import Mat
+from oracles import oracle_algebra
 
 
 def upper_triangular(f, n: int) -> Algebra:
@@ -27,7 +28,7 @@ def upper_triangular(f, n: int) -> Algebra:
     idx = [(i, j) for i in range(n) for j in range(i, n)]
     pos = {t: k for k, t in enumerate(idx)}
     mult = {(pos[(i, j)], pos[(j, l)]): {pos[(i, l)]: 1} for i, j in idx for l in range(j, n)}
-    return Algebra(f, len(idx), mult, [int(i == j) for i, j in idx])
+    return oracle_algebra(f, len(idx), mult, [int(i == j) for i, j in idx])
 
 
 @pytest.fixture
@@ -170,8 +171,8 @@ def formless_corpus(insertion_corpus):
         if g.rank() == 3:
             break
     # basis 1, x, y
-    square_zero = Algebra(f, 3, {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in (1, 2)},
-                          [1, 0, 0])
+    square_zero = oracle_algebra(
+        f, 3, {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in (1, 2)}, [1, 0, 0])
     out = {
         "gf3_upper2": insertion_corpus["gf3_upper"],
         "gf2_upper3": upper_triangular(GF(2), 3),

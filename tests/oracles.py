@@ -33,6 +33,11 @@ defining relation with one pairing per basis pair and scalar, which
 verify_properties now takes as one pairing matrix per scalar.
 coderivation_components collects the dense components of D_f up to a
 tensor length, as the tests of the coalgebra model read them.
+
+oracle_algebra is the path from structure constants {(i, j): {k: c}}
+to an Algebra, validated entry by entry, and the oracle_* constructors
+below it build those dicts in Python loops; the constructors and the
+JSON loader of derinv.algebras now fill the dense tensor directly.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from derinv.algebras import Algebra, SymmetrizingForm, _group_check
+from derinv.errors import DimensionMismatch, MalformedDocument, SingularMatrix
 from derinv.fields import CODE_DTYPE, Field
 from derinv.gerstenhaber import (
     COBOUNDARY_BRACKET_SIGN,
@@ -704,3 +711,121 @@ def oracle_defining_relation(kappa):
                 if pairing(fp, chain) != f.frobenius(pairing(fc, lift), kappa.n):
                     return False, {"cohomology_basis": i, "homology_basis": r, "scalar": c}
     return True, None
+
+
+def oracle_algebra(field: Field, dim: int, mult: dict, unit, names=None, form=None, kind=None):
+    """Algebra from sparse structure constants {(i, j): {k: c}}.
+
+    Each entry is checked and reduced on its own: c mod p over a prime
+    field, a code below q when e > 1.
+    """
+    t = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (i, j), row in mult.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise MalformedDocument(f"mult index ({i},{j}) out of range")
+        for k, c in row.items():
+            if not 0 <= k < dim:
+                raise MalformedDocument(f"mult target {k} out of range")
+            c = int(c)
+            if field.e == 1:
+                c %= field.p
+            elif not 0 <= c < field.q:
+                raise MalformedDocument(f"coefficient code {c} out of range")
+            t[i, j, k] = c
+    return Algebra(field, dim, t, unit, names, form, kind)
+
+
+def oracle_group_algebra(field: Field, table, names=None, kind=None):
+    t = np.asarray(table, dtype=np.int64)
+    ident = _group_check(t)
+    n = t.shape[0]
+    mult = {(i, j): {int(t[i, j]): 1} for i in range(n) for j in range(n)}
+    unit = np.zeros(n, dtype=np.int64)
+    unit[ident] = 1
+    gram = np.zeros((n, n), dtype=np.int64)
+    gram[t == ident] = 1
+    names = names or [f"g{i}" for i in range(n)]
+    return oracle_algebra(field, n, mult, unit, names, SymmetrizingForm(Mat(field, gram)), kind)
+
+
+def oracle_truncated_polynomial(field: Field, n: int):
+    mult = {(i, j): {i + j: 1} for i in range(n) for j in range(n) if i + j < n}
+    unit = [1] + [0] * (n - 1)
+    gram = np.fliplr(np.eye(n, dtype=np.int64))
+    names = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
+    return oracle_algebra(field, n, mult, unit, names,
+                          SymmetrizingForm(Mat(field, gram)), {"name": "truncated_poly", "n": n})
+
+
+def oracle_trivial_extension(a):
+    f, d = a.field, a.dim
+    c3 = a.mult_tensor
+    mult: dict[tuple[int, int], dict[int, int]] = {}
+
+    def put(i, j, k, v):
+        if v:
+            mult.setdefault((i, j), {})[k] = f.add(mult.get((i, j), {}).get(k, 0), v)
+
+    for i, j, k in itertools.product(range(d), repeat=3):
+        put(i, j, k, int(c3[i, j, k]))  # A * A
+    for i, j, t in itertools.product(range(d), repeat=3):
+        put(i, d + j, d + t, int(c3[t, i, j]))  # b_i . b_j* = sum_t c[t,i,j] b_t*
+        put(d + j, i, d + t, int(c3[i, t, j]))  # b_j* . b_i = sum_t c[i,t,j] b_t*
+    unit = np.concatenate([a.unit, np.zeros(d, dtype=CODE_DTYPE)])
+    gram = np.zeros((2 * d, 2 * d), dtype=np.int64)
+    gram[:d, d:] = np.eye(d, dtype=np.int64)
+    gram[d:, :d] = np.eye(d, dtype=np.int64)
+    names = list(a.basis_names) + [f"{nm}*" for nm in a.basis_names]
+    base = a.kind["name"] if a.kind and "name" in a.kind else "algebra"
+    return oracle_algebra(f, 2 * d, mult, unit, names, SymmetrizingForm(Mat(f, gram)),
+                          {"name": "trivial_extension_of", "base": base})
+
+
+def oracle_matrix_algebra(a, n: int):
+    f, d = a.field, a.dim
+
+    def idx(k, i, j):
+        return (k * n + i) * n + j
+
+    c3 = a.mult_tensor
+    mult: dict[tuple[int, int], dict[int, int]] = {}
+    for k, l, t in itertools.product(range(d), repeat=3):
+        if c3[k, l, t]:
+            for i, j, m in itertools.product(range(n), repeat=3):
+                mult.setdefault((idx(k, i, j), idx(l, j, m)), {})[idx(t, i, m)] = int(c3[k, l, t])
+    dim = d * n * n
+    unit = np.zeros(dim, dtype=CODE_DTYPE)
+    for i in range(n):
+        for k in range(d):
+            unit[idx(k, i, i)] = a.unit[k]
+    form = None
+    if a.form is not None:
+        gram = np.zeros((dim, dim), dtype=CODE_DTYPE)
+        for i, j, k, l in itertools.product(range(n), range(n), range(d), range(d)):
+            gram[idx(k, i, j), idx(l, j, i)] = a.form.gram.data[k, l]
+        form = SymmetrizingForm(Mat(f, gram))
+    names = [f"{nm}E{i}{j}" for nm in a.basis_names for i in range(n) for j in range(n)]
+    base = a.kind["name"] if a.kind and "name" in a.kind else "algebra"
+    return oracle_algebra(f, dim, mult, unit, names, form, {"name": "matrix_over", "n": n, "base": base})
+
+
+def oracle_change_basis(a, g: Mat):
+    f, d = a.field, a.dim
+    if g.shape != (d, d) or g.field != f:
+        raise DimensionMismatch("basis change matrix must be d x d over the same field")
+    try:
+        ginv = g.inverse()
+    except SingularMatrix:
+        raise SingularMatrix("basis change matrix is singular") from None
+    gg = f.vmul(g.data[:, None, :, None], g.data[None, :, None, :]).reshape(d * d, d * d)
+    new_mm = f.matmul(f.matmul(gg, a.mult_matrix.data), ginv.data)
+    mult: dict[tuple[int, int], dict[int, int]] = {}
+    for r in range(d * d):
+        nz = np.flatnonzero(new_mm[r])
+        if nz.size:
+            mult[(r // d, r % d)] = {int(k): int(new_mm[r, k]) for k in nz}
+    unit = f.matmul(a.unit.reshape(1, -1), ginv.data).reshape(-1)
+    form = None
+    if a.form is not None:
+        form = SymmetrizingForm(Mat(f, f.matmul(f.matmul(g.data, a.form.gram.data), g.data.T)))
+    return oracle_algebra(f, d, mult, unit, [f"u{i}" for i in range(d)], form, a.kind)

@@ -1,11 +1,14 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derinv import GF, Mat
+import derinv
+from derinv import GF, Mat, cli
 from derinv.algebras import (
     Algebra,
     SymmetrizingForm,
@@ -23,6 +26,7 @@ from derinv.algebras import (
     symmetric_table,
 )
 from derinv.errors import (
+    DimensionMismatch,
     FormDegenerate,
     FormNotAssociative,
     FormNotSymmetric,
@@ -33,7 +37,16 @@ from derinv.errors import (
     NotAssociative,
     SchemaVersionMismatch,
 )
-from oracles import oracle_center, oracle_commutator_space
+from oracles import (
+    oracle_algebra,
+    oracle_center,
+    oracle_change_basis,
+    oracle_commutator_space,
+    oracle_group_algebra,
+    oracle_matrix_algebra,
+    oracle_trivial_extension,
+    oracle_truncated_polynomial,
+)
 
 
 F2 = GF(2)
@@ -53,39 +66,38 @@ class TestValidation:
         mult = {(i, j): {int(t[i, j]): 1} for i in range(4) for j in range(4)}
         mult[(1, 1)] = {3: 1}  # breaks (g1 g1) g3 = g0 vs g1 (g1 g3) = g3
         with pytest.raises(NotAssociative) as exc:
-            Algebra(F2, 4, mult, [1, 0, 0, 0])
+            oracle_algebra(F2, 4, mult, [1, 0, 0, 0])
         assert exc.value.args[1] in {(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 3, 1), (3, 1, 1), (1, 3, 3), (3, 1, 3), (3, 3, 1)}
 
     def test_wrong_unit(self):
         # dual numbers with the unit declared as x
         with pytest.raises(NoUnit):
-            Algebra(F2, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}, [0, 1])
+            oracle_algebra(F2, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}, [0, 1])
 
     def test_no_unit_at_all(self):
         # x*y = 0 identically: no element acts as a unit
         with pytest.raises(NoUnit):
-            Algebra(F2, 2, {}, [1, 0])
+            Algebra(F2, 2, np.zeros((2, 2, 2), dtype=np.int8), [1, 0])
 
     def test_form_not_symmetric(self):
         a = make_truncated_polynomial(F3, 2)
         bad = Mat(F3, np.array([[0, 1], [2, 0]]))
         with pytest.raises(FormNotSymmetric):
-            Algebra(F3, 2, {(i, j): {i + j: 1} for i in range(2) for j in range(2) if i + j < 2},
-                    [1, 0], form=SymmetrizingForm(bad))
+            Algebra(F3, 2, a.mult_tensor, [1, 0], form=SymmetrizingForm(bad))
         assert a.form is not None
 
     def test_form_degenerate(self):
         bad = Mat(F2, np.array([[0, 0], [0, 1]]))
         with pytest.raises(FormDegenerate):
-            Algebra(F2, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, [1, 0],
-                    form=SymmetrizingForm(bad))
+            oracle_algebra(F2, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, [1, 0],
+                           form=SymmetrizingForm(bad))
 
     def test_form_not_associative(self):
         # identity gram on dual numbers: (x*x, 1) = 0 but (x, x*1) = 1
         bad = Mat(F2, np.eye(2, dtype=np.int8))
         with pytest.raises(FormNotAssociative) as exc:
-            Algebra(F2, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, [1, 0],
-                    form=SymmetrizingForm(bad))
+            oracle_algebra(F2, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, [1, 0],
+                           form=SymmetrizingForm(bad))
         assert len(exc.value.args[1]) == 3
 
     def test_form_required(self, m2k):
@@ -253,14 +265,59 @@ class TestElements:
             out = dual4.p_power(v, 1)
             assert out[0] == f.frobenius(c, 1) and out[1] == 0
 
-    def test_left_right_mult_matrices(self, s3_2):
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            x = rand_elt(rng, s3_2)
-            for i in range(s3_2.dim):
-                bi = s3_2.basis_vector(i)
-                assert np.array_equal(s3_2.left_mult_matrix(i).mul_vec(x), s3_2.multiply(bi, x))
-                assert np.array_equal(s3_2.right_mult_matrix(i).mul_vec(x), s3_2.multiply(x, bi))
+    @pytest.mark.parametrize("fixture", ["s3_2", "c9_3", "dual4"])
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_stacked_products(self, request, fixture, rows):
+        # over GF(2), GF(3) and GF(4): one call on a stack equals one call
+        # per row, and the product equals the einsum of the structure tensor
+        a = request.getfixturevalue(fixture)
+        f, p = a.field, a.field.p
+        rng = np.random.default_rng(19 + rows)
+        x = f.varr(rng.integers(0, f.q, size=(rows, a.dim)))
+        y = f.varr(rng.integers(0, f.q, size=(rows, a.dim)))
+        prod = a.multiply(x, y)
+        assert prod.shape == (rows, a.dim) and prod.dtype == np.int8
+        assert np.array_equal(prod, _einsum_products(a, x, y))
+        assert np.array_equal(prod, _rows(a.multiply, x, y))
+        assert np.array_equal(a.multiply(x[:, None], y[None]),
+                              _einsum_products(a, np.repeat(x, rows, 0), np.tile(y, (rows, 1)))
+                              .reshape(rows, rows, a.dim))
+        for k in (0, 1, 5):
+            got = a.power(x, k)
+            assert np.array_equal(got, _rows(lambda r: a.power(r, k), x))
+            want = np.broadcast_to(a.unit, x.shape)
+            for _ in range(k):
+                want = _einsum_products(a, want, x)
+            assert np.array_equal(got, want)
+        for n in (0, 1, 2):
+            got = a.p_power(x, n)
+            assert got.shape == x.shape
+            assert np.array_equal(got, _rows(lambda r: a.p_power(r, n), x))
+            assert np.array_equal(got, a.power(x, p**n))
+
+    def test_multiply_checks_lengths(self, c4):
+        with pytest.raises(DimensionMismatch):
+            c4.multiply(np.zeros(3, dtype=np.int8), c4.unit)
+
+
+def _rows(fn, *stacks):
+    """fn on each row of the stacks, stacked back; (0, d) for empty stacks."""
+    return np.array([fn(*row) for row in zip(*stacks)], dtype=np.int8).reshape(stacks[0].shape)
+
+
+def _einsum_products(a, x, y):
+    """Rows x_s y_s = sum_ij x_si y_sj c[i, j, :], by einsum over a prime field and
+    by the field tables otherwise."""
+    f, t = a.field, a.mult_tensor
+    if f.e == 1:
+        wide = np.einsum("si,sj,ijk->sk", x.astype(np.int64), y.astype(np.int64), t.astype(np.int64))
+        return (wide % f.p).astype(np.int8)
+    terms = f.vmul(f.vmul(x[:, :, None, None], y[:, None, :, None]), t[None])
+    out = np.zeros((x.shape[0], a.dim), dtype=np.int8)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            out = f.vadd(out, terms[:, i, j])
+    return out
 
 
 # -- basis change --
@@ -400,6 +457,42 @@ class TestJson:
         with pytest.raises(MalformedDocument):
             algebra_from_json(doc)
 
+    @pytest.mark.parametrize("edit, text", [
+        (lambda doc: doc["mult"].append([2, 0, [[0, 1]]]), "mult index (2,0) out of range"),
+        (lambda doc: doc["mult"].append([1, -1, [[0, 1]]]), "mult index (1,-1) out of range"),
+        (lambda doc: doc["mult"][0][2].append([2, 1]), "mult target 2 out of range"),
+        (lambda doc: doc["mult"][1][2].append([-1, 1]), "mult target -1 out of range"),
+        (lambda doc: doc["mult"].append([0, 0, []]), "duplicate mult row (0,0)"),
+        (lambda doc: doc["mult"][2][2].append([1, 0]), "duplicate target 1 in mult row (1,0)"),
+    ], ids=["row", "negative-row", "target", "negative-target", "duplicate-row", "duplicate-target"])
+    def test_malformed_mult_rows(self, dual2, tmp_path, capsys, edit, text):
+        # the loader is the one place that reads sparse rows from outside
+        doc = algebra_to_json(dual2)
+        edit(doc)
+        with pytest.raises(MalformedDocument) as exc:
+            algebra_from_json(doc)
+        assert str(exc.value) == text
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {text}\n"
+
+    def test_mult_tensor_shape_and_codes(self, dual2, dual4):
+        with pytest.raises(MalformedDocument, match=r"^mult tensor must be dim\^3$"):
+            Algebra(F2, 2, dual2.mult_matrix.data, [1, 0])
+        bad = np.array(dual4.mult_tensor, dtype=np.int64)
+        bad[1, 1, 0] = 4
+        with pytest.raises(MalformedDocument, match="^coefficient code 4 out of range$"):
+            Algebra(dual4.field, 2, bad, [1, 0])
+        bad[1, 1, 0] = -1
+        with pytest.raises(MalformedDocument, match="^coefficient code -1 out of range$"):
+            Algebra(dual4.field, 2, bad, [1, 0])
+        # over a prime field the codes are taken mod p
+        dual3 = make_truncated_polynomial(F3, 2)
+        shifted = dual3.mult_tensor.astype(np.int64) + 3 * np.arange(8).reshape(2, 2, 2) - 6
+        assert Algebra(F3, 2, shifted, [4, -3]).mult_matrix == dual3.mult_matrix
+
     def test_invalid_math_still_raises(self, tmp_path):
         # schema-valid but non-associative content fails validation on load
         t = klein_table()
@@ -435,3 +528,79 @@ def test_truncated_poly_nilpotency(n, p):
     if n > 1:
         assert not a.power(x, n).any()
         assert a.power(x, n - 1).any()
+
+
+# -- the numpy constructors against the dict-building oracles --
+
+
+def _saved(a, tmp_path) -> bytes:
+    path = tmp_path / "a.json"
+    save_algebra(a, path)
+    return path.read_bytes()
+
+
+def _mult_rows(a) -> list:
+    """The document's sparse rows [i, j, [[k, c], ...]], read entry by entry off the tensor."""
+    f, t = a.field, a.mult_tensor
+    rows = []
+    for i in range(a.dim):
+        for j in range(a.dim):
+            row = [[k, f.coeff_to_json(int(t[i, j, k]))] for k in range(a.dim) if t[i, j, k]]
+            if row:
+                rows.append([i, j, row])
+    return rows
+
+
+def _random_basis(a, seed: int) -> Mat:
+    rng = np.random.default_rng(seed)
+    while True:
+        g = Mat(a.field, rng.integers(0, a.field.q, size=(a.dim, a.dim)).astype(np.int8))
+        if g.rank() == a.dim:
+            return g
+
+
+class TestDenseConstructors:
+    """Documents of the tensor constructors, byte for byte against the dict-building ones."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        path = str(Path(__file__).resolve().parents[1] / "perfbench")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(path)
+            specs = importlib.import_module("corpus").SPECS
+            built = {name: spec.build() for name, spec in specs.items()}
+            for name, fn in (("make_group_algebra", oracle_group_algebra),
+                             ("make_truncated_polynomial", oracle_truncated_polynomial),
+                             ("make_matrix_algebra", oracle_matrix_algebra),
+                             ("make_trivial_extension", oracle_trivial_extension)):
+                mp.setattr(derinv, name, fn)
+            oracle = {name: spec.build() for name, spec in specs.items()}
+        return built, oracle
+
+    def test_corpus(self, corpus, tmp_path):
+        built, oracle = corpus
+        assert len(built) == 19
+        for name, a in built.items():
+            assert _saved(a, tmp_path) == _saved(oracle[name], tmp_path), name
+            assert algebra_to_json(a)["mult"] == _mult_rows(a), name
+
+    def test_matrix_algebras_and_trivial_extensions(self, corpus, tmp_path):
+        small = [a for a in corpus[0].values() if a.dim <= 4]
+        assert len(small) == 16
+        for a in small:
+            for new, old in ((make_matrix_algebra(a, 2), oracle_matrix_algebra(a, 2)),
+                             (make_trivial_extension(a), oracle_trivial_extension(a))):
+                assert _saved(new, tmp_path) == _saved(old, tmp_path), new.kind
+                assert algebra_to_json(new)["mult"] == _mult_rows(new)
+        k3 = make_truncated_polynomial(GF(3, 2), 1)
+        assert _saved(make_matrix_algebra(k3, 3), tmp_path) == _saved(oracle_matrix_algebra(k3, 3), tmp_path)
+
+    def test_random_bases(self, corpus, tmp_path):
+        for idx, a in enumerate(corpus[0].values()):
+            g = _random_basis(a, 100 + idx)
+            moved = change_basis(a, g)
+            assert _saved(moved, tmp_path) == _saved(oracle_change_basis(a, g), tmp_path)
+            assert algebra_to_json(moved)["mult"] == _mult_rows(moved)
+            if a.dim <= 2:
+                assert (_saved(make_trivial_extension(moved), tmp_path)
+                        == _saved(oracle_trivial_extension(moved), tmp_path))

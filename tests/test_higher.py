@@ -234,15 +234,33 @@ class TestTFromPairing:
         # a power map shifted by a fixed class is not additive; both routes
         # must catch it on the same seeded pair
         a = _cold_c4()
-        shift = hh_cohomology(a, 2).cochain(0)
-        real = higher.cup_power
-        monkeypatch.setattr(higher, "cup_power", lambda f, k: real(f, k) + shift)
+        shift = hh_cohomology(a, 2).cochain(0).matrix.data
+        real = higher._cup_powers
+        monkeypatch.setattr(higher, "_cup_powers",
+                            lambda alg, f, m, k: alg.field.vadd(real(alg, f, m, k), shift))
         with pytest.raises(InvariantViolation) as by_classes:
             power_class_matrix(a, 1, 1)
         with pytest.raises(InvariantViolation) as by_pairing:
             kappa_nm(a, 1, 1)
         assert str(by_pairing.value) == str(by_classes.value)
         assert str(by_pairing.value).startswith("p^1-th cup power is not additive on HH^1")
+
+    @pytest.mark.parametrize("fixture", ["c4", "s3_2", "m2k", "c9_3", "trunc3_3", "dual4"])
+    def test_power_stack_is_cup_power_per_class(self, request, fixture):
+        # one stacked cup per step equals one cup_power per class and per
+        # additivity pair, in the order the consumers read the rows
+        a = request.getfixturevalue(fixture)
+        p = a.field.p
+        for m, n in ((0, 1), (1, 1), (2, 1), (0, 2), (1, 0)):
+            coh = hh_cohomology(a, m)
+            if coh.dim == 0 or a.dim ** (p**n * m + 1) > 2**16:
+                continue
+            pairs = higher._additivity_pairs(m, n, coh.dim)
+            cochains = coh.cochains() + [coh.cochain(i) + coh.cochain(j) for i, j in pairs]
+            want = np.stack([cup_power(fc, p**n).flat() for fc in cochains])
+            got = higher._power_stack(a, m, n)
+            assert np.array_equal(got, want), (m, n)
+            assert not got.flags.writeable
 
 
 class TestDefiningRelation:

@@ -287,14 +287,14 @@ class TestChainsAndIndex:
 @pytest.mark.parametrize("fixture", ["c4", "s3_2", "trunc3_3", "dual4"])
 def test_p_powers_are_raised_once_per_degree(request, fixture, monkeypatch):
     # each basis vector of A and of Z(A) is raised to the p-th power once
-    # per n, from its p^(n-1)-th power; beyond that only the additivity
-    # spot-check of t_n_space calls p_power
+    # per n, from its p^(n-1)-th power, one stacked call per table; beyond
+    # that only the additivity spot-check of t_n_space raises rows, to p^n
     a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
     calls = []
     real = Algebra.p_power
 
     def counted(self, x, n):
-        calls.append(n)
+        calls.append((np.shape(x)[0], n))
         return real(self, x, n)
 
     monkeypatch.setattr(Algebra, "p_power", counted)
@@ -302,8 +302,39 @@ def test_p_powers_are_raised_once_per_degree(request, fixture, monkeypatch):
     tables = [key[1:] for key in a._cache if key[0] == "_basis_p_powers" and key[2] > 0]
     assert {n for _, n in tables} >= {1, 2, 3} and {c for c, _ in tables} == {False, True}
     rows = {False: a.dim, True: a.center().dim}
-    spot_checks = [key for key in a._cache if key[0] == "t_n_space" and key[1] > 0]
-    assert len(calls) == sum(rows[c] for c, _ in tables) + min(8, a.dim**2) * len(spot_checks)
+    spot_checks = [key[1] for key in a._cache if key[0] == "t_n_space" and key[1] > 0]
+    want = [(rows[c], 1) for c, _ in tables] + [(min(8, a.dim**2), n) for n in spot_checks]
+    assert sorted(calls) == sorted(want)
+
+
+@pytest.mark.parametrize("fixture", ["s3_2", "c9_3", "dual4", "trunc3_3"])
+def test_spot_check_names_the_first_failing_pair(request, fixture, monkeypatch):
+    # the unit added to the power of b_1 breaks additivity on some drawn
+    # pairs; the stacked check must name the pair the per-pair loop names
+    a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
+    f, d = a.field, a.dim
+    real = kulshammer._basis_p_powers
+
+    def bent(alg, center, n):
+        table = np.array(real(alg, center, n))
+        if not center and n:
+            table[1] = f.vadd(table[1], alg.unit)
+        return table
+
+    monkeypatch.setattr(kulshammer, "_basis_p_powers", bent)
+    q = quotient_mod_ka(a)
+    m = f.matmul(q.proj_matrix.data, bent(a, False, 1).T)
+    rng = np.random.default_rng(0x5EED + 1)
+    want = None
+    for _ in range(min(8, d * d)):
+        i, j = rng.integers(0, d, size=2)
+        lhs = q.class_coords(a.p_power(f.vadd(a.basis_vector(i), a.basis_vector(j)), 1))
+        if want is None and not np.array_equal(lhs, f.vadd(m[:, i], m[:, j])):
+            want = f"power map not additive mod KA at basis pair ({i},{j})"
+    assert want is not None
+    with pytest.raises(InvariantViolation) as exc:
+        t_n_space(a, 1)
+    assert str(exc.value) == want
 
 
 def test_p_power_tables_are_read_only(s3_2):

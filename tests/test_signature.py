@@ -111,8 +111,7 @@ class TestCompute:
         from derinv.algebras import Algebra
         from derinv.errors import FormRequired
 
-        mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
-        bare = Algebra(GF(2), 2, mult, [1, 0])
+        bare = Algebra(GF(2), 2, make_truncated_polynomial(GF(2), 2).mult_tensor, [1, 0])
         with pytest.raises(FormRequired):
             compute_signature(bare)
 
