@@ -267,16 +267,24 @@ class Algebra:
         return f.matmul(outer.reshape(-1, d * d), self.mult_matrix.data).reshape(outer.shape[:-1])
 
     def power(self, a: np.ndarray, n: int) -> np.ndarray:
-        """n-th powers of a (..., d) stack of elements, by square and multiply."""
+        """n-th powers of a (..., d) stack of elements, by square and multiply.
+
+        Starts at the lowest set bit of n and squares no further than the
+        highest, so a^2 is one product.
+        """
         if n < 0:
             raise DerinvError("negative element powers are not defined")
         base = self.field.varr(a)
-        result = np.broadcast_to(self.unit, base.shape).copy()
-        while n:
-            if n & 1:
-                result = self.multiply(result, base)
+        if n == 0:
+            return np.broadcast_to(self.unit, base.shape).copy()
+        while not n & 1:
             base = self.multiply(base, base)
             n >>= 1
+        result = base.copy()
+        while n := n >> 1:
+            base = self.multiply(base, base)
+            if n & 1:
+                result = self.multiply(result, base)
         return result
 
     def p_power(self, a: np.ndarray, n: int) -> np.ndarray:

@@ -337,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("hh", help="Hochschild (co)homology dimensions")
+    p = sub.add_parser(
+        "hh", help="Hochschild (co)homology dimensions",
+        description="dim HH_m and HH^m from the normalized bar complex: chains on A x (A/k1)^m "
+                    "and cochains that vanish when an argument is the unit, d(d-1)^m "
+                    "coordinates in degree m.  The size cap counts the d^(2m+3) entries of "
+                    "the dense bar matrices of the full complex.")
     p.add_argument("file")
     p.add_argument("-m", type=int, required=True)
     which = p.add_mutually_exclusive_group()

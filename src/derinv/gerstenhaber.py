@@ -78,7 +78,15 @@ from .errors import (
     ParityViolation,
 )
 from .fields import _PANEL, CODE_DTYPE
-from .hochschild import Cochain, _delta, _pre_lie, hh_cohomology, multiplication_cochain
+from .hochschild import (
+    Cochain,
+    _delta,
+    _on_slots,
+    _pre_lie,
+    _unit_split,
+    hh_cohomology,
+    multiplication_cochain,
+)
 from .linalg import Mat
 
 # bracket(f, multiplication_cochain) equals this constant times the
@@ -386,7 +394,8 @@ def restricted_axioms_check(algebra: Algebra, degrees) -> dict:
     class identities, scaling over _SCALARS random field elements as
     exact cochain identities.  Well-definedness of the power map on
     classes is probed by shifting basis cocycles with _TRIALS random
-    coboundaries.
+    coboundaries of normalized cochains, so it tests the power map on the
+    normalized representatives that class_coords accepts.
 
     Each axiom is one stage over all pairs (i, j) of basis cocycles, or
     all draws, taken as stacks in slices: the insertions of a slice are
@@ -476,12 +485,15 @@ def restricted_axioms_check(algebra: Algebra, degrees) -> dict:
         _record(entry, "additivity", _flags(additivity, k * k, p * d ** (target + 1)),
                 lambda w: (int(ii[w]), int(jj[w])))
 
+        # the shifts are coboundaries of normalized cochains g, drawn in the
+        # coordinates of the normalized complex and expanded
         chosen, shifts = [], []
         for _ in range(_TRIALS):
             chosen.append(int(rng.integers(0, k)))
-            shifts.append(rng.integers(0, fld.q, size=(d, d ** (m - 1))).astype(CODE_DTYPE))
+            shifts.append(rng.integers(0, fld.q, size=d * (d - 1) ** (m - 1)).astype(CODE_DTYPE))
         chosen = np.array(chosen, dtype=np.int64)
-        shifts = np.array(shifts, dtype=CODE_DTYPE).reshape(_TRIALS, d, d ** (m - 1))
+        shifts = _on_slots(fld, np.array(shifts, dtype=CODE_DTYPE), d, m - 1,
+                           _unit_split(algebra)[1]).reshape(_TRIALS, d, d ** (m - 1))
 
         def well_defined(sl):
             moved = fld.vadd(reps[chosen[sl]], _delta(algebra, shifts[sl], m - 1))

@@ -1,24 +1,38 @@
-"""Hochschild (co)homology of an algebra from the bar complex, exactly.
+"""Hochschild (co)homology of an algebra from the normalized bar complex, exactly.
 
-Chains in degree m are A tensor A^m (flattened row-major, the A factor
-is the most significant index); cochains are k-linear maps A^m -> A
-stored as d x d^m matrices and flattened the same way.  The boundary is
+Let u be the unit and i0 the first coordinate where u is nonzero.  The
+normalized complex (Loday, Cyclic Homology, 1.1.14) has the chains
+A x Abar^m in degree m, with Abar = A/ku in the basis of the images of
+the e_j, j != i0 (_unit_split): d (d - 1)^m coordinates where the full
+bar complex has d^(m+1).  Its cochains are the k-linear maps A^m -> A
+that vanish when an argument is the unit, the same d (d - 1)^m
+coordinates.  The projection pi of the full complex onto it, along the
+chains with u in a slot >= 1, is a chain map and a quasi-isomorphism,
+so HH_m and HH^m keep their dimensions.  The boundary is that of the
+full complex,
 
     b(a0 x a1 x .. x am) = sum_i (-1)^i (.. a_i a_{i+1} ..)
-                           + (-1)^m (a_m a0 x a1 x .. x a_{m-1})
+                           + (-1)^m (a_m a0 x a1 x .. x a_{m-1}),
 
-and the coboundary of an m-cochain f is
+read in these coordinates: a product that lands in slot 0 keeps the
+structure constants c[x, y, w] of e_x e_y = sum_w c[x, y, w] e_w, and
+one that lands in a slot >= 1 is projected to Abar,
+
+    cbar[x, y, w] = c[x, y, w] - c[x, y, i0] u_w / u_i0,    zero at w = i0.
+
+With u = e_0, as in group algebras and k[x]/(x^n), this drops every
+basis tensor with e_0 in a slot >= 1.  The coboundary of an m-cochain f
+is
 
     (df)(a1 .. a_{m+1}) = a1 f(a2 ..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
                           + (-1)^{m+1} f(a1 ..) a_{m+1}.
 
 The two complexes have one assembly.  For finite-dimensional A,
-Hom(A^m, A) = (DA x A^m)^* with DA = Hom(A, k), and the cochain
+Hom(Abar^m, A) = (DA x Abar^m)^* with DA = Hom(A, k), and the cochain
 coordinate (k, a1 .. am) is the chain coordinate phi^k x a1 .. am in
 the dual basis phi^k.  So delta_m is exactly the transpose of b_{m+1}
 with coefficients in DA (Loday, Cyclic Homology, 1.5), with sign +.
-Only the terms that act on the coefficient change: with c[u, v, w] the
-structure constants of b_u b_v = sum_w c[u, v, w] b_w,
+Only the terms that act on the coefficient change:
 
     phi^k b_u = sum_w c[u, w, k] phi^w,    b_v phi^k = sum_w c[w, v, k] phi^w,
 
@@ -26,35 +40,47 @@ so the contraction x a1 reads the sparse triples in the roles (w, u, v)
 and the cyclic term a_m x in the roles (v, w, u) (_bar_coo).
 
 Class representatives are canonical: cycle and boundary spaces are kept
-as RREF row spaces, and the cycle rows whose leading columns are not
-leading columns of the boundary space form a basis of the quotient.
-When A carries a symmetrizing form, (f, a0 x ..) -> (a0, f(a1 ..))
-descends to a pairing of HH^m with HH_m whose gram matrix must be
-square and invertible.
+as RREF row spaces in the coordinates of the normalized complex, and
+the cycle rows whose leading columns are not leading columns of the
+boundary space form a basis of the quotient.  They are handed out in
+the coordinates of A x A^m (_in_full_coordinates): a cycle embedded at
+the basis tensors with no e_i0 in a slot >= 1, and a cocycle expanded
+through the projection A -> Abar in every argument, f o p^(x m).  The
+expanded cocycles are cocycles of the full complex that vanish on the
+unit, so cup, circle products, sigma_p and the pairing take them as
+they are, and keep them normalized.  When A carries a symmetrizing
+form, (f, a0 x ..) -> (a0, f(a1 ..)) descends to a pairing of HH^m with
+HH_m whose gram matrix must be square and invertible.
+HomologyBasis.class_coords takes vectors of A x A^m: it projects a
+chain by pi, so a cycle of the full complex gets the class of its
+image, and refuses a cochain that does not vanish on the unit, which
+it could not class without a homotopy.
 
 No dense bar matrix is built on the way to HH.  _bar_coo gives the
 nonzero entries of b_m, on A or on DA, as index arrays: each term of b
-places c[u, v, w] at index arrays broadcast over the untouched tensor
-factors.  _homology, which serves hh_homology and the HH^m of an
-algebra without a form, takes the kernel of the map out of degree m
-(b_m, or delta_m) and the image of the map into it (b_{m+1}, or
-delta_{m-1}), and eliminates each connected component of their support
-graphs on its own.  For a group algebra the components of b follow the
-conjugacy class of the cyclic product g_0 .. g_m (Burghelea's splitting
-of HH_*(kG)); for k[x]/(x^n) they follow the total degree.  Column
-supports of the blocks are disjoint, so their RREF rows sorted by
-leading column are the global RREF, and the class representatives are
-those of the dense matrices.  The components of the outgoing map over
-its columns and of the incoming one over its rows, joined, hold every
-cycle and boundary row of degree m; consecutive small ones share a bin
-of about 512 coordinates.  _quotient_basis checks B inside Z bin by
-bin: each boundary row must be its entries at the cycle pivots times
-the cycle rows, and a row with entries outside its bin fails.
-boundary_matrix and coboundary_matrix scatter the same entries into a
-dense int8 array; nothing in the HH layer calls them.
+places c[u, v, w] or cbar[u, v, w] at index arrays broadcast over the
+untouched tensor factors.  _homology, which serves hh_homology and the
+HH^m of an algebra without a form, takes the kernel of the map out of
+degree m (b_m, or delta_m) and the image of the map into it (b_{m+1},
+or delta_{m-1}), and eliminates each connected component of their
+support graphs on its own.  For a group algebra the components of b
+follow the conjugacy class of the cyclic product g_0 .. g_m
+(Burghelea's splitting of HH_*(kG)); for k[x]/(x^n) they follow the
+total degree.  Column supports of the blocks are disjoint, so their RREF
+rows sorted by leading column are the global RREF, and the class
+representatives are those of the dense matrices.  The components of the
+outgoing map over its columns and of the incoming one over its rows,
+joined, hold every cycle and boundary row of degree m; consecutive small
+ones share a bin of about 512 coordinates.  _quotient_basis checks B
+inside Z bin by bin: each boundary row must be its entries at the cycle
+pivots times the cycle rows, and a row with entries outside its bin
+fails.  boundary_matrix and coboundary_matrix are the dense matrices of
+the full complex, from the same _bar_coo with c in every slot; nothing
+in the HH layer calls them, and tests/oracles.py eliminates them as
+the reference for HH.
 
 With a form, HH^m is read off hh_homology(m) instead, which is faster
-than the DA blocks.  With G the gram matrix and Phi_m = G x I_{d^m},
+than the DA blocks.  With G the gram matrix and Phi_m = G x I_{(d-1)^m},
 delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
 
     cocycles    = Phi_m^-1 (B_m)^perp,    coboundaries = Phi_m^-1 (Z_m)^perp
@@ -80,20 +106,22 @@ stacks of cochains, (..., d, d^m), with one product per slot for the
 whole stack, and HomologyBasis.class_coords solves a stack of
 (co)cycles with one residual and one reconstruction product.
 
-Matrices in degree m have d^(2m+1) or d^(2m+3) entries.  Every cached
-entry point here is an `algebras.memo` function that checks that count
-against the one entry cap before its cache, and raises SizeCapExceeded
-instead of allocating.  The cap is KK_SIZE_CAP in the environment
-(default 2^27), read at each check; no function takes it as an
-argument.  It counts the dense entries even where only blocks are
-allocated.  _pre_lie and cup are the caps of the insertions: each
-charges the d^(r+1) entries of an arity-r cochain it allocates before
-the first product.
+Matrices in degree m of the full complex have d^(2m+1) or d^(2m+3)
+entries.  Every cached entry point here is an `algebras.memo` function
+that checks that count against the one entry cap before its cache, and
+raises SizeCapExceeded instead of allocating.  The HH functions charge
+the d^(2m+3) of the full complex, not the d^2 (d - 1)^(2m+1) of the
+normalized b_{m+1} they eliminate, so the cap answers as it did for the
+full complex.  The cap is KK_SIZE_CAP in the environment (default
+2^27), read at each check; no function takes it as an argument.  It
+counts the dense entries even where only blocks are allocated.
+_pre_lie and cup are the caps of the insertions: each charges the
+d^(r+1) entries of an arity-r cochain it allocates before the first
+product.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,43 +155,87 @@ from .linalg import (
 )
 
 
-def _bar_coo(algebra: Algebra, m: int,
-             dual: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of b_m on M x A^m as (rows, cols, vals), each (row, col) once, m >= 1.
+@memo()
+def _unit_split(algebra: Algebra) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(kept, P, bar): the basis of the slots >= 1 of the normalized complex.
 
-    M is A, or DA in the dual basis phi^k if dual.  Entries come in
-    row-major order.  Up to m + 1 terms meet at one entry; they are
-    summed with Field.vadd.
+    i0 is the first coordinate where the unit u is nonzero, and kept the
+    other d - 1 basis indices, ascending; the images of e_j, j in kept,
+    are a basis of A/ku.  P (d - 1 x d) is the projection A -> A/ku in
+    that basis: e_j -> e_j and e_i0 -> -sum_w (u_w / u_i0) e_w.  bar holds
+    the nonzero entries cbar[x, y, w] = c[x, y, w] - c[x, y, i0] u_w / u_i0
+    of P(e_x e_y), x and y in kept, as (x, y, w, value) arrays of
+    positions in kept.
     """
     f, d = algebra.field, algebra.dim
-    cols_n = d ** (m + 1)
+    u = algebra.unit
+    i0 = int(np.flatnonzero(u)[0])
+    kept = np.delete(np.arange(d), i0)
+    P = np.eye(d, dtype=CODE_DTYPE)[kept]
+    P[:, i0] = f.vmul(f.vneg(u[kept]), np.array(f.inv(int(u[i0])), dtype=CODE_DTYPE))
+    s = kept.size
+    products = algebra.mult_tensor[np.ix_(kept, kept)].reshape(s * s, d)
+    cbar = f.matmul(products, P.T).reshape(s, s, s)
+    x, y, w = np.nonzero(cbar)
+    return kept, P, (x, y, w, cbar[x, y, w])
+
+
+def _bar_coo(algebra: Algebra, m: int, dual: bool = False,
+             normalized: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of b_m on M x S^m as (rows, cols, vals), each (row, col) once, m >= 1.
+
+    M is A, or DA in the dual basis phi^k if dual.  S is A/ku in the basis
+    of _unit_split if normalized, else A.  Entries come in row-major
+    order.  Up to m + 1 terms meet at one entry; they are summed with
+    Field.vadd.
+    """
+    f, d = algebra.field, algebra.dim
+    if normalized:
+        kept, _, bar = _unit_split(algebra)
+    else:
+        kept, bar = np.arange(d), algebra.sparse_mult()
+    s = kept.size
+    slot = np.full(d, -1)
+    slot[kept] = np.arange(s)
     ii, jj, kk, vv = algebra.sparse_mult()
-    u, v, w = (x.reshape(1, -1, 1) for x in (ii, jj, kk))
-    c = vv.reshape(1, -1, 1)
-    neg_c = f.vneg(c)
     # (factor, factor, product) roles of the triples b_u b_v = c[u, v, w] b_w
     # in x a_1 and a_m x; on DA, phi^k b_u = sum_w c[u, w, k] phi^w and
     # b_v phi^k = sum_w c[w, v, k] phi^w
-    first, cyclic = ((w, u, v), (v, w, u)) if dual else ((u, v, w), (u, v, w))
-    terms = []
-    # contractions: (P, a_i, a_{i+1}, S) -> (P, a_i a_{i+1}, S), sign (-1)^i
-    for i in range(m):
-        x, y, z = first if i == 0 else (u, v, w)
-        pre = np.arange(d**i).reshape(-1, 1, 1)
-        s = d ** (m - 1 - i)
-        suf = np.arange(s).reshape(1, 1, -1)
-        terms.append(((pre * d + z) * s + suf, ((pre * d + x) * d + y) * s + suf,
-                      neg_c if i % 2 else c))
+    first, cyclic = ((kk, ii, jj), (jj, kk, ii)) if dual else ((ii, jj, kk), (ii, jj, kk))
+
+    def terms_of(*xs):
+        return tuple(x.reshape(1, -1, 1) for x in xs)
+
+    def signed(i, c):
+        return f.vneg(c) if i % 2 else c
+
+    tail = s ** (m - 1)
+    suf = np.arange(tail).reshape(1, 1, -1)
+    # (a_0, a_1, S) -> (a_0 a_1, S): the product stays in M
+    x, y, z = first
+    hit = slot[y] >= 0
+    x, y, z, c = terms_of(x[hit], slot[y[hit]], z[hit], vv[hit])
+    terms = [(z * tail + suf, (x * s + y) * tail + suf, c)]
+    # (P, a_i, a_{i+1}, S) -> (P, a_i a_{i+1}, S) in S, sign (-1)^i, 0 < i < m
+    x, y, z, c = terms_of(*bar)
+    for i in range(1, m):
+        pre = np.arange(d * s ** (i - 1)).reshape(-1, 1, 1)
+        t = s ** (m - 1 - i)
+        mid = np.arange(t).reshape(1, 1, -1)
+        terms.append(((pre * s + z) * t + mid, ((pre * s + x) * s + y) * t + mid, signed(i, c)))
     # cyclic term: a_m a_0 x a_1 .. a_{m-1}, sign (-1)^m
     x, y, z = cyclic
-    mid = np.arange(d ** (m - 1)).reshape(1, 1, -1)
-    terms.append((z * d ** (m - 1) + mid, (y * d ** (m - 1) + mid) * d + x,
-                   neg_c if m % 2 else c))
+    hit = slot[x] >= 0
+    x, y, z, c = terms_of(slot[x[hit]], y[hit], z[hit], vv[hit])
+    terms.append((z * tail + suf, (y * tail + suf) * s + x, signed(m, c)))
+    cols_n = d * s**m
     flat = [[x.reshape(-1) for x in np.broadcast_arrays(*t)] for t in terms]
     rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
     key = rows * cols_n + cols
     order = np.argsort(key, kind="stable")
     key, vals = key[order], vals[order]
+    if not key.size:  # A = k: the normalized complex is 0 past degree 0
+        return key, key, vals
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     count = np.diff(np.r_[start, key.size])
     total = vals[start]
@@ -175,17 +247,40 @@ def _bar_coo(algebra: Algebra, m: int,
     return key // cols_n, key % cols_n, total[nonzero]
 
 
-def _boundary_map(algebra: Algebra, m: int):
+def _chain_dim(algebra: Algebra, m: int, normalized: bool = True) -> int:
+    """d (d - 1)^m coordinates of M x S^m, or d^(m+1) for the full complex."""
+    d = algebra.dim
+    return d * (d - 1 if normalized else d) ** m
+
+
+def _boundary_map(algebra: Algebra, m: int, normalized: bool = True):
     """b_m as (shape, coo)."""
-    d = algebra.dim
-    return (d**m, d ** (m + 1)), _bar_coo(algebra, m)
+    shape = (_chain_dim(algebra, m - 1, normalized), _chain_dim(algebra, m, normalized))
+    return shape, _bar_coo(algebra, m, normalized=normalized)
 
 
-def _coboundary_map(algebra: Algebra, m: int):
-    """delta_m as (shape, coo): b_{m+1} on DA x A^(m+1), transposed."""
-    d = algebra.dim
-    rows, cols, vals = _bar_coo(algebra, m + 1, dual=True)
-    return (d ** (m + 2), d ** (m + 1)), (cols, rows, vals)
+def _coboundary_map(algebra: Algebra, m: int, normalized: bool = True):
+    """delta_m as (shape, coo): b_{m+1} on DA x S^(m+1), transposed."""
+    rows, cols, vals = _bar_coo(algebra, m + 1, dual=True, normalized=normalized)
+    shape = (_chain_dim(algebra, m + 1, normalized), _chain_dim(algebra, m, normalized))
+    return shape, (cols, rows, vals)
+
+
+def _on_slots(fld: Field, rows: np.ndarray, d: int, m: int, q: np.ndarray) -> np.ndarray:
+    """Rows of M x S^m, (k, d a^m), with the (a, b) matrix q applied in each slot >= 1.
+
+    Returns (k, d b^m); one product per slot.  Each step converts the
+    last slot and moves it to the front of the slots, so after m steps
+    they are in order again.
+    """
+    a, b = q.shape
+    k = rows.shape[0]
+    x = rows.reshape(k * d, a**m)
+    for j in range(m):
+        rest = b**j * a ** (m - 1 - j)
+        x = fld.matmul(x.reshape(k * d * rest, a), q)
+        x = x.reshape(k * d, rest, b).swapaxes(1, 2).reshape(k * d, b * rest)
+    return x.reshape(k, d * b**m)
 
 
 def _dense(f: Field, shape: tuple[int, int], coo) -> Mat:
@@ -197,19 +292,19 @@ def _dense(f: Field, shape: tuple[int, int], coo) -> Mat:
 
 @memo(lambda a, m: a.dim**m * a.dim ** (m + 1), lambda a, m: f"boundary matrix b_{m}")
 def boundary_matrix(algebra: Algebra, m: int) -> Mat:
-    """Bar boundary b_m as a (d^m, d^(m+1)) matrix; m >= 1."""
+    """Bar boundary b_m of the full complex as a (d^m, d^(m+1)) matrix; m >= 1."""
     if m < 1:
         raise ValueError("boundary is defined for m >= 1")
-    return _dense(algebra.field, *_boundary_map(algebra, m))
+    return _dense(algebra.field, *_boundary_map(algebra, m, normalized=False))
 
 
 @memo(lambda a, m: a.dim ** (m + 2) * a.dim ** (m + 1),
       lambda a, m: f"coboundary matrix on degree {m}")
 def coboundary_matrix(algebra: Algebra, m: int) -> Mat:
-    """Hochschild coboundary on m-cochains, a (d^(m+2), d^(m+1)) matrix."""
+    """Hochschild coboundary on all m-cochains, a (d^(m+2), d^(m+1)) matrix."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _dense(algebra.field, *_coboundary_map(algebra, m))
+    return _dense(algebra.field, *_coboundary_map(algebra, m, normalized=False))
 
 
 class Cochain:
@@ -345,11 +440,15 @@ def coboundary(f: Cochain) -> Cochain:
 class HomologyBasis:
     """HH_m or HH^m with canonical class representatives.
 
-    reps rows are the cycle-space RREF rows whose leading columns do not
-    occur as leading columns of the boundary space; they represent a
-    basis of the quotient, and class coordinates of a cycle are read off
-    at those columns after reducing mod boundaries.  ``components``, when
-    set, labels each (co)chain coordinate with its component: every
+    cycles and boundaries are RREF row spaces in the coordinates of the
+    complex they were computed on: for hh_homology and hh_cohomology the
+    normalized one, d (d - 1)^m coordinates.  The representatives are
+    the cycle rows whose leading columns (rep_pivots) do not occur as
+    leading columns of the boundary space; they represent a basis of the
+    quotient.  ``reps`` holds them in the coordinates of A x A^m: chains
+    embedded at the kept coordinates, cochains expanded to d x d^m
+    matrices that vanish when an argument is the unit.  ``components``,
+    when set, labels each (co)chain coordinate with its component: every
     cycle and boundary row lies in the component of its pivot.
     """
 
@@ -367,18 +466,35 @@ class HomologyBasis:
         return self.reps.rows
 
     def class_coords(self, vec: np.ndarray) -> np.ndarray:
-        """Class coordinates of one (co)cycle vector, or a row of them per row of a (k, n) stack."""
-        f = self.algebra.field
+        """Class coordinates of one (co)cycle vector, or a row of them per row of a (k, n) stack.
+
+        Vectors are in the coordinates of A x A^m.  A chain is projected
+        to the normalized complex, so a cycle of the full complex gets
+        the class of its image; a cochain must vanish when an argument
+        is the unit, or DerinvError is raised.
+        """
+        f, d, m = self.algebra.field, self.algebra.dim, self.degree
         v = f.varr(vec)
         rows = v if v.ndim == 2 else v.reshape(1, -1)
-        if rows.shape[1] != self.cycles.ambient_dim:
+        if rows.shape[1] != d ** (m + 1):
             raise DimensionMismatch("vector has wrong chain degree")
+        kept, P, _ = _unit_split(self.algebra)
+        if self.kind == "homology":
+            rows = _on_slots(f, rows, d, m, P.T)
+        else:
+            full = rows
+            rows = rows.reshape(-1, d, d**m)[..., _slot_columns(kept, d, m)].reshape(
+                rows.shape[0], d * kept.size**m)
+            if not np.array_equal(_on_slots(f, rows, d, m, P), full):
+                raise DerinvError(f"cochain is not normalized in degree {m}: "
+                                  "it does not vanish when an argument is the unit")
         residue = rows
         if self.boundaries.dim:
             b = self.boundaries
             residue = f.vsub(rows, f.matmul(rows[:, b.pivots()], b.basis.data))
         coords = residue[:, list(self.rep_pivots)]
-        if not np.array_equal(residue, f.matmul(coords, self.reps.data)):
+        z = self.cycles.basis.data[np.searchsorted(self.cycles.pivots(), self.rep_pivots)]
+        if not np.array_equal(residue, f.matmul(coords, z)):
             word = "cycle" if self.kind == "homology" else "cocycle"
             raise DerinvError(f"vector is not a {word} in degree {self.degree}")
         return coords if v.ndim == 2 else coords[0]
@@ -393,6 +509,33 @@ class HomologyBasis:
 
     def cochains(self) -> list[Cochain]:
         return [self.cochain(i) for i in range(self.dim)]
+
+
+def _slot_columns(kept: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Flat indices in A^m of the basis tensors with every factor in kept, ascending."""
+    cols = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        cols = (cols[:, None] * d + kept[None, :]).reshape(-1)
+    return cols
+
+
+def _in_full_coordinates(hom: HomologyBasis) -> HomologyBasis:
+    """hom with its reps moved from the normalized complex to A x A^m.
+
+    Chains are embedded at the basis tensors with every factor past the
+    first in kept; cochains are expanded through P in every argument.
+    """
+    a, m = hom.algebra, hom.degree
+    f, d = a.field, a.dim
+    if hom.kind == "cohomology":
+        _, P, _ = _unit_split(a)
+        reps = _on_slots(f, hom.reps.data, d, m, P)
+    else:
+        kept, _, _ = _unit_split(a)
+        reps = np.zeros((hom.dim, d ** (m + 1)), dtype=CODE_DTYPE)
+        reps.reshape(hom.dim, d, d**m)[..., _slot_columns(kept, d, m)] = hom.reps.data.reshape(
+            hom.dim, d, kept.size**m)
+    return replace(hom, reps=Mat(f, reps))
 
 
 def _quotient_basis(algebra: Algebra, degree: int, kind: str,
@@ -459,11 +602,12 @@ def _parts(labels: np.ndarray, piv_z: np.ndarray, piv_b: np.ndarray):
 def _homology(algebra: Algebra, m: int, kind: str, out, into) -> HomologyBasis:
     """Kernel of the map out of degree m modulo the image of the map into it.
 
-    Each map is (shape, coo) of its nonzero entries, or None for zero.
-    Both are eliminated block by block, and their blocks, joined and
-    binned, label the coordinates for the B inside Z check.
+    Each map is (shape, coo) of its nonzero entries, or None for zero,
+    on the normalized complex.  Both are eliminated block by block, and
+    their blocks, joined and binned, label the coordinates for the B
+    inside Z check.
     """
-    f, n = algebra.field, algebra.dim ** (m + 1)
+    f, n = algebra.field, _chain_dim(algebra, m)
     # the components of out over its columns and of into over its rows,
     # each index labelled with an index of its block
     z_labels, b_labels = np.arange(n), np.arange(n)
@@ -475,19 +619,20 @@ def _homology(algebra: Algebra, m: int, kind: str, out, into) -> HomologyBasis:
         boundaries = Subspace.zero(f, n)
     else:
         boundaries = _block_image(f, *into, b_labels)
-    return _quotient_basis(algebra, m, kind, cycles, boundaries,
-                           _bin_labels(_join_labels(z_labels, b_labels)))
+    return _in_full_coordinates(_quotient_basis(
+        algebra, m, kind, cycles, boundaries, _bin_labels(_join_labels(z_labels, b_labels))))
 
 
-# the widest matrix either quotient touches has d^(2m+3) entries: b_{m+1},
-# or the coboundary on degree m
+# the widest matrix either quotient touches in the full complex has
+# d^(2m+3) entries: b_{m+1}, or the coboundary on degree m; the cap counts
+# these, not the d^2 (d-1)^(2m+1) of the normalized matrices
 def _hh_entries(a: Algebra, m: int) -> int:
     return a.dim ** (2 * m + 3)
 
 
 @memo(_hh_entries, lambda a, m: f"boundary matrix b_{m + 1}")
 def hh_homology(algebra: Algebra, m: int) -> HomologyBasis:
-    """HH_m as a quotient of the degree-m cycle space of the bar complex."""
+    """HH_m as a quotient of the degree-m cycle space of the normalized complex."""
     if m < 0:
         raise ValueError("m must be >= 0")
     out = _boundary_map(algebra, m) if m else None
@@ -499,7 +644,7 @@ def hh_homology(algebra: Algebra, m: int) -> HomologyBasis:
 
 @memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
 def hh_cohomology(algebra: Algebra, m: int) -> HomologyBasis:
-    """HH^m as a quotient of the degree-m cocycle space.
+    """HH^m as a quotient of the degree-m normalized cocycle space.
 
     With a symmetrizing form the (co)cycle spaces are transported from
     hh_homology(m); otherwise they come from the blocks of delta_m and
@@ -509,12 +654,12 @@ def hh_cohomology(algebra: Algebra, m: int) -> HomologyBasis:
         raise ValueError("m must be >= 0")
     if algebra.form is None:
         return _cohomology_from_dual(algebra, m)
-    # With Phi_m = G x I_{d^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
-    # cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
+    # With Phi_m = G x I_{(d-1)^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m,
+    # so cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
     hom = hh_homology(algebra, m)
     plan = _Transport(algebra.field, algebra.form.gram.inverse().data, hom.components)
-    return _quotient_basis(algebra, m, "cohomology", plan.perp(hom.boundaries),
-                           plan.perp(hom.cycles), plan.labels)
+    return _in_full_coordinates(_quotient_basis(
+        algebra, m, "cohomology", plan.perp(hom.boundaries), plan.perp(hom.cycles), plan.labels))
 
 
 def _cohomology_from_dual(algebra: Algebra, m: int) -> HomologyBasis:

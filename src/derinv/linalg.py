@@ -429,13 +429,15 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable sort of a nonempty keys array, as (order, bounds, pos).
+    """Stable sort of a keys array, as (order, bounds, pos).
 
     Run k of equal keys is order[bounds[k]:bounds[k + 1]], and pos[i] is
-    the place of item i within its run.
+    the place of item i within its run.  An empty array has no runs.
     """
     order = np.argsort(keys, kind="stable")
     k = keys[order]
+    if not k.size:
+        return order, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     bounds = np.flatnonzero(np.r_[True, k[1:] != k[:-1], True])
     pos = np.empty(keys.size, dtype=np.int64)
     pos[order] = np.arange(keys.size) - np.repeat(bounds[:-1], np.diff(bounds))

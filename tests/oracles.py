@@ -7,17 +7,23 @@ vectors, and homology dimensions for k[x]/(x^2) come from the small
 
 Two exceptions are former library paths, kept as the references for
 the code that replaced them: oracle_hh_homology is the dense elimination
-of the whole bar matrices, which the block-wise hh_homology replaced,
-and oracle_rref_generic and oracle_rref_gf2 are the per-pivot
-eliminations over every row, generic and bit-packed, which tall matrices
-no longer take.  oracle_bracket_kron and
-oracle_sigma_p_kron multiply the dense coderivation components, and
+of the whole bar matrices of the full complex, which the block-wise
+hh_homology on the normalized complex replaced, and oracle_rref_generic
+and oracle_rref_gf2 are the per-pivot eliminations over every row,
+generic and bit-packed, which tall matrices no longer take.
+oracle_bracket_kron and oracle_sigma_p_kron multiply the dense coderivation components, and
 oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
 and coboundary build neither.  oracle_coboundary_terms is that matrix
 added up from the terms of delta, which coboundary_matrix now reads off
 the bar boundary with DA coefficients, and oracle_hh_cohomology the
 dense elimination of it, which the block-wise hh_cohomology of an
-algebra without a form replaced.  oracle_boundaries_inside is the B inside Z
+algebra without a form replaced.  The two HH oracles are the full
+complex: their classes are compared with those of the normalized
+complex, not their representatives.  oracle_unit_projection is the
+projection A -> A/k1 entry by entry, oracle_projection_power its
+Kronecker powers, which give the projection of the full complex onto
+the normalized one, and oracle_normalized_cochain a cochain that
+vanishes on the unit.  oracle_boundaries_inside is the B inside Z
 check as one product over the whole degree, and oracle_transported_perp
 the transport of an annihilator to cochains as one dense elimination;
 hh_homology and hh_cohomology run both one component at a time.
@@ -463,6 +469,23 @@ def oracle_hh_cohomology(algebra, m: int):
     return _quotient_basis(algebra, m, "cohomology", cycles, boundaries)
 
 
+def oracle_full_class_coords(basis, rows: np.ndarray) -> np.ndarray:
+    """Class coordinates of (co)cycle rows in a basis of oracle_hh_homology or
+    oracle_hh_cohomology, whose spaces are in the coordinates of the full complex.
+
+    The residue modulo the boundary rows, read at the representatives'
+    pivots; raises AssertionError if the rows are not (co)cycles.
+    """
+    f = basis.algebra.field
+    rows = f.varr(rows).reshape(-1, basis.cycles.ambient_dim)
+    b = basis.boundaries
+    residue = f.vsub(rows, f.matmul(rows[:, b.pivots()], b.basis.data)) if b.dim else rows
+    coords = residue[:, list(basis.rep_pivots)]
+    if not np.array_equal(residue, f.matmul(coords, basis.reps.data)):
+        raise AssertionError("rows are not (co)cycles of the full complex")
+    return coords
+
+
 def oracle_boundaries_inside(field: Field, cycles: Subspace, boundaries: Subspace) -> bool:
     """B inside Z by one dense product over the whole degree.
 
@@ -484,6 +507,43 @@ def oracle_transported_perp(algebra, space: Subspace) -> Subspace:
     ginv = algebra.form.gram.inverse().data
     ann = _null_rows(f, space.basis.data, space.pivots(), space.ambient_dim)
     return Subspace.from_rows(f, Mat(f, _left_multiply(f, ginv, ann)))
+
+
+def oracle_unit_projection(algebra) -> np.ndarray:
+    """The projection A -> A/k1 as a (d - 1, d) matrix, one entry at a time.
+
+    i0 is the first coordinate where the unit u is nonzero, and A/k1 has
+    the basis of the images of e_j, j != i0; e_i0 = (u - sum_{j != i0} u_j e_j) / u_i0
+    maps to -sum_j (u_j / u_i0) e_j.
+    """
+    f, d = algebra.field, algebra.dim
+    u = [int(x) for x in algebra.unit]
+    i0 = next(i for i, x in enumerate(u) if x)
+    out = np.zeros((d - 1, d), dtype=CODE_DTYPE)
+    for r, j in enumerate(j for j in range(d) if j != i0):
+        out[r, j] = 1
+        out[r, i0] = f.neg(f.mul(u[j], f.inv(u[i0])))
+    return out
+
+
+def oracle_projection_power(algebra, n: int) -> np.ndarray:
+    """p^(x n): (A)^n -> (A/k1)^n, the n-th Kronecker power of oracle_unit_projection."""
+    f, q = algebra.field, oracle_unit_projection(algebra)
+    out = np.ones((1, 1), dtype=CODE_DTYPE)
+    for _ in range(n):
+        out = f.vmul(out[:, None, :, None], q[None, :, None, :]).reshape(
+            out.shape[0] * q.shape[0], out.shape[1] * q.shape[1])
+    return out
+
+
+def oracle_normalized_cochain(algebra, arity: int, codes: np.ndarray) -> Cochain:
+    """The cochain g o p^(x arity) of a d x (d - 1)^arity code matrix g on (A/k1)^arity.
+
+    It vanishes whenever an argument is the unit.
+    """
+    f = algebra.field
+    codes = f.varr(np.asarray(codes)).reshape(algebra.dim, (algebra.dim - 1) ** arity)
+    return Cochain(algebra, arity, Mat(f, f.matmul(codes, oracle_projection_power(algebra, arity))))
 
 
 def oracle_rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
@@ -639,8 +699,8 @@ def oracle_restricted_axioms_check(algebra, degrees) -> dict:
         ok = True
         for _ in range(10):
             i = int(rng.integers(0, len(reps)))
-            emat = rng.integers(0, fld.q, size=(algebra.dim, algebra.dim ** (m - 1)))
-            shift = coboundary(Cochain(algebra, m - 1, Mat(fld, emat.astype(CODE_DTYPE))))
+            emat = rng.integers(0, fld.q, size=(algebra.dim, (algebra.dim - 1) ** (m - 1)))
+            shift = coboundary(oracle_normalized_cochain(algebra, m - 1, emat))
             moved = sigma_p(reps[i] + shift)
             if not np.array_equal(_class_of(algebra, moved), power_class(i)):
                 ok = False

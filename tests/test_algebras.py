@@ -295,6 +295,32 @@ class TestElements:
             assert np.array_equal(got, _rows(lambda r: a.p_power(r, n), x))
             assert np.array_equal(got, a.power(x, p**n))
 
+    @pytest.mark.parametrize("fixture", ["s3_2", "c9_3", "dual4"])
+    def test_power_counts_products(self, request, fixture, monkeypatch):
+        # square and multiply from the lowest set bit: x^2 is one product,
+        # x^3 and x^4 two; the results equal x multiplied in one row at a
+        # time, n - 1 times
+        a = request.getfixturevalue(fixture)
+        f, p = a.field, a.field.p
+        x = f.varr(np.random.default_rng(23).integers(0, f.q, size=(4, a.dim)))
+        want = {0: np.broadcast_to(a.unit, x.shape)}
+        for n in range(1, p**3 + 1):
+            want[n] = _rows(lambda r, s: a.multiply(r, s), want[n - 1], x) if n > 1 else x
+        calls = []
+        real = type(a).multiply
+        monkeypatch.setattr(type(a), "multiply",
+                            lambda self, u, v: calls.append(1) or real(self, u, v))
+        for n in (2, 3, 4, p, p**2, p**3):
+            calls.clear()
+            got = a.power(x, n)
+            assert np.array_equal(got, want[n]), n
+            # one squaring per bit past the lowest, one product per further
+            # set bit: 1, 2 and 2 for n = 2, 3, 4
+            assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+        assert np.array_equal(a.power(x, 0), want[0])
+        one = a.power(x, 1)
+        assert np.array_equal(one, x) and one is not x
+
     def test_multiply_checks_lengths(self, c4):
         with pytest.raises(DimensionMismatch):
             c4.multiply(np.zeros(3, dtype=np.int8), c4.unit)

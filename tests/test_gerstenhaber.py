@@ -398,7 +398,8 @@ class TestSigmaP:
         assert out.arity == 3
 
     def test_class_stable_under_coboundary_shifts(self, dual2, trunc3_3, klein):
-        # (D_f + [d_A, D_E])^p has the class of sigma_p(f), 10 random E
+        # (D_f + [d_A, D_E])^p has the class of sigma_p(f), 10 random
+        # normalized E
         for a, m in [(dual2, 1), (dual2, 2), (trunc3_3, 1), (klein, 1)]:
             f = rand_cocycle(a, m, 22)
             out = sigma_p(f)
@@ -406,8 +407,8 @@ class TestSigmaP:
             want = coh.class_coords(out.flat())
             rng = np.random.default_rng(23)
             for _ in range(10):
-                codes = rng.integers(0, a.field.q, size=(a.dim, a.dim ** (m - 1)))
-                e = Cochain(a, m - 1, Mat(a.field, codes.astype(np.int8)))
+                codes = rng.integers(0, a.field.q, size=(a.dim, (a.dim - 1) ** (m - 1)))
+                e = oracles.oracle_normalized_cochain(a, m - 1, codes)
                 moved = sigma_p(f + coboundary(e))
                 assert np.array_equal(coh.class_coords(moved.flat()), want)
 
@@ -647,8 +648,9 @@ class TestWitnesses:
             rng.integers(1, 2), rng.integers(0, len(reps))
         for _ in range(10):
             i = int(rng.integers(0, len(reps)))
-            e = rng.integers(0, 2, size=(klein.dim, klein.dim)).astype(np.int8)
-            moved = sigma_p(reps[i] + coboundary(Cochain(klein, 1, Mat(klein.field, e)))).flat()
+            e = oracles.oracle_normalized_cochain(
+                klein, 1, rng.integers(0, 2, size=(klein.dim, klein.dim - 1)))
+            moved = sigma_p(reps[i] + coboundary(e)).flat()
             if moved.tobytes() not in powers:
                 break
         _perturb_class(monkeypatch, 3, moved)
