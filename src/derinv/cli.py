@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .algebras import (
     Algebra,
+    _check_cap,
     algebra_from_json,
     cyclic_table,
     klein_table,
@@ -39,8 +40,8 @@ from .algebras import (
 )
 from .errors import DerinvError, MalformedDocument, SizeCapExceeded
 from .fields import GF
-from .gerstenhaber import restricted_axioms_check
-from .hochschild import hh_cohomology, hh_homology
+from .gerstenhaber import _check_restricted_degree, restricted_axioms_check
+from .hochschild import _cohomology_what, _hh_entries, hh_cohomology, hh_dim
 from .higher import kappa_nm
 from .kulshammer import (
     kappa_n,
@@ -216,9 +217,14 @@ def cmd_hh(args) -> int:
     a = _load(args.file)
     doc = {"schema_version": SCHEMA_VERSION, "field": _field_doc(a), "m": args.m}
     if args.homology or not args.cohomology:
-        doc["dim_homology"] = hh_homology(a, args.m).dim
+        doc["dim_homology"] = hh_dim(a, args.m)
     if args.cohomology or not args.homology:
-        doc["dim_cohomology"] = hh_cohomology(a, args.m).dim
+        if a.form is None:
+            doc["dim_cohomology"] = hh_cohomology(a, args.m).dim
+        else:
+            # the form makes HH^m the dual of HH_m; the cap speaks of HH^m
+            _check_cap(_hh_entries(a, args.m), _cohomology_what(a, args.m))
+            doc["dim_cohomology"] = hh_dim(a, args.m)
     _emit(doc)
     return EXIT_OK
 
@@ -247,6 +253,7 @@ def cmd_kappam(args) -> int:
 def cmd_gerst(args) -> int:
     a = _load(args.file)
     deg = args.degree
+    _check_restricted_degree(deg)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "field": _field_doc(a),

@@ -384,6 +384,12 @@ def _record(entry: dict, key: str, ok: np.ndarray, witness) -> None:
     entry[key] = not bad.size
 
 
+def _check_restricted_degree(m: int) -> None:
+    """The restricted structure of HH^* lives in degrees >= 1; refuse any other."""
+    if m < 1:
+        raise ValueError("restricted structure lives in degrees >= 1")
+
+
 def restricted_axioms_check(algebra: Algebra, degrees) -> dict:
     """Verify the p-restricted Lie axioms on HH classes degree by degree.
 
@@ -414,8 +420,8 @@ def restricted_axioms_check(algebra: Algebra, degrees) -> dict:
     }
     failures = []
     for m in degrees:
-        if m < 1:
-            raise ValueError("restricted structure lives in degrees >= 1")
+        _check_restricted_degree(m)
+    for m in degrees:
         if p > 2 and m % 2 == 0:
             report["degrees"][m] = {"skipped": "even degree is outside the odd-p regime"}
             continue

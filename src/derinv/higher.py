@@ -44,6 +44,7 @@ from .hochschild import (
     HomologyBasis,
     _cup_powers,
     hh_cohomology,
+    hh_dim,
     hh_homology,
     pairing_gram,
     _pairing_matrix,
@@ -296,7 +297,7 @@ def verify_properties(algebra: Algebra, m: int, n: int, ell: int) -> dict:
             "powers_dim": powers.dim,
         }
 
-    coh_dim = hh_cohomology(algebra, m).dim
+    coh_dim = hh_dim(algebra, m)
     ok = kap.rank == coh_dim - t_space.dim
     report["dimension_formula"] = ok
     if not ok:

@@ -77,22 +77,37 @@ pivots times the cycle rows, and a row with entries outside its bin
 fails.  boundary_matrix and coboundary_matrix are the dense matrices of
 the full complex, from the same _bar_coo with c in every slot; nothing
 in the HH layer calls them, and tests/oracles.py eliminates them as
-the reference for HH.
+the reference for HH.  The image of each normalized b_m is eliminated
+once (_image) and serves hh_homology(m - 1) and hh_dim.
+
+Where only a dimension is read, hh_dim gives it from two ranks,
+
+    dim HH_m = d (d - 1)^m - rank bbar_m - rank bbar_{m+1},
+
+with no kernel and no class basis.  With a symmetrizing form it is also
+dim HH^m, since HH^m is then the dual of HH_m (Loday, Cyclic Homology,
+1.5).
 
 With a form, HH^m is read off hh_homology(m) instead, which is faster
 than the DA blocks.  With G the gram matrix and Phi_m = G x I_{(d-1)^m},
 delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
 
-    cocycles    = Phi_m^-1 (B_m)^perp,    coboundaries = Phi_m^-1 (Z_m)^perp
+    coboundaries = Phi_m^-1 (Z_m)^perp
 
-with Z_m, B_m the cycle and boundary spaces of hh_homology(m) and perp
-the annihilator under the dot product.  The annihilator of an RREF
-basis is read off its free columns without elimination.  Phi_m^-1 moves
-a chain coordinate a_0 x r only onto coordinates a x r, so the
-components of hh_homology(m) map to blocks of cochain coordinates,
-joined where their images meet.  HH^m costs one RREF of the moved
-annihilator rows per block and space, on top of the homology
-eliminations; the blocks label the cochains for the B inside Z check.
+with Z_m the cycle space of hh_homology(m) and perp the annihilator
+under the dot product.  The annihilator of an RREF basis is read off its
+free columns without elimination.  Phi_m^-1 moves a chain coordinate
+a_0 x r only onto coordinates a x r, so the components of
+hh_homology(m) map to blocks of cochain coordinates, joined where their
+images meet, and the coboundaries cost one RREF of the moved
+annihilator rows per block.  The classes are the dual basis of the
+HH_m classes (_dual_basis): at each rep pivot c of HH_m the null row n_c
+of the boundary RREF B_m annihilates B_m and pairs to 1 with the rep at
+c and to 0 with the others, so the h rows Phi_m^-1 n_c, reduced against
+the coboundaries and brought to RREF, are the canonical HH^m reps.  The
+cocycle RREF is the coboundary rows cleared at the rep pivots, merged
+with the reps by leading column; B inside Z holds by construction, and
+h rows of rank below h mean a degenerate pairing.
 
 The coboundary of one cochain needs no matrix of delta.  With mu the
 multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
@@ -599,28 +614,40 @@ def _parts(labels: np.ndarray, piv_z: np.ndarray, piv_b: np.ndarray):
                b_order[b_bounds[i]:b_bounds[i + 1]])
 
 
-def _homology(algebra: Algebra, m: int, kind: str, out, into) -> HomologyBasis:
-    """Kernel of the map out of degree m modulo the image of the map into it.
+def _labelled_image(f: Field, shape: tuple[int, int], coo) -> tuple[Subspace, np.ndarray]:
+    """Column space of a sparse map, and a label per row: the first row of its block."""
+    labels = np.arange(shape[0])
+    image = _block_image(f, shape, coo, labels)
+    labels.setflags(write=False)
+    return image, labels
 
-    Each map is (shape, coo) of its nonzero entries, or None for zero,
-    on the normalized complex.  Both are eliminated block by block, and
-    their blocks, joined and binned, label the coordinates for the B
-    inside Z check.
+
+def _homology(algebra: Algebra, m: int, kind: str, out, image) -> HomologyBasis:
+    """Kernel of the map out of degree m modulo image, the image of the map into it.
+
+    out is (shape, coo) of the nonzero entries of the outgoing map, or None
+    for zero, on the normalized complex; image is (space, labels) as from
+    _labelled_image.  out is eliminated block by block, and its blocks,
+    joined with those of image and binned, label the coordinates for the
+    B inside Z check.
     """
     f, n = algebra.field, _chain_dim(algebra, m)
-    # the components of out over its columns and of into over its rows,
-    # each index labelled with an index of its block
-    z_labels, b_labels = np.arange(n), np.arange(n)
+    # the components of out over its columns, each index labelled with an
+    # index of its block
+    z_labels = np.arange(n)
     if out is None:
         cycles = Subspace.full(f, n)
     else:
         cycles = Subspace(f, n, _block_kernel(f, *out, z_labels))
-    if into is None:
-        boundaries = Subspace.zero(f, n)
-    else:
-        boundaries = _block_image(f, *into, b_labels)
+    boundaries, b_labels = image
     return _in_full_coordinates(_quotient_basis(
         algebra, m, kind, cycles, boundaries, _bin_labels(_join_labels(z_labels, b_labels))))
+
+
+@memo(lambda a, m: a.dim ** (2 * m + 1), lambda a, m: f"boundary matrix b_{m}")
+def _image(algebra: Algebra, m: int) -> tuple[Subspace, np.ndarray]:
+    """The image of the normalized b_m, m >= 1, and the block label of each row."""
+    return _labelled_image(algebra.field, *_boundary_map(algebra, m))
 
 
 # the widest matrix either quotient touches in the full complex has
@@ -630,120 +657,173 @@ def _hh_entries(a: Algebra, m: int) -> int:
     return a.dim ** (2 * m + 3)
 
 
-@memo(_hh_entries, lambda a, m: f"boundary matrix b_{m + 1}")
+def _homology_what(a: Algebra, m: int) -> str:
+    return f"boundary matrix b_{m + 1}"
+
+
+def _cohomology_what(a: Algebra, m: int) -> str:
+    return f"coboundary matrix on degree {m}"
+
+
+@memo(_hh_entries, _homology_what)
 def hh_homology(algebra: Algebra, m: int) -> HomologyBasis:
     """HH_m as a quotient of the degree-m cycle space of the normalized complex."""
     if m < 0:
         raise ValueError("m must be >= 0")
     out = _boundary_map(algebra, m) if m else None
-    hom = _homology(algebra, m, "homology", out, _boundary_map(algebra, m + 1))
+    hom = _homology(algebra, m, "homology", out, _image(algebra, m + 1))
     if m == 0 and hom.boundaries != algebra.commutator_space():
         raise InvariantViolation("image of b_1 differs from the commutator space")
     return hom
 
 
-@memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
+@memo(_hh_entries, _homology_what)
+def hh_dim(algebra: Algebra, m: int) -> int:
+    """dim HH_m = d (d - 1)^m - rank bbar_m - rank bbar_{m+1}; also dim HH^m with a form.
+
+    Only the images of the two boundary maps are eliminated: no kernel,
+    no class basis.  The cap and its message are those of hh_homology.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    into = _image(algebra, m)[0].dim if m else 0
+    return _chain_dim(algebra, m) - into - _image(algebra, m + 1)[0].dim
+
+
+@memo(_hh_entries, _cohomology_what)
 def hh_cohomology(algebra: Algebra, m: int) -> HomologyBasis:
     """HH^m as a quotient of the degree-m normalized cocycle space.
 
-    With a symmetrizing form the (co)cycle spaces are transported from
-    hh_homology(m); otherwise they come from the blocks of delta_m and
-    delta_{m-1}.
+    With a symmetrizing form the coboundaries are transported from
+    hh_homology(m) and the classes are its dual basis; otherwise both
+    spaces come from the blocks of delta_m and delta_{m-1}.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if algebra.form is None:
         return _cohomology_from_dual(algebra, m)
     # With Phi_m = G x I_{(d-1)^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m,
-    # so cocycles = Phi_m^-1 (B_m)^perp and coboundaries = Phi_m^-1 (Z_m)^perp.
+    # so coboundaries = Phi_m^-1 (Z_m)^perp.
     hom = hh_homology(algebra, m)
-    plan = _Transport(algebra.field, algebra.form.gram.inverse().data, hom.components)
-    return _in_full_coordinates(_quotient_basis(
-        algebra, m, "cohomology", plan.perp(hom.boundaries), plan.perp(hom.cycles), plan.labels))
+    ginv = algebra.form.gram.inverse().data
+    coboundaries, blocks = _transported_perp(algebra.field, ginv, hom.components, hom.cycles)
+    return _in_full_coordinates(_dual_basis(algebra, hom, ginv, coboundaries, blocks))
+
+
+def _dual_basis(algebra: Algebra, hom: HomologyBasis, ginv: np.ndarray,
+                coboundaries: Subspace, labels: np.ndarray) -> HomologyBasis:
+    """HH^m from the coboundaries and the canonical HH_m classes, with no B inside Z check.
+
+    For each rep pivot c of HH_m, n_c = e_c - sum_i B_m[i, c] e_(piv_b(i))
+    is the null row of the boundary RREF at c: it annihilates B_m and
+    pairs to 1 with the rep at c and to 0 with the other reps.  So the
+    rows Phi_m^-1 n_c are cocycles, independent modulo the coboundaries
+    B^m.  Reduced against B^m and brought to RREF among themselves they
+    are the canonical reps: their leading columns are off B^m's pivots,
+    and they are zero at every other pivot.  The cocycle RREF is then
+    B^m cleared at the rep pivots, merged with the reps by leading
+    column.  Rank below h means the pairing is degenerate.
+    """
+    f, m = algebra.field, hom.degree
+    n = hom.cycles.ambient_dim
+    h = len(hom.rep_pivots)
+    c = np.array(hom.rep_pivots, dtype=np.int64)
+    b, piv_b = hom.boundaries.basis.data, hom.boundaries.pivots()
+    rows = np.zeros((h, n), dtype=CODE_DTYPE)
+    rows[np.arange(h), c] = 1
+    rows[:, piv_b] = f.vneg(b[:, c]).T
+    rows = _left_multiply(f, ginv, rows)
+    cob, piv_cob = coboundaries.basis.data, coboundaries.pivots()
+    if cob.shape[0]:
+        rows = f.vsub(rows, f.matmul(rows[:, piv_cob], cob))
+    reps, rank, piv = _rref_array(f, rows)
+    if rank < h:
+        raise InvariantViolation(f"degree {m} pairing is degenerate: "
+                                 f"{h} homology classes pair with {rank} cocycle classes")
+    piv = np.array(piv, dtype=np.int64)
+    if h and cob.shape[0]:
+        cob = f.vsub(cob, f.matmul(cob[:, piv], reps))
+    order = np.argsort(np.concatenate([piv_cob, piv]))
+    cocycles = Subspace(f, n, Mat(f, np.concatenate([cob, reps])[order]))
+    return HomologyBasis(algebra, m, "cohomology", cocycles, coboundaries,
+                         tuple(int(x) for x in piv), Mat(f, reps), labels)
 
 
 def _cohomology_from_dual(algebra: Algebra, m: int) -> HomologyBasis:
-    into = _coboundary_map(algebra, m - 1) if m else None
-    return _homology(algebra, m, "cohomology", _coboundary_map(algebra, m), into)
+    f = algebra.field
+    if m:
+        image = _labelled_image(f, *_coboundary_map(algebra, m - 1))
+    else:
+        image = Subspace.zero(f, _chain_dim(algebra, 0)), np.arange(_chain_dim(algebra, 0))
+    return _homology(algebra, m, "cohomology", _coboundary_map(algebra, m), image)
 
 
-class _Transport:
-    """Phi_m^-1 (S)^perp for spaces S in the components of hh_homology(m).
+def _transported_perp(f: Field, ginv: np.ndarray, labels: np.ndarray,
+                      space: Subspace) -> tuple[Subspace, np.ndarray]:
+    """Phi_m^-1 (S)^perp for a space S in the components of hh_homology(m), and its blocks.
 
-    Phi_m^-1 = G^-1 x I moves the chain coordinate a_0 x r onto the
-    cochain coordinates a x r with G^-1[a, a_0] != 0.  Components of the
-    chains whose images meet form one block on the cochain side, and
-    ``labels`` names it for each cochain coordinate.  The annihilator of
-    S is the sum of those of its components, each read off its RREF, so
-    a block costs one elimination of its components' moved annihilator
-    rows.  The moves are scatters, one per multiplicity of a target.
+    labels are the components of hh_homology(m).  Phi_m^-1 = G^-1 x I
+    moves the chain coordinate a_0 x r onto the cochain coordinates a x r
+    with G^-1[a, a_0] != 0.  Components of the chains whose images meet
+    form one block on the cochain side; the second result names it for
+    each cochain coordinate.  The annihilator of S is the sum of those of
+    its components, each read off its RREF, so a block costs one
+    elimination of its components' moved annihilator rows.  The moves are
+    scatters, one per multiplicity of a target.
     """
-
-    def __init__(self, f: Field, ginv: np.ndarray, labels: np.ndarray):
-        self.f = f
-        n, d = labels.size, ginv.shape[0]
-        rest = n // d
-        order, bounds, _ = _runs(labels)
-        count = bounds.size - 1
-        self.comp = np.empty(n, dtype=np.int64)
-        self.comp[order] = np.repeat(np.arange(count), np.diff(bounds))
-        # node n + k is chain component k, node a * rest + r a cochain coordinate
-        a, a0 = np.nonzero(ginv)
-        r = np.arange(rest)
-        joint = _components(n + count, np.concatenate([n + self.comp[x * rest + r] for x in a0]),
-                            np.concatenate([x * rest + r for x in a]))
-        self.labels = joint[:n]
-        b_order, b_bounds, _ = _runs(self.labels)
-        block_cols = {int(self.labels[b_order[b_bounds[i]]]): b_order[b_bounds[i]:b_bounds[i + 1]]
-                      for i in range(b_bounds.size - 1)}
-        # per block: its cochain columns and, per member component, the
-        # chain columns, and the source, target and coefficient of each move
-        self.blocks: dict[int, tuple[np.ndarray, list]] = {}
-        for k in range(count):
-            cols = order[bounds[k]:bounds[k + 1]]
-            a0, r = np.divmod(cols, rest)
-            to, src = np.nonzero(ginv[:, a0])
-            key = int(joint[n + k])
-            block = self.blocks.setdefault(key, (block_cols[key], []))
-            pos = np.searchsorted(block[0], to * rest + r[src])
-            block[1].append((k, cols, src, pos, ginv[to, a0[src]], _runs(pos)[2]))
-
-    def perp(self, space: Subspace) -> Subspace:
-        f = self.f
-        basis, piv = space.basis.data, space.pivots()
-        rows_of = {}
-        if piv.size:
-            order, bounds, _ = _runs(self.comp[piv])
-            for j in range(bounds.size - 1):
-                rows = order[bounds[j]:bounds[j + 1]]
-                rows_of[int(self.comp[piv[rows[0]]])] = rows
-        parts = []
-        for cols_b, members in self.blocks.values():
-            anns = []
-            for k, cols, src, pos, coef, layer in members:
-                rows = rows_of.get(k)
-                if rows is None:
-                    ann = np.eye(cols.size, dtype=CODE_DTYPE)
-                else:
-                    local = np.searchsorted(cols, piv[rows])
-                    ann = _null_rows(f, basis[np.ix_(rows, cols)], local, cols.size)
-                if ann.shape[0]:
-                    anns.append((ann, src, pos, coef, layer))
-            if not anns:
-                continue
-            block = np.zeros((sum(x[0].shape[0] for x in anns), cols_b.size), dtype=CODE_DTYPE)
-            start = 0
-            for ann, src, pos, coef, layer in anns:
-                rows = slice(start, start + ann.shape[0])
-                for depth in range(int(layer.max()) + 1):
-                    hit = layer == depth
-                    term = f.vmul(coef[hit], ann[:, src[hit]])
-                    block[rows, pos[hit]] = f.vadd(block[rows, pos[hit]], term) if depth else term
-                start += ann.shape[0]
-            R, rank, _ = _rref_array(f, block)
-            parts.append((cols_b, R[:rank]))
-        n = self.labels.size
-        return Subspace(f, n, Mat(f, _embed_rref(n, parts)))
+    n, d = labels.size, ginv.shape[0]
+    rest = n // d
+    order, bounds, _ = _runs(labels)
+    count = bounds.size - 1
+    comp = np.empty(n, dtype=np.int64)
+    comp[order] = np.repeat(np.arange(count), np.diff(bounds))
+    # node n + k is chain component k, node a * rest + r a cochain coordinate
+    a, a0 = np.nonzero(ginv)
+    r = np.arange(rest)
+    joint = _components(n + count, np.concatenate([n + comp[x * rest + r] for x in a0]),
+                        np.concatenate([x * rest + r for x in a]))
+    blocks = joint[:n]
+    basis, piv = space.basis.data, space.pivots()
+    p_order, p_bounds, _ = _runs(comp[piv])
+    rows_of = {int(comp[piv[p_order[p_bounds[j]]]]): p_order[p_bounds[j]:p_bounds[j + 1]]
+               for j in range(p_bounds.size - 1)}
+    # per block: the annihilator rows of its member components, and the
+    # source, cochain target and coefficient of each move
+    moved: dict[int, list] = {}
+    for k in range(count):
+        cols = order[bounds[k]:bounds[k + 1]]
+        rows = rows_of.get(k)
+        if rows is None:
+            ann = np.eye(cols.size, dtype=CODE_DTYPE)
+        else:
+            local = np.searchsorted(cols, piv[rows])
+            ann = _null_rows(f, basis[np.ix_(rows, cols)], local, cols.size)
+        if ann.shape[0]:
+            c0, cr = np.divmod(cols, rest)
+            to, src = np.nonzero(ginv[:, c0])
+            moved.setdefault(int(joint[n + k]), []).append(
+                (ann, src, to * rest + cr[src], ginv[to, c0[src]]))
+    b_order, b_bounds, _ = _runs(blocks)
+    parts = []
+    for i in range(b_bounds.size - 1):
+        cols_b = b_order[b_bounds[i]:b_bounds[i + 1]]
+        anns = moved.get(int(blocks[cols_b[0]]))
+        if not anns:
+            continue
+        block = np.zeros((sum(x[0].shape[0] for x in anns), cols_b.size), dtype=CODE_DTYPE)
+        start = 0
+        for ann, src, target, coef in anns:
+            rows = slice(start, start + ann.shape[0])
+            pos = np.searchsorted(cols_b, target)
+            layer = _runs(pos)[2]
+            for depth in range(int(layer.max()) + 1):
+                hit = layer == depth
+                term = f.vmul(coef[hit], ann[:, src[hit]])
+                block[rows, pos[hit]] = f.vadd(block[rows, pos[hit]], term) if depth else term
+            start += ann.shape[0]
+        R, rank, _ = _rref_array(f, block)
+        parts.append((cols_b, R[:rank]))
+    return Subspace(f, n, Mat(f, _embed_rref(n, parts))), blocks
 
 
 def _left_multiply(f: Field, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -778,7 +858,7 @@ def pairing(f: Cochain, chain: np.ndarray) -> int:
     return fld.vdot(chain, weights)
 
 
-@memo(_hh_entries, lambda a, m: f"coboundary matrix on degree {m}")
+@memo(_hh_entries, _cohomology_what)
 def pairing_gram(algebra: Algebra, m: int) -> Mat:
     """Gram matrix of the HH^m x HH_m pairing on canonical representatives.
 

@@ -42,8 +42,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .fields import is_json_int
-from .gerstenhaber import _brackets, _power_coefficients, _slices
-from .hochschild import HomologyBasis, hh_cohomology, hh_homology
+from .gerstenhaber import _brackets, _check_restricted_degree, _power_coefficients, _slices
+from .hochschild import HomologyBasis, hh_cohomology, hh_dim
 from .higher import kappa_nm
 from .kulshammer import (
     kappa_kernel,
@@ -121,8 +121,9 @@ def sigma_class_rank(algebra: Algebra, m: int):
 
     It is the rank of the classes of the coefficients of sigma_p(sum_i
     c_i f_i) as a polynomial in c, over the basis classes f_i
-    (gerstenhaber._power_coefficients).
+    (gerstenhaber._power_coefficients).  m >= 1.
     """
+    _check_restricted_degree(m)
     d = algebra.dim
     coh = hh_cohomology(algebra, m)
     target = hh_cohomology(algebra, algebra.field.p * (m - 1) + 1)
@@ -144,6 +145,8 @@ def derived_hh1_dim(algebra: Algebra) -> int:
 
 def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -> InvariantSignature:
     config = config or SignatureConfig()
+    for deg in config.gerstenhaber_degrees:
+        _check_restricted_degree(deg)
     form = algebra.require_form()
     f = algebra.field
     entries: dict = {}
@@ -172,22 +175,20 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
         prev_perp = perp
     entries["stabilization_index"] = stabilization_index(algebra)
 
+    # the form makes HH^m the dual of HH_m, so both entries are one rank count
     for m in range(config.m_max + 1):
         try:
-            entries[f"dim_hh_homology_{m}"] = hh_homology(algebra, m).dim
+            dim = hh_dim(algebra, m)
         except SizeCapExceeded:
-            entries[f"dim_hh_homology_{m}"] = SKIPPED_CAP
-        try:
-            entries[f"dim_hh_cohomology_{m}"] = hh_cohomology(algebra, m).dim
-        except SizeCapExceeded:
-            entries[f"dim_hh_cohomology_{m}"] = SKIPPED_CAP
+            dim = SKIPPED_CAP
+        entries[f"dim_hh_homology_{m}"] = entries[f"dim_hh_cohomology_{m}"] = dim
 
     for m, n in config.resolved_pairs(f.p):
         keys = (f"dim_im_kappa_m{m}_n{n}", f"dim_t_m{m}_n{n}", f"dim_ker_kappa_m{m}_n{n}")
         try:
             kap = kappa_nm(algebra, m, n)
             t_dim = kap.t_space().dim
-            coh_dim = hh_cohomology(algebra, m).dim
+            coh_dim = hh_dim(algebra, m)
             # T comes from the same pairing matrix L as kappa, so this is
             # rank-nullity for L; verify_properties checks T independently
             if kap.rank != coh_dim - t_dim:

@@ -260,6 +260,15 @@ class TestDegreeCommands:
         assert captured.err == ("error: coboundary matrix on degree 4 needs 4194304 entries,"
                                 " cap is 1048576\n")
 
+    @pytest.mark.parametrize("fixture", ["c4", "trunc3_3"])
+    def test_gerst_degree_zero_exit_2(self, capsys, tmp_path, request, fixture):
+        path = tmp_path / "a.json"
+        save_algebra(request.getfixturevalue(fixture), path)
+        code = cli.main(["gerst", str(path), "--degree", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: restricted structure lives in degrees >= 1\n"
+
     def test_gerst_parity_marker(self, capsys, tmp_path, trunc3_3):
         path = tmp_path / "t3.json"
         save_algebra(trunc3_3, path)

@@ -2,6 +2,7 @@
 
 import importlib
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from derinv.hochschild import (
     cup,
     cup_power,
     hh_cohomology,
+    hh_dim,
     hh_homology,
     multiplication_cochain,
     pairing,
@@ -45,6 +47,7 @@ from derinv.hochschild import (
 )
 from derinv.kulshammer import quotient_mod_ka
 from derinv.linalg import Mat, Subspace
+from derinv.signature import compute_signature
 
 import oracles
 
@@ -611,9 +614,9 @@ def test_normalized_complex_is_a_quotient_of_the_bar_complex(chain_map_corpus, s
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_normalized_dimensions_match_full_complex(chain_map_corpus, seed):
     """Every HH_m and HH^m within the cap that a default signature reads
-    (m <= 4) has the dimension of the dense full complex on the perfbench
-    corpus, and every HH^m representative is a cocycle that vanishes when
-    an argument is the unit."""
+    (m <= 4), and hh_dim(m), has the dimension of the dense full complex
+    on the perfbench corpus, and every HH^m representative is a cocycle
+    that vanishes when an argument is the unit."""
     cap = resolve_size_cap()
     for name, a in chain_map_corpus.items():
         if not name.startswith("corpus_"):
@@ -623,10 +626,76 @@ def test_normalized_dimensions_match_full_complex(chain_map_corpus, seed):
             if a.dim ** (2 * m + 3) > cap:
                 break
             coh = hh_cohomology(a, m)
-            assert hh_homology(a, m).dim == oracles.oracle_hh_homology(a, m).dim, (name, m)
-            assert coh.dim == oracles.oracle_hh_cohomology(a, m).dim, (name, m)
+            dense = oracles.oracle_hh_homology(a, m).dim
+            assert hh_homology(a, m).dim == hh_dim(a, m) == dense, (name, m)
+            assert coh.dim == hh_dim(a, m) == oracles.oracle_hh_cohomology(a, m).dim, (name, m)
             assert all(f.is_cocycle() for f in coh.cochains()), (name, m)
             _assert_vanish_on_unit(a, m, coh.reps.data)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_hh_dim_matches_bases_and_dense_oracle(chain_map_corpus, seed):
+    """hh_dim(m), from two ranks, equals hh_homology(m).dim, hh_cohomology(m).dim
+    with a form, and the dense full complex's HH_m, for every algebra
+    fixture and m <= 4 within the cap.
+
+    The perfbench corpus algebras, and the fixtures equal to one of
+    them, are checked in test_normalized_dimensions_match_full_complex.
+    """
+    cap = resolve_size_cap()
+
+    def key(a):
+        return a.field.p, a.field.e, a.mult_tensor.tobytes(), a.unit.tobytes()
+
+    seen = {key(a) for name, a in chain_map_corpus.items() if name.startswith("corpus_")}
+    for name, a in chain_map_corpus.items():
+        if key(a) in seen:
+            continue
+        seen.add(key(a))
+        a = algebra_from_json(algebra_to_json(a if seed is None else _moved(a, seed)))
+        for m in range(5):
+            if a.dim ** (2 * m + 3) > cap:
+                break
+            dim = hh_dim(a, m)
+            assert dim == hh_homology(a, m).dim, (name, m)
+            if a.form is not None:
+                assert dim == hh_cohomology(a, m).dim, (name, m)
+            assert dim == oracles.oracle_hh_homology(a, m).dim, (name, m)
+
+
+def test_hh_dim_keeps_the_cap_of_hh_homology(c8, set_cap):
+    # the same refusal as hh_homology, on a cold cache and a warm one
+    a = algebra_from_json(algebra_to_json(c8))
+    set_cap(8**7)
+    assert hh_dim(a, 2) == hh_homology(a, 2).dim == 8
+    for _ in range(2):
+        for fn in (hh_dim, hh_homology):
+            with pytest.raises(SizeCapExceeded, match=r"^boundary matrix b_4 needs 134217728 "):
+                fn(a, 3)
+        set_cap(None)
+        assert hh_dim(a, 3) == 8
+        set_cap(8**7)
+
+
+def test_signature_builds_no_class_basis_it_does_not_read(trunc4_3):
+    # for odd p no default signature entry reads a basis of HH_2, HH^2,
+    # HH_3 or HH^3: their dimensions are ranks of the boundary images
+    a = _moved(trunc4_3, 1)
+    sig = compute_signature(a)
+    assert sig.entries["dim_hh_homology_3"] == sig.entries["dim_hh_cohomology_3"] == 3
+    built = {k for k in a._cache if k[0] in ("hh_homology", "hh_cohomology") and k[1] in (2, 3)}
+    assert not built
+
+
+def test_form_cohomology_refuses_a_degenerate_pairing(trunc4_3):
+    # a homology basis whose cycles are only its boundaries: every class
+    # pairs to zero with every cocycle, and the transport must say so
+    a = algebra_from_json(algebra_to_json(trunc4_3))
+    hom = hh_homology(a, 1)
+    assert hom.dim
+    a._cache[("hh_homology", 1)] = replace(hom, cycles=hom.boundaries)
+    with pytest.raises(InvariantViolation, match="degree 1 pairing is degenerate"):
+        hh_cohomology(a, 1)
 
 
 def test_quotient_checks_free_columns_of_boundaries(trunc3_3):

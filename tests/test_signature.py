@@ -160,6 +160,22 @@ class TestGerstenhaberBlock:
         assert e["sigma_rank_deg_2"] == SKIPPED_PARITY
 
 
+    @pytest.mark.parametrize("fixture", ["dual2", "trunc3_3"])
+    @pytest.mark.parametrize("deg", [0, -1])
+    def test_sigma_degree_below_one_is_refused(self, request, fixture, deg, set_cap):
+        # refused before the parity rule, the cap and any HH fetch, in
+        # either characteristic: degree 0 once read HH^(1-p), or was
+        # marked as a parity skip for odd p
+        a = algebra_from_json(algebra_to_json(request.getfixturevalue(fixture)))
+        set_cap(1)
+        text = "restricted structure lives in degrees >= 1"
+        with pytest.raises(ValueError, match=text):
+            sigma_class_rank(a, deg)
+        with pytest.raises(ValueError, match=text):
+            compute_signature(a, SignatureConfig(gerstenhaber_degrees=(1, deg)))
+        assert not a._cache
+
+
 FIXTURES = ["k2", "dual2", "trunc4_2", "c2", "c4", "c8", "klein", "uv", "s3_2", "m2k",
             "c3_3", "c9_3", "trunc3_3", "dual4", "trunc4_3", "dual3"]
 EXTRA = ["gf3_x3_moved", "gf3_upper", "gf5_x2", "gf9_x2"]
