@@ -213,18 +213,22 @@ def cmd_kappa(args) -> int:
     return EXIT_OK
 
 
+def _dim_hh_cohomology(a: Algebra, m: int) -> int:
+    """dim HH^m with no class basis where a form makes HH^m the dual of HH_m."""
+    if a.form is None:
+        return hh_cohomology(a, m).dim
+    # the refusal names the matrix of HH^m, not the b_{m+1} of hh_dim
+    _check_cap(_hh_entries(a, m), _cohomology_what(a, m))
+    return hh_dim(a, m)
+
+
 def cmd_hh(args) -> int:
     a = _load(args.file)
     doc = {"schema_version": SCHEMA_VERSION, "field": _field_doc(a), "m": args.m}
     if args.homology or not args.cohomology:
         doc["dim_homology"] = hh_dim(a, args.m)
     if args.cohomology or not args.homology:
-        if a.form is None:
-            doc["dim_cohomology"] = hh_cohomology(a, args.m).dim
-        else:
-            # the form makes HH^m the dual of HH_m; the cap speaks of HH^m
-            _check_cap(_hh_entries(a, args.m), _cohomology_what(a, args.m))
-            doc["dim_cohomology"] = hh_dim(a, args.m)
+        doc["dim_cohomology"] = _dim_hh_cohomology(a, args.m)
     _emit(doc)
     return EXIT_OK
 
@@ -254,15 +258,13 @@ def cmd_gerst(args) -> int:
     a = _load(args.file)
     deg = args.degree
     _check_restricted_degree(deg)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "field": _field_doc(a),
-        "degree": deg,
-        "dim_hh": hh_cohomology(a, deg).dim,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "field": _field_doc(a), "degree": deg}
+    # sigma_p reads the class basis of HH^deg; the parity marker reads no class
     if a.field.p > 2 and deg % 2 == 0:
+        doc["dim_hh"] = _dim_hh_cohomology(a, deg)
         doc["sigma_rank"] = SKIPPED_PARITY
     else:
+        doc["dim_hh"] = hh_cohomology(a, deg).dim
         doc["sigma_rank"] = sigma_class_rank(a, deg)
     if deg == 1:
         doc["dim_derived_hh1"] = derived_hh1_dim(a)

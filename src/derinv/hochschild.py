@@ -59,26 +59,26 @@ it could not class without a homotopy.
 No dense bar matrix is built on the way to HH.  _bar_coo gives the
 nonzero entries of b_m, on A or on DA, as index arrays: each term of b
 places c[u, v, w] or cbar[u, v, w] at index arrays broadcast over the
-untouched tensor factors.  _homology, which serves hh_homology and the
-HH^m of an algebra without a form, takes the kernel of the map out of
-degree m (b_m, or delta_m) and the image of the map into it (b_{m+1},
-or delta_{m-1}), and eliminates each connected component of their
-support graphs on its own.  For a group algebra the components of b
-follow the conjugacy class of the cyclic product g_0 .. g_m
-(Burghelea's splitting of HH_*(kG)); for k[x]/(x^n) they follow the
-total degree.  Column supports of the blocks are disjoint, so their RREF
-rows sorted by leading column are the global RREF, and the class
-representatives are those of the dense matrices.  The components of the
-outgoing map over its columns and of the incoming one over its rows,
-joined, hold every cycle and boundary row of degree m; consecutive small
-ones share a bin of about 512 coordinates.  _quotient_basis checks B
-inside Z bin by bin: each boundary row must be its entries at the cycle
-pivots times the cycle rows, and a row with entries outside its bin
-fails.  boundary_matrix and coboundary_matrix are the dense matrices of
-the full complex, from the same _bar_coo with c in every slot; nothing
-in the HH layer calls them, and tests/oracles.py eliminates them as
-the reference for HH.  The image of each normalized b_m is eliminated
-once (_image) and serves hh_homology(m - 1) and hh_dim.
+untouched tensor factors.  _homology, which serves hh_homology and
+hh_cohomology, takes the kernel of the map out of degree m (b_m, or
+delta_m) and the image of the map into it (b_{m+1}, or delta_{m-1}),
+and eliminates each connected component of their support graphs on its
+own.  For a group algebra the components of b follow the conjugacy
+class of the cyclic product g_0 .. g_m (Burghelea's splitting of
+HH_*(kG)); for k[x]/(x^n) they follow the total degree.  Column
+supports of the blocks are disjoint, so their RREF rows sorted by
+leading column are the global RREF, and the class representatives are
+those of the dense matrices.  The components of the outgoing map over
+its columns and of the incoming one over its rows, joined, hold every
+cycle and boundary row of degree m; consecutive small ones share a bin
+of about 512 coordinates.  _quotient_basis checks B inside Z bin by
+bin: each boundary row must be its entries at the cycle pivots times
+the cycle rows, and a row with entries outside its bin fails.
+boundary_matrix and coboundary_matrix are the dense matrices of the
+full complex, from the same _bar_coo with c in every slot; nothing in
+the HH layer calls them, and tests/oracles.py eliminates them as the
+reference for HH.  The image of each normalized b_m is eliminated once
+(_image) and serves hh_homology(m - 1) and hh_dim.
 
 Where only a dimension is read, hh_dim gives it from two ranks,
 
@@ -88,26 +88,9 @@ with no kernel and no class basis.  With a symmetrizing form it is also
 dim HH^m, since HH^m is then the dual of HH_m (Loday, Cyclic Homology,
 1.5).
 
-With a form, HH^m is read off hh_homology(m) instead, which is faster
-than the DA blocks.  With G the gram matrix and Phi_m = G x I_{(d-1)^m},
-delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m, so
-
-    coboundaries = Phi_m^-1 (Z_m)^perp
-
-with Z_m the cycle space of hh_homology(m) and perp the annihilator
-under the dot product.  The annihilator of an RREF basis is read off its
-free columns without elimination.  Phi_m^-1 moves a chain coordinate
-a_0 x r only onto coordinates a x r, so the components of
-hh_homology(m) map to blocks of cochain coordinates, joined where their
-images meet, and the coboundaries cost one RREF of the moved
-annihilator rows per block.  The classes are the dual basis of the
-HH_m classes (_dual_basis): at each rep pivot c of HH_m the null row n_c
-of the boundary RREF B_m annihilates B_m and pairs to 1 with the rep at
-c and to 0 with the others, so the h rows Phi_m^-1 n_c, reduced against
-the coboundaries and brought to RREF, are the canonical HH^m reps.  The
-cocycle RREF is the coboundary rows cleared at the rep pivots, merged
-with the reps by leading column; B inside Z holds by construction, and
-h rows of rank below h mean a degenerate pairing.
+HH^m takes the blocks of delta for every algebra, with a form or
+without; pairing_gram then checks that the pairing of its classes with
+those of HH_m is perfect.
 
 The coboundary of one cochain needs no matrix of delta.  With mu the
 multiplication cochain and o Gerstenhaber's circle product (_pre_lie),
@@ -136,7 +119,7 @@ product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,11 +144,7 @@ from .linalg import (
     _bin_labels,
     _block_image,
     _block_kernel,
-    _components,
-    _embed_rref,
     _join_labels,
-    _null_rows,
-    _rref_array,
     _runs,
 )
 
@@ -462,9 +441,7 @@ class HomologyBasis:
     leading columns of the boundary space; they represent a basis of the
     quotient.  ``reps`` holds them in the coordinates of A x A^m: chains
     embedded at the kept coordinates, cochains expanded to d x d^m
-    matrices that vanish when an argument is the unit.  ``components``,
-    when set, labels each (co)chain coordinate with its component: every
-    cycle and boundary row lies in the component of its pivot.
+    matrices that vanish when an argument is the unit.
     """
 
     algebra: Algebra = WeakAlgebra()
@@ -474,7 +451,6 @@ class HomologyBasis:
     boundaries: Subspace
     rep_pivots: tuple[int, ...]
     reps: Mat
-    components: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -582,7 +558,7 @@ def _quotient_basis(algebra: Algebra, degree: int, kind: str,
     keep = [i for i, c in enumerate(piv_z.tolist()) if c not in in_b]
     reps = Mat(f, cycles.basis.data[keep]) if keep else Mat.zeros(f, 0, cycles.ambient_dim)
     rep_pivots = tuple(int(piv_z[i]) for i in keep)
-    return HomologyBasis(algebra, degree, kind, cycles, boundaries, rep_pivots, reps, labels)
+    return HomologyBasis(algebra, degree, kind, cycles, boundaries, rep_pivots, reps)
 
 
 def _rows_inside(f: Field, z: np.ndarray, piv: np.ndarray, b: np.ndarray) -> bool:
@@ -694,136 +670,17 @@ def hh_dim(algebra: Algebra, m: int) -> int:
 def hh_cohomology(algebra: Algebra, m: int) -> HomologyBasis:
     """HH^m as a quotient of the degree-m normalized cocycle space.
 
-    With a symmetrizing form the coboundaries are transported from
-    hh_homology(m) and the classes are its dual basis; otherwise both
-    spaces come from the blocks of delta_m and delta_{m-1}.
+    Both spaces come from the blocks of delta_m and delta_{m-1}, with or
+    without a symmetrizing form.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if algebra.form is None:
-        return _cohomology_from_dual(algebra, m)
-    # With Phi_m = G x I_{(d-1)^m}, delta_m = Phi_{m+1}^-1 b_{m+1}^T Phi_m,
-    # so coboundaries = Phi_m^-1 (Z_m)^perp.
-    hom = hh_homology(algebra, m)
-    ginv = algebra.form.gram.inverse().data
-    coboundaries, blocks = _transported_perp(algebra.field, ginv, hom.components, hom.cycles)
-    return _in_full_coordinates(_dual_basis(algebra, hom, ginv, coboundaries, blocks))
-
-
-def _dual_basis(algebra: Algebra, hom: HomologyBasis, ginv: np.ndarray,
-                coboundaries: Subspace, labels: np.ndarray) -> HomologyBasis:
-    """HH^m from the coboundaries and the canonical HH_m classes, with no B inside Z check.
-
-    For each rep pivot c of HH_m, n_c = e_c - sum_i B_m[i, c] e_(piv_b(i))
-    is the null row of the boundary RREF at c: it annihilates B_m and
-    pairs to 1 with the rep at c and to 0 with the other reps.  So the
-    rows Phi_m^-1 n_c are cocycles, independent modulo the coboundaries
-    B^m.  Reduced against B^m and brought to RREF among themselves they
-    are the canonical reps: their leading columns are off B^m's pivots,
-    and they are zero at every other pivot.  The cocycle RREF is then
-    B^m cleared at the rep pivots, merged with the reps by leading
-    column.  Rank below h means the pairing is degenerate.
-    """
-    f, m = algebra.field, hom.degree
-    n = hom.cycles.ambient_dim
-    h = len(hom.rep_pivots)
-    c = np.array(hom.rep_pivots, dtype=np.int64)
-    b, piv_b = hom.boundaries.basis.data, hom.boundaries.pivots()
-    rows = np.zeros((h, n), dtype=CODE_DTYPE)
-    rows[np.arange(h), c] = 1
-    rows[:, piv_b] = f.vneg(b[:, c]).T
-    rows = _left_multiply(f, ginv, rows)
-    cob, piv_cob = coboundaries.basis.data, coboundaries.pivots()
-    if cob.shape[0]:
-        rows = f.vsub(rows, f.matmul(rows[:, piv_cob], cob))
-    reps, rank, piv = _rref_array(f, rows)
-    if rank < h:
-        raise InvariantViolation(f"degree {m} pairing is degenerate: "
-                                 f"{h} homology classes pair with {rank} cocycle classes")
-    piv = np.array(piv, dtype=np.int64)
-    if h and cob.shape[0]:
-        cob = f.vsub(cob, f.matmul(cob[:, piv], reps))
-    order = np.argsort(np.concatenate([piv_cob, piv]))
-    cocycles = Subspace(f, n, Mat(f, np.concatenate([cob, reps])[order]))
-    return HomologyBasis(algebra, m, "cohomology", cocycles, coboundaries,
-                         tuple(int(x) for x in piv), Mat(f, reps), labels)
-
-
-def _cohomology_from_dual(algebra: Algebra, m: int) -> HomologyBasis:
-    f = algebra.field
+    f, n = algebra.field, _chain_dim(algebra, m)
     if m:
         image = _labelled_image(f, *_coboundary_map(algebra, m - 1))
     else:
-        image = Subspace.zero(f, _chain_dim(algebra, 0)), np.arange(_chain_dim(algebra, 0))
+        image = Subspace.zero(f, n), np.arange(n)
     return _homology(algebra, m, "cohomology", _coboundary_map(algebra, m), image)
-
-
-def _transported_perp(f: Field, ginv: np.ndarray, labels: np.ndarray,
-                      space: Subspace) -> tuple[Subspace, np.ndarray]:
-    """Phi_m^-1 (S)^perp for a space S in the components of hh_homology(m), and its blocks.
-
-    labels are the components of hh_homology(m).  Phi_m^-1 = G^-1 x I
-    moves the chain coordinate a_0 x r onto the cochain coordinates a x r
-    with G^-1[a, a_0] != 0.  Components of the chains whose images meet
-    form one block on the cochain side; the second result names it for
-    each cochain coordinate.  The annihilator of S is the sum of those of
-    its components, each read off its RREF, so a block costs one
-    elimination of its components' moved annihilator rows.  The moves are
-    scatters, one per multiplicity of a target.
-    """
-    n, d = labels.size, ginv.shape[0]
-    rest = n // d
-    order, bounds, _ = _runs(labels)
-    count = bounds.size - 1
-    comp = np.empty(n, dtype=np.int64)
-    comp[order] = np.repeat(np.arange(count), np.diff(bounds))
-    # node n + k is chain component k, node a * rest + r a cochain coordinate
-    a, a0 = np.nonzero(ginv)
-    r = np.arange(rest)
-    joint = _components(n + count, np.concatenate([n + comp[x * rest + r] for x in a0]),
-                        np.concatenate([x * rest + r for x in a]))
-    blocks = joint[:n]
-    basis, piv = space.basis.data, space.pivots()
-    p_order, p_bounds, _ = _runs(comp[piv])
-    rows_of = {int(comp[piv[p_order[p_bounds[j]]]]): p_order[p_bounds[j]:p_bounds[j + 1]]
-               for j in range(p_bounds.size - 1)}
-    # per block: the annihilator rows of its member components, and the
-    # source, cochain target and coefficient of each move
-    moved: dict[int, list] = {}
-    for k in range(count):
-        cols = order[bounds[k]:bounds[k + 1]]
-        rows = rows_of.get(k)
-        if rows is None:
-            ann = np.eye(cols.size, dtype=CODE_DTYPE)
-        else:
-            local = np.searchsorted(cols, piv[rows])
-            ann = _null_rows(f, basis[np.ix_(rows, cols)], local, cols.size)
-        if ann.shape[0]:
-            c0, cr = np.divmod(cols, rest)
-            to, src = np.nonzero(ginv[:, c0])
-            moved.setdefault(int(joint[n + k]), []).append(
-                (ann, src, to * rest + cr[src], ginv[to, c0[src]]))
-    b_order, b_bounds, _ = _runs(blocks)
-    parts = []
-    for i in range(b_bounds.size - 1):
-        cols_b = b_order[b_bounds[i]:b_bounds[i + 1]]
-        anns = moved.get(int(blocks[cols_b[0]]))
-        if not anns:
-            continue
-        block = np.zeros((sum(x[0].shape[0] for x in anns), cols_b.size), dtype=CODE_DTYPE)
-        start = 0
-        for ann, src, target, coef in anns:
-            rows = slice(start, start + ann.shape[0])
-            pos = np.searchsorted(cols_b, target)
-            layer = _runs(pos)[2]
-            for depth in range(int(layer.max()) + 1):
-                hit = layer == depth
-                term = f.vmul(coef[hit], ann[:, src[hit]])
-                block[rows, pos[hit]] = f.vadd(block[rows, pos[hit]], term) if depth else term
-            start += ann.shape[0]
-        R, rank, _ = _rref_array(f, block)
-        parts.append((cols_b, R[:rank]))
-    return Subspace(f, n, Mat(f, _embed_rref(n, parts))), blocks
 
 
 def _left_multiply(f: Field, g: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -16,17 +16,19 @@ oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
 and coboundary build neither.  oracle_coboundary_terms is that matrix
 added up from the terms of delta, which coboundary_matrix now reads off
 the bar boundary with DA coefficients, and oracle_hh_cohomology the
-dense elimination of it, which the block-wise hh_cohomology of an
-algebra without a form replaced.  The two HH oracles are the full
+dense elimination of it, which the block-wise hh_cohomology
+replaced.  The two HH oracles are the full
 complex: their classes are compared with those of the normalized
 complex, not their representatives.  oracle_unit_projection is the
 projection A -> A/k1 entry by entry, oracle_projection_power its
 Kronecker powers, which give the projection of the full complex onto
 the normalized one, and oracle_normalized_cochain a cochain that
 vanishes on the unit.  oracle_boundaries_inside is the B inside Z
-check as one product over the whole degree, and oracle_transported_perp
-the transport of an annihilator to cochains as one dense elimination;
-hh_homology and hh_cohomology run both one component at a time.
+check as one product over the whole degree, which hh_homology and
+hh_cohomology run one component at a time, and oracle_transported_perp
+the transport of an annihilator to cochains as one dense elimination,
+against which the cocycles and coboundaries of hh_cohomology are checked
+as the duals of the boundaries and cycles of hh_homology.
 oracle_restricted_axioms_check is the restricted-Lie check one pair of
 classes at a time, with one class solve per cochain, and
 oracle_sigma_class_rank the sigma_p rank by enumerating every class,

@@ -276,6 +276,24 @@ class TestDegreeCommands:
         assert code == 0
         assert doc["sigma_rank"] == "skipped: parity"
 
+    def test_gerst_parity_marker_builds_no_class_basis(self, capsys, tmp_path, trunc4_3,
+                                                         monkeypatch):
+        # with a form, dim HH^2 comes from two ranks under the cap of HH^2
+        path = tmp_path / "t4.json"
+        save_algebra(trunc4_3, path)
+        calls = []
+        monkeypatch.setattr(cli, "hh_cohomology", lambda *args: calls.append(args))
+        code, out = run(capsys, "gerst", str(path), "--degree", "2")
+        assert code == 0 and not calls
+        assert out == ('{\n "degree": 2,\n "dim_hh": 3,\n "field": {\n  "e": 1,\n  "p": 3\n },\n'
+                       ' "schema_version": 1,\n "sigma_rank": "skipped: parity"\n}\n')
+        monkeypatch.setenv("KK_SIZE_CAP", str(4**7 - 1))
+        code = cli.main(["gerst", str(path), "--degree", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not calls
+        assert captured.err == ("error: coboundary matrix on degree 2 needs 16384 entries,"
+                                " cap is 16383\n")
+
 
 class TestGen:
     def test_group_cyclic_round_trip(self, capsys, tmp_path):
