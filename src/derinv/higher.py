@@ -40,6 +40,7 @@ import numpy as np
 
 from .algebras import Algebra, WeakAlgebra, memo
 from .errors import InvariantViolation, SizeCapExceeded
+from .fields import Field
 from .hochschild import (
     HomologyBasis,
     _cup_powers,
@@ -125,11 +126,7 @@ def power_class_matrix(algebra: Algebra, m: int, n: int) -> Mat:
     if coh_m.dim == 0:
         return Mat.zeros(f, coh_d.dim, 0)
     coords = coh_d.class_coords(_power_stack(algebra, m, n))
-    cols = coords[:coh_m.dim].T
-    for (a, b), got in zip(_additivity_pairs(m, n, coh_m.dim), coords[coh_m.dim:]):
-        if not np.array_equal(got, f.vadd(cols[:, a], cols[:, b])):
-            raise _not_additive(m, n, a, b)
-    return Mat(f, cols)
+    return Mat(f, _additive_rows(f, m, n, coh_m.dim, coords).T)
 
 
 @memo()
@@ -155,8 +152,19 @@ def _additivity_pairs(m: int, n: int, k: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _not_additive(m: int, n: int, a: int, b: int) -> InvariantViolation:
-    return InvariantViolation(f"p^{n}-th cup power is not additive on HH^{m} classes ({a}, {b})")
+def _additive_rows(f: Field, m: int, n: int, k: int, rows: np.ndarray) -> np.ndarray:
+    """The first k rows of a stack read off _power_stack, the rows of the k classes.
+
+    Each later row, that of the sum over an additivity pair (a, b), must
+    be the sum of rows a and b; the first pair that is not raises
+    InvariantViolation.
+    """
+    base = rows[:k]
+    for (a, b), got in zip(_additivity_pairs(m, n, k), rows[k:]):
+        if not np.array_equal(got, f.vadd(base[a], base[b])):
+            raise InvariantViolation(
+                f"p^{n}-th cup power is not additive on HH^{m} classes ({a}, {b})")
+    return base
 
 
 @memo(_target_entries, _target_what)
@@ -190,10 +198,7 @@ def kappa_nm(algebra: Algebra, m: int, n: int) -> HigherKappa:
         mat = Mat.zeros(f, hom_m.dim, hom_d.dim)
     else:
         rows = _pairing_matrix(algebra, _power_stack(algebra, m, n), hom_d.reps.data)
-        powers = rows[:coh_m.dim]
-        for (a, b), row in zip(_additivity_pairs(m, n, coh_m.dim), rows[coh_m.dim:]):
-            if not np.array_equal(row, f.vadd(powers[a], powers[b])):
-                raise _not_additive(m, n, a, b)
+        powers = _additive_rows(f, m, n, coh_m.dim, rows)
         mat = Mat(f, f.matmul(gram.inverse().data, f.vfrob(powers, -n)))
     return HigherKappa(
         algebra, m, n, hom_d, hom_m,

@@ -69,11 +69,12 @@ HH_*(kG)); for k[x]/(x^n) they follow the total degree.  Column
 supports of the blocks are disjoint, so their RREF rows sorted by
 leading column are the global RREF, and the class representatives are
 those of the dense matrices.  The components of the outgoing map over
-its columns and of the incoming one over its rows, joined, hold every
-cycle and boundary row of degree m; consecutive small ones share a bin
-of about 512 coordinates.  _quotient_basis checks B inside Z bin by
-bin: each boundary row must be its entries at the cycle pivots times
-the cycle rows, and a row with entries outside its bin fails.
+its columns hold every cycle row of degree m, so Z is the direct sum of
+its parts in them; consecutive small ones share a bin of about 512
+coordinates.  _quotient_basis checks B inside Z bin by bin: each
+boundary row, restricted to a bin, must be its entries at the bin's
+cycle pivots times the bin's cycle rows.  A boundary row may cross
+bins, and lies in Z exactly when each of its restrictions does.
 boundary_matrix and coboundary_matrix are the dense matrices of the
 full complex, from the same _bar_coo with c in every slot; nothing in
 the HH layer calls them, and tests/oracles.py eliminates them as the
@@ -144,7 +145,7 @@ from .linalg import (
     _bin_labels,
     _block_image,
     _block_kernel,
-    _join_labels,
+    _rows_inside,
     _runs,
 )
 
@@ -534,96 +535,63 @@ def _quotient_basis(algebra: Algebra, degree: int, kind: str,
                     labels: np.ndarray | None = None) -> HomologyBasis:
     """HH as cycles mod boundaries, after checking that B lies in Z.
 
-    labels, if given, is a component of each coordinate that holds every
-    cycle and boundary row in the component of its pivot; the check then
-    runs one component at a time.  Without labels it runs over the whole
-    degree.
+    labels, if given, is a bin of each coordinate that holds every cycle
+    row in the bin of its pivot; Z is then the direct sum of its parts
+    in the bins, and the check runs one bin at a time: every boundary
+    row, restricted to the bin's columns, must lie in the span of the
+    bin's cycle rows.  A boundary row may cross bins.  Without labels
+    the check runs over the whole degree.
     """
-    f = algebra.field
-    piv_z, piv_b = cycles.pivots(), boundaries.pivots()
-    in_b = set(piv_b.tolist())
+    f, n = algebra.field, cycles.ambient_dim
+    piv_z = cycles.pivots()
     if boundaries.dim:
-        if not in_b.issubset(piv_z.tolist()):
-            raise InvariantViolation("boundary space not inside cycle space")
         z, b = cycles.basis.data, boundaries.basis.data
-        parts = np.zeros(cycles.ambient_dim, dtype=np.int64) if labels is None else labels
-        for cols, zr, br in _parts(parts, piv_z, piv_b):
-            zk, bk = z[zr], b[br]
-            zc, bc = zk[:, cols], bk[:, cols]
-            if (np.count_nonzero(zc) != np.count_nonzero(zk)
-                    or np.count_nonzero(bc) != np.count_nonzero(bk)):
-                raise InvariantViolation("a cycle or boundary row leaves its component")
+        bins = np.zeros(n, dtype=np.int64) if labels is None else labels
+        # the nonzeros of the cycle rows that lie outside their bins
+        z_bins, outside = bins[piv_z], np.count_nonzero(z)
+        order, bounds, _ = _runs(bins)
+        for k in range(bounds.size - 1):
+            cols = order[bounds[k]:bounds[k + 1]]
+            zr = np.flatnonzero(z_bins == bins[cols[0]])
+            zc = z[np.ix_(zr, cols)]
+            outside -= np.count_nonzero(zc)
+            bc = b[:, cols]
+            bc = bc[bc.any(axis=1)]
             if not _rows_inside(f, zc, np.searchsorted(cols, piv_z[zr]), bc):
                 raise InvariantViolation("boundary space not inside cycle space")
+        if outside:
+            raise InvariantViolation("a cycle row leaves its component")
+    in_b = set(boundaries.pivots().tolist())
     keep = [i for i, c in enumerate(piv_z.tolist()) if c not in in_b]
-    reps = Mat(f, cycles.basis.data[keep]) if keep else Mat.zeros(f, 0, cycles.ambient_dim)
+    reps = Mat(f, cycles.basis.data[keep]) if keep else Mat.zeros(f, 0, n)
     rep_pivots = tuple(int(piv_z[i]) for i in keep)
     return HomologyBasis(algebra, degree, kind, cycles, boundaries, rep_pivots, reps)
 
 
-def _rows_inside(f: Field, z: np.ndarray, piv: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every row of b lies in the row space of z, an RREF with pivots piv.
-
-    A vector lies there iff it is the combination of the rows of z given
-    by its entries at their pivots; those rows are the identity there,
-    so only the free columns need the product.
-    """
-    free = np.ones(z.shape[1], dtype=bool)
-    free[piv] = False
-    return np.array_equal(f.matmul(b[:, piv], z[:, free]), b[:, free])
-
-
-def _parts(labels: np.ndarray, piv_z: np.ndarray, piv_b: np.ndarray):
-    """(columns, z rows, b rows) of each component that holds a row of b.
-
-    Rows are assigned by the label of their pivot; every index array is
-    ascending.  Each b pivot is a z pivot, so each part has z rows.
-    """
-    c_order, c_bounds, _ = _runs(labels)
-    z_order, z_bounds, _ = _runs(labels[piv_z])
-    b_order, b_bounds, _ = _runs(labels[piv_b])
-    c_keys = labels[c_order[c_bounds[:-1]]]
-    z_keys = labels[piv_z[z_order[z_bounds[:-1]]]]
-    for i, key in enumerate(labels[piv_b[b_order[b_bounds[:-1]]]]):
-        k, j = np.searchsorted(c_keys, key), np.searchsorted(z_keys, key)
-        yield (c_order[c_bounds[k]:c_bounds[k + 1]], z_order[z_bounds[j]:z_bounds[j + 1]],
-               b_order[b_bounds[i]:b_bounds[i + 1]])
-
-
-def _labelled_image(f: Field, shape: tuple[int, int], coo) -> tuple[Subspace, np.ndarray]:
-    """Column space of a sparse map, and a label per row: the first row of its block."""
-    labels = np.arange(shape[0])
-    image = _block_image(f, shape, coo, labels)
-    labels.setflags(write=False)
-    return image, labels
-
-
-def _homology(algebra: Algebra, m: int, kind: str, out, image) -> HomologyBasis:
-    """Kernel of the map out of degree m modulo image, the image of the map into it.
+def _homology(algebra: Algebra, m: int, kind: str, out, boundaries: Subspace) -> HomologyBasis:
+    """Kernel of the map out of degree m modulo boundaries, the image of the map into it.
 
     out is (shape, coo) of the nonzero entries of the outgoing map, or None
-    for zero, on the normalized complex; image is (space, labels) as from
-    _labelled_image.  out is eliminated block by block, and its blocks,
-    joined with those of image and binned, label the coordinates for the
-    B inside Z check.
+    for zero, on the normalized complex.  out is eliminated block by
+    block, and its blocks, binned, label the coordinates for the B inside
+    Z check.
     """
     f, n = algebra.field, _chain_dim(algebra, m)
     # the components of out over its columns, each index labelled with an
     # index of its block
-    z_labels = np.arange(n)
+    labels = np.arange(n)
     if out is None:
         cycles = Subspace.full(f, n)
     else:
-        cycles = Subspace(f, n, _block_kernel(f, *out, z_labels))
-    boundaries, b_labels = image
+        cycles = Subspace(f, n, _block_kernel(f, *out, labels))
     return _in_full_coordinates(_quotient_basis(
-        algebra, m, kind, cycles, boundaries, _bin_labels(_join_labels(z_labels, b_labels))))
+        algebra, m, kind, cycles, boundaries, _bin_labels(labels)))
 
 
 @memo(lambda a, m: a.dim ** (2 * m + 1), lambda a, m: f"boundary matrix b_{m}")
-def _image(algebra: Algebra, m: int) -> tuple[Subspace, np.ndarray]:
-    """The image of the normalized b_m, m >= 1, and the block label of each row."""
-    return _labelled_image(algebra.field, *_boundary_map(algebra, m))
+def _image(algebra: Algebra, m: int) -> Subspace:
+    """The image of the normalized b_m, m >= 1."""
+    return _block_image(algebra.field, *_boundary_map(algebra, m))
 
 
 # the widest matrix either quotient touches in the full complex has
@@ -662,8 +630,8 @@ def hh_dim(algebra: Algebra, m: int) -> int:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    into = _image(algebra, m)[0].dim if m else 0
-    return _chain_dim(algebra, m) - into - _image(algebra, m + 1)[0].dim
+    into = _image(algebra, m).dim if m else 0
+    return _chain_dim(algebra, m) - into - _image(algebra, m + 1).dim
 
 
 @memo(_hh_entries, _cohomology_what)
@@ -676,10 +644,7 @@ def hh_cohomology(algebra: Algebra, m: int) -> HomologyBasis:
     if m < 0:
         raise ValueError("m must be >= 0")
     f, n = algebra.field, _chain_dim(algebra, m)
-    if m:
-        image = _labelled_image(f, *_coboundary_map(algebra, m - 1))
-    else:
-        image = Subspace.zero(f, n), np.arange(n)
+    image = _block_image(f, *_coboundary_map(algebra, m - 1)) if m else Subspace.zero(f, n)
     return _homology(algebra, m, "cohomology", _coboundary_map(algebra, m), image)
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, SingularForm, SingularMatrix
-from .fields import CODE_DTYPE, Field
+from .fields import _PANEL, CODE_DTYPE, Field
 
 
 class Mat:
@@ -520,30 +520,13 @@ def _block_kernel(f: Field, shape: tuple[int, int], coo,
     return Mat(f, _embed_rref(shape[1], parts))
 
 
-def _block_image(f: Field, shape: tuple[int, int], coo,
-                 labels: np.ndarray | None = None) -> "Subspace":
-    """Column space of a sparse matrix, the same as Subspace.from_rows of its transpose.
-
-    labels, if given (one entry per row), is filled as in _block_kernel,
-    over the rows.
-    """
+def _block_image(f: Field, shape: tuple[int, int], coo) -> "Subspace":
+    """Column space of a sparse matrix, the same as Subspace.from_rows of its transpose."""
     parts = []
     for r, _, block in _blocks(shape, coo, transpose=True):
         R, rank, _ = _rref_array(f, block)
         parts.append((r, R[:rank]))
-        if labels is not None:
-            labels[r] = r[0]
     return Subspace(f, shape[0], Mat(f, _embed_rref(shape[0], parts)))
-
-
-def _join_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Components of the union of two partitions of range(n).
-
-    Each partition labels every index with an index of its part; the
-    result labels each joint component with its smallest index.
-    """
-    idx = np.arange(a.size)
-    return _components(idx.size, np.concatenate([idx, idx]), np.concatenate([a, b]))
 
 
 # parts narrower than this many indices share a bin with their neighbours
@@ -566,6 +549,18 @@ def _bin_labels(labels: np.ndarray) -> np.ndarray:
 
 
 # -- subspaces --
+
+
+def _rows_inside(f: Field, z: np.ndarray, piv: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every row of b lies in the row space of z, an RREF with pivots piv.
+
+    A vector lies there iff it is the combination of the rows of z given
+    by its entries at their pivots; those rows are the identity there,
+    so only the free columns need the product.
+    """
+    free = np.ones(z.shape[1], dtype=bool)
+    free[piv] = False
+    return np.array_equal(f.matmul(b[:, piv], z[:, free]), b[:, free])
 
 
 @dataclass(frozen=True)
@@ -603,10 +598,12 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> np.ndarray:
-        """Leading column of each basis row."""
+        """Leading column of each basis row; the nonzero mask is built a row panel at a time."""
         if self.dim == 0:
             return np.zeros(0, dtype=np.int64)
-        return np.argmax(self.basis.data != 0, axis=1)
+        data, step = self.basis.data, max(1, _PANEL // self.ambient_dim)
+        return np.concatenate([np.argmax(data[i:i + step] != 0, axis=1)
+                               for i in range(0, self.dim, step)])
 
     def reduce(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(residue, coefficients): v = coeffs @ basis + residue."""
@@ -626,7 +623,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains(r) for r in other.basis.data)
+        return _rows_inside(self.field, self.basis.data, self.pivots(), other.basis.data)
 
     def _check(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

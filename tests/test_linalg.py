@@ -170,6 +170,27 @@ def test_subspace_ops(f):
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_contains_subspace_matches_per_row_contains(f):
+    # one product against the free columns agrees with reducing each row;
+    # the spaces include the zero and the full space, and subspaces of
+    # the random ones, so both answers occur
+    rng = np.random.default_rng(37)
+    d = 5
+    spaces = [Subspace.zero(f, d), Subspace.full(f, d)]
+    for _ in range(8):
+        u = Subspace.from_rows(f, rand_mat(f, rng, int(rng.integers(1, d + 1)), d))
+        inner = f.matmul(rand_mat(f, rng, int(rng.integers(1, 3)), u.dim).data, u.basis.data)
+        spaces += [u, Subspace.from_rows(f, inner)]
+    answers = set()
+    for u in spaces:
+        for v in spaces:
+            want = all(u.contains(r) for r in v.basis.data)
+            assert u.contains_subspace(v) == want
+            answers.add(want)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
 def test_orthogonal_complement_involution(f):
     rng = np.random.default_rng(31)
     d = 4
