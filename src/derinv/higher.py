@@ -26,6 +26,14 @@ powers.  t_nm_space still reads T off P through HH^(p^n m); it is the
 independent route that verify_properties checks the image and kernel
 identities against.
 
+The signature reads only three integers of kappa_nm: its rank, dim
+T_n^(m) and the dimension of its kernel.  With r = rank L = rank P
+they are (r, dim HH^m - r, dim HH_(p^n m) - r), and kappa_triple takes
+r as the rank of the powers' residues modulo the coboundaries of degree
+p^n m, with no class basis of HH_m or HH_(p^n m), no gram matrix and no
+solve.  kappa_nm builds the operator for derinv kappam and
+verify_properties, and is the oracle of kappa_triple.
+
 All computations run on the canonical class representatives from
 ``hochschild`` and are exact.  Each cached entry point here is capped by
 the bar matrices of degree p^n m, the widest it touches, and raises
@@ -43,14 +51,18 @@ from .errors import InvariantViolation, SizeCapExceeded
 from .fields import Field
 from .hochschild import (
     HomologyBasis,
+    _coboundary_map,
     _cup_powers,
+    _delta,
+    _normalized_cochains,
+    _residues,
     hh_cohomology,
     hh_dim,
     hh_homology,
     pairing_gram,
     _pairing_matrix,
 )
-from .linalg import Mat, SemilinearOperator, Subspace, orthogonal_complement
+from .linalg import Mat, SemilinearOperator, Subspace, _block_image, orthogonal_complement
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,37 @@ def kappa_nm(algebra: Algebra, m: int, n: int) -> HigherKappa:
         algebra, m, n, hom_d, hom_m,
         SemilinearOperator(mat, -n), _is_zero_regime(algebra, m, n), Mat(f, powers),
     )
+
+
+@memo(_target_entries, _target_what)
+def kappa_triple(algebra: Algebra, m: int, n: int) -> tuple[int, int, int]:
+    """(rank kappa_nm, dim T_n^(m), dim ker kappa_nm), with no class basis of HH_m or HH_k.
+
+    k = p^n m.  The three are (r, dim HH^m - r, dim HH_k - r), with r the
+    rank of the classes of the p^n-th powers of the HH^m representatives:
+    L = P^T Gamma with Gamma invertible.  The powers must be cocycles;
+    read at the normalized coordinates and reduced against the RREF of
+    im delta_{k-1}, each class has one residue, so the additivity pairs
+    are checked on the residues and r is their rank.  kappa_nm is the
+    oracle.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be >= 0")
+    algebra.require_form()
+    f, d, k = algebra.field, algebra.dim, algebra.field.p**n * m
+    coh_m, dim_m = hh_cohomology(algebra, m), hh_dim(algebra, m)
+    if coh_m.dim != dim_m:
+        raise InvariantViolation(f"dim HH^{m} = {coh_m.dim} differs from dim HH_{m} = {dim_m}")
+    dim_k, r = hh_dim(algebra, k), 0
+    if coh_m.dim and dim_k:
+        powers = _power_stack(algebra, m, n)
+        if _delta(algebra, powers.reshape(-1, d, d**k), k).any():
+            raise InvariantViolation(f"a p^{n}-th cup power on HH^{m} is not a cocycle")
+        rows = _normalized_cochains(algebra, powers, k)
+        if k:
+            rows = _residues(_block_image(f, *_coboundary_map(algebra, k - 1)), rows)
+        r = Mat(f, _additive_rows(f, m, n, coh_m.dim, rows)).rank()
+    return r, coh_m.dim - r, dim_k - r
 
 
 def _defining_relation_holds(kappa: HigherKappa):

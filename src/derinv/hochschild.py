@@ -78,8 +78,7 @@ bins, and lies in Z exactly when each of its restrictions does.
 boundary_matrix and coboundary_matrix are the dense matrices of the
 full complex, from the same _bar_coo with c in every slot; nothing in
 the HH layer calls them, and tests/oracles.py eliminates them as the
-reference for HH.  The image of each normalized b_m is eliminated once
-(_image) and serves hh_homology(m - 1) and hh_dim.
+reference for HH.
 
 Where only a dimension is read, hh_dim gives it from two ranks,
 
@@ -87,7 +86,10 @@ Where only a dimension is read, hh_dim gives it from two ranks,
 
 with no kernel and no class basis.  With a symmetrizing form it is also
 dim HH^m, since HH^m is then the dual of HH_m (Loday, Cyclic Homology,
-1.5).
+1.5).  _rank memoizes each rank as an integer: it eliminates the blocks
+of bbar_m one at a time and keeps none of them, so no dense image is
+held.  Only hh_homology eliminates the image of bbar_{m+1} as a
+subspace, for the boundaries of its class basis.
 
 HH^m takes the blocks of delta for every algebra, with a form or
 without; pairing_gram then checks that the pairing of its classes with
@@ -145,6 +147,7 @@ from .linalg import (
     _bin_labels,
     _block_image,
     _block_kernel,
+    _block_rank,
     _rows_inside,
     _runs,
 )
@@ -470,20 +473,11 @@ class HomologyBasis:
         rows = v if v.ndim == 2 else v.reshape(1, -1)
         if rows.shape[1] != d ** (m + 1):
             raise DimensionMismatch("vector has wrong chain degree")
-        kept, P, _ = _unit_split(self.algebra)
         if self.kind == "homology":
-            rows = _on_slots(f, rows, d, m, P.T)
+            rows = _on_slots(f, rows, d, m, _unit_split(self.algebra)[1].T)
         else:
-            full = rows
-            rows = rows.reshape(-1, d, d**m)[..., _slot_columns(kept, d, m)].reshape(
-                rows.shape[0], d * kept.size**m)
-            if not np.array_equal(_on_slots(f, rows, d, m, P), full):
-                raise DerinvError(f"cochain is not normalized in degree {m}: "
-                                  "it does not vanish when an argument is the unit")
-        residue = rows
-        if self.boundaries.dim:
-            b = self.boundaries
-            residue = f.vsub(rows, f.matmul(rows[:, b.pivots()], b.basis.data))
+            rows = _normalized_cochains(self.algebra, rows, m)
+        residue = _residues(self.boundaries, rows)
         coords = residue[:, list(self.rep_pivots)]
         z = self.cycles.basis.data[np.searchsorted(self.cycles.pivots(), self.rep_pivots)]
         if not np.array_equal(residue, f.matmul(coords, z)):
@@ -501,6 +495,37 @@ class HomologyBasis:
 
     def cochains(self) -> list[Cochain]:
         return [self.cochain(i) for i in range(self.dim)]
+
+
+def _normalized_cochains(algebra: Algebra, rows: np.ndarray, m: int) -> np.ndarray:
+    """Rows (k, d^(m+1)) of m-cochains on A, read at the d (d - 1)^m normalized coordinates.
+
+    A cochain that does not vanish when an argument is the unit raises
+    DerinvError.
+    """
+    f, d = algebra.field, algebra.dim
+    kept, P, _ = _unit_split(algebra)
+    out = rows.reshape(-1, d, d**m)[..., _slot_columns(kept, d, m)].reshape(
+        rows.shape[0], d * kept.size**m)
+    if not np.array_equal(_on_slots(f, out, d, m, P), rows):
+        raise DerinvError(f"cochain is not normalized in degree {m}: "
+                          "it does not vanish when an argument is the unit")
+    return out
+
+
+def _residues(space: Subspace, rows: np.ndarray) -> np.ndarray:
+    """rows minus their entries at the pivots of space times its RREF rows.
+
+    Two rows get the same residue exactly when they differ by a vector
+    of space, so the residue of a (co)cycle names its class mod space.
+    The product is taken transposed, so that matmul converts the basis a
+    row panel at a time and only the few rows whole.
+    """
+    if not space.dim:
+        return rows
+    f = space.field
+    combos = f.matmul(space.basis.data.T, rows[:, space.pivots()].T).T
+    return f.vsub(rows, combos)
 
 
 def _slot_columns(kept: np.ndarray, d: int, m: int) -> np.ndarray:
@@ -589,9 +614,9 @@ def _homology(algebra: Algebra, m: int, kind: str, out, boundaries: Subspace) ->
 
 
 @memo(lambda a, m: a.dim ** (2 * m + 1), lambda a, m: f"boundary matrix b_{m}")
-def _image(algebra: Algebra, m: int) -> Subspace:
-    """The image of the normalized b_m, m >= 1."""
-    return _block_image(algebra.field, *_boundary_map(algebra, m))
+def _rank(algebra: Algebra, m: int) -> int:
+    """Rank of the normalized b_m, m >= 1."""
+    return _block_rank(algebra.field, *_boundary_map(algebra, m))
 
 
 # the widest matrix either quotient touches in the full complex has
@@ -615,7 +640,8 @@ def hh_homology(algebra: Algebra, m: int) -> HomologyBasis:
     if m < 0:
         raise ValueError("m must be >= 0")
     out = _boundary_map(algebra, m) if m else None
-    hom = _homology(algebra, m, "homology", out, _image(algebra, m + 1))
+    image = _block_image(algebra.field, *_boundary_map(algebra, m + 1))
+    hom = _homology(algebra, m, "homology", out, image)
     if m == 0 and hom.boundaries != algebra.commutator_space():
         raise InvariantViolation("image of b_1 differs from the commutator space")
     return hom
@@ -625,13 +651,14 @@ def hh_homology(algebra: Algebra, m: int) -> HomologyBasis:
 def hh_dim(algebra: Algebra, m: int) -> int:
     """dim HH_m = d (d - 1)^m - rank bbar_m - rank bbar_{m+1}; also dim HH^m with a form.
 
-    Only the images of the two boundary maps are eliminated: no kernel,
-    no class basis.  The cap and its message are those of hh_homology.
+    The two ranks come from _rank, block by block, with no kernel, no
+    image subspace and no class basis.  The cap and its message are
+    those of hh_homology.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    into = _image(algebra, m).dim if m else 0
-    return _chain_dim(algebra, m) - into - _image(algebra, m + 1).dim
+    into = _rank(algebra, m) if m else 0
+    return _chain_dim(algebra, m) - into - _rank(algebra, m + 1)
 
 
 @memo(_hh_entries, _cohomology_what)

@@ -529,6 +529,11 @@ def _block_image(f: Field, shape: tuple[int, int], coo) -> "Subspace":
     return Subspace(f, shape[0], Mat(f, _embed_rref(shape[0], parts)))
 
 
+def _block_rank(f: Field, shape: tuple[int, int], coo) -> int:
+    """Rank of a sparse matrix, summed over its blocks; each block is dropped once eliminated."""
+    return sum(_rref_array(f, block)[1] for _, _, block in _blocks(shape, coo, transpose=True))
+
+
 # parts narrower than this many indices share a bin with their neighbours
 _BIN = 512
 

@@ -44,7 +44,7 @@ from .errors import (
 from .fields import is_json_int
 from .gerstenhaber import _brackets, _check_restricted_degree, _power_coefficients, _slices
 from .hochschild import HomologyBasis, hh_cohomology, hh_dim
-from .higher import kappa_nm
+from .higher import kappa_triple
 from .kulshammer import (
     kappa_kernel,
     kappa_image,
@@ -175,7 +175,8 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
         prev_perp = perp
     entries["stabilization_index"] = stabilization_index(algebra)
 
-    # the form makes HH^m the dual of HH_m, so both entries are one rank count
+    # the form makes HH^m the dual of HH_m, so both entries are one count
+    # from the ranks of two boundary maps (hh_dim)
     for m in range(config.m_max + 1):
         try:
             dim = hh_dim(algebra, m)
@@ -184,21 +185,15 @@ def compute_signature(algebra: Algebra, config: SignatureConfig | None = None) -
         entries[f"dim_hh_homology_{m}"] = entries[f"dim_hh_cohomology_{m}"] = dim
 
     for m, n in config.resolved_pairs(f.p):
+        # rank, dim T and dim ker of kappa_n^(m) from one rank; rank + dim T
+        # = dim HH^m by construction there, and verify_properties checks T
+        # against t_nm_space
         keys = (f"dim_im_kappa_m{m}_n{n}", f"dim_t_m{m}_n{n}", f"dim_ker_kappa_m{m}_n{n}")
         try:
-            kap = kappa_nm(algebra, m, n)
-            t_dim = kap.t_space().dim
-            coh_dim = hh_dim(algebra, m)
-            # T comes from the same pairing matrix L as kappa, so this is
-            # rank-nullity for L; verify_properties checks T independently
-            if kap.rank != coh_dim - t_dim:
-                raise InvariantViolation(f"rank of kappa_{n}^({m}) violates the dimension formula")
-            entries[keys[0]] = kap.rank
-            entries[keys[1]] = t_dim
-            entries[keys[2]] = kap.kernel().dim
+            triple = kappa_triple(algebra, m, n)
         except SizeCapExceeded:
-            for key in keys:
-                entries[key] = SKIPPED_CAP
+            triple = (SKIPPED_CAP,) * 3
+        entries.update(zip(keys, triple))
 
     for deg in config.gerstenhaber_degrees:
         key = f"sigma_rank_deg_{deg}"

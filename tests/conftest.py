@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -182,4 +183,33 @@ def formless_corpus(insertion_corpus):
         "gf3_square_zero": square_zero,
     }
     assert all(a.form is None for a in out.values())
+    return out
+
+
+FORM_CORPUS = [
+    "k2", "dual2", "trunc4_2", "c2", "c4", "c8", "klein", "uv",
+    "s3_2", "m2k", "c3_3", "c9_3", "trunc3_3", "dual4", "trunc4_3", "dual3",
+]
+
+
+def moved(a: Algebra, seed: int) -> Algebra:
+    """a in a random basis, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = Mat(a.field, rng.integers(0, a.field.q, size=(a.dim, a.dim)).astype(np.int8))
+        if g.rank() == a.dim:
+            return change_basis(a, g)
+
+
+@pytest.fixture(scope="module")
+def chain_map_corpus(request):
+    """The algebra fixtures of conftest and the 19 perfbench corpus algebras, by name."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(path)
+        specs = importlib.import_module("corpus").SPECS
+    out = {name: request.getfixturevalue(name) for name in FORM_CORPUS}
+    out |= {f"insertion_{k}": v for k, v in request.getfixturevalue("insertion_corpus").items()}
+    out |= {f"formless_{k}": v for k, v in request.getfixturevalue("formless_corpus").items()}
+    out |= {f"corpus_{k}": spec.build() for k, spec in specs.items()}
     return out

@@ -10,18 +10,21 @@ import pytest
 from derinv import GF
 from derinv.algebras import (
     Algebra,
+    algebra_from_json,
+    algebra_to_json,
     change_basis,
     cyclic_table,
     make_group_algebra,
     make_truncated_polynomial,
     resolve_size_cap,
 )
-from derinv.errors import FormRequired, InvariantViolation, SizeCapExceeded
+from derinv.errors import DerinvError, FormRequired, InvariantViolation, SizeCapExceeded
 from derinv import higher
 from derinv.gerstenhaber import bracket, coderivation_component, sigma_p
 from derinv.higher import (
     HigherKappa,
     kappa_nm,
+    kappa_triple,
     power_class_matrix,
     t_nm_space,
     verify_properties,
@@ -42,6 +45,7 @@ from derinv.linalg import Mat, SemilinearOperator
 from derinv.signature import SignatureConfig
 
 import oracles
+from conftest import moved
 
 
 class TestDegreeZero:
@@ -242,7 +246,9 @@ class TestTFromPairing:
             power_class_matrix(a, 1, 1)
         with pytest.raises(InvariantViolation) as by_pairing:
             kappa_nm(a, 1, 1)
-        assert str(by_pairing.value) == str(by_classes.value)
+        with pytest.raises(InvariantViolation) as by_residues:
+            kappa_triple(a, 1, 1)
+        assert str(by_pairing.value) == str(by_classes.value) == str(by_residues.value)
         assert str(by_pairing.value).startswith("p^1-th cup power is not additive on HH^1")
 
     @pytest.mark.parametrize("fixture", ["c4", "s3_2", "m2k", "c9_3", "trunc3_3", "dual4"])
@@ -261,6 +267,70 @@ class TestTFromPairing:
             got = higher._power_stack(a, m, n)
             assert np.array_equal(got, want), (m, n)
             assert not got.flags.writeable
+
+
+class TestKappaTriple:
+    """The signature's (rank, dim T, dim ker) of kappa_nm from one rank, against kappa_nm."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_matches_kappa_nm_on_default_pairs(self, chain_map_corpus, seed):
+        cap, seen = resolve_size_cap(), set()
+        for name, a in chain_map_corpus.items():
+            if a.form is None:
+                continue
+            a = algebra_from_json(algebra_to_json(a if seed is None else moved(a, seed)))
+            for m, n in SignatureConfig().resolved_pairs(a.field.p):
+                if higher._target_entries(a, m, n) > cap:
+                    continue
+                kap = kappa_nm(a, m, n)
+                want = (kap.rank, kap.t_space().dim, kap.kernel().dim)
+                assert kappa_triple(a, m, n) == want, (name, m, n)
+                seen.add(tuple(x > 0 for x in want))
+        # full, zero and partial ranks, with and without T and kernel
+        assert {(True, False, False), (False, True, True), (True, True, True)} <= seen
+
+    def _shifted(self, monkeypatch, shift):
+        # every p^n-th power of HH^1 of C4 moved by one fixed 2-cochain
+        a = _cold_c4()
+        real = higher._cup_powers
+        monkeypatch.setattr(higher, "_cup_powers",
+                            lambda alg, f, m, k: alg.field.vadd(real(alg, f, m, k), shift(a)))
+        return a
+
+    def test_refuses_a_power_that_is_not_a_cocycle(self, monkeypatch):
+        # f(g, g) = 1 and zero elsewhere: normalized, and
+        # (delta f)(g^3, g, g) = g^3 f(g, g) = g^3
+        def bump(a):
+            f = np.zeros((4, 16), dtype=np.int8)
+            f[0, 4 + 1] = 1
+            return f
+
+        a = self._shifted(monkeypatch, bump)
+        assert coboundary(Cochain(a, 2, Mat(a.field, bump(a)))).matrix.data.any()
+        with pytest.raises(InvariantViolation, match=r"^a p\^1-th cup power on HH\^1 is not"):
+            kappa_triple(a, 1, 1)
+
+    def test_refuses_a_power_that_is_not_normalized(self, monkeypatch):
+        # the coboundary of a 1-cochain that does not vanish on the unit
+        def boundary(a):
+            g = Cochain(a, 1, Mat(a.field, np.eye(4, dtype=np.int8)[[1, 0, 0, 0]]))
+            return coboundary(g).matrix.data
+
+        a = self._shifted(monkeypatch, boundary)
+        with pytest.raises(DerinvError, match="not normalized in degree 2"):
+            kappa_triple(a, 1, 1)
+
+    def test_checks_cohomology_against_hh_dim(self, monkeypatch):
+        a = _cold_c4()
+        monkeypatch.setattr(higher, "hh_dim", lambda alg, m: 5)
+        with pytest.raises(InvariantViolation, match=r"^dim HH\^1 = 4 differs from dim HH_1 = 5"):
+            kappa_triple(a, 1, 1)
+
+    def test_needs_a_form_and_degrees(self, formless_corpus, c4):
+        with pytest.raises(FormRequired):
+            kappa_triple(formless_corpus["gf3_upper2"], 0, 1)
+        with pytest.raises(ValueError):
+            kappa_triple(c4, -1, 1)
 
 
 class TestDefiningRelation:
@@ -359,6 +429,7 @@ _COLD_CALLS = {
     "power_class_matrix": lambda: partial(power_class_matrix, _cold_c4(), 1, 1),
     "t_nm_space": lambda: partial(t_nm_space, _cold_c4(), 1, 1),
     "kappa_nm": lambda: partial(kappa_nm, _cold_c4(), 1, 1),
+    "kappa_triple": lambda: partial(kappa_triple, _cold_c4(), 1, 1),
     "coderivation_component": _cold_component,
     "bracket": lambda: partial(bracket, *_cold_c4_cochains(3, 2)),
     "sigma_p": lambda: partial(sigma_p, *_cold_c4_cochains(3)),

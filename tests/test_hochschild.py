@@ -1,9 +1,7 @@
 """Bar-complex (co)homology, the form pairing, and the cup product."""
 
-import importlib
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +49,7 @@ from derinv.linalg import Mat, Subspace
 from derinv.signature import compute_signature
 
 import oracles
+from conftest import FORM_CORPUS, moved
 
 
 def rand_codes(rng, field, shape):
@@ -389,12 +388,6 @@ class TestHomologyBases:
             assert hh_homology(b, m).dim == hh_homology(c4, m).dim
 
 
-FORM_CORPUS = [
-    "k2", "dual2", "trunc4_2", "c2", "c4", "c8", "klein", "uv",
-    "s3_2", "m2k", "c3_3", "c9_3", "trunc3_3", "dual4", "trunc4_3", "dual3",
-]
-
-
 def _assert_cohomology_matches_full_complex(a, m):
     """HH^m of the normalized complex against HH^m of the dense full coboundaries.
 
@@ -536,28 +529,6 @@ def test_homology_matches_dense_oracle_after_basis_change(trunc4_3):
     _assert_homology_matches_oracle(change_basis(trunc4_3, g), range(4))
 
 
-def _moved(a, seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        g = Mat(a.field, rand_codes(rng, a.field, (a.dim, a.dim)))
-        if g.rank() == a.dim:
-            return change_basis(a, g)
-
-
-@pytest.fixture(scope="module")
-def chain_map_corpus(request):
-    """The algebra fixtures of conftest and the 19 perfbench corpus algebras, by name."""
-    path = str(Path(__file__).resolve().parents[1] / "perfbench")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(path)
-        specs = importlib.import_module("corpus").SPECS
-    out = {name: request.getfixturevalue(name) for name in FORM_CORPUS}
-    out |= {f"insertion_{k}": v for k, v in request.getfixturevalue("insertion_corpus").items()}
-    out |= {f"formless_{k}": v for k, v in request.getfixturevalue("formless_corpus").items()}
-    out |= {f"corpus_{k}": spec.build() for k, spec in specs.items()}
-    return out
-
-
 # the dense product bbar_m bbar_{m+1} above this many multiply-adds is
 # left to the B inside Z check of hh_homology(m): only GF(2)[C8] in
 # degree 3, 2 * 10^10 of them
@@ -574,7 +545,7 @@ def test_normalized_complex_is_a_quotient_of_the_bar_complex(chain_map_corpus, s
     """
     cap = resolve_size_cap()
     for name, a in chain_map_corpus.items():
-        a = a if seed is None else _moved(a, seed)
+        a = a if seed is None else moved(a, seed)
         f, d = a.field, a.dim
         s = d - 1
 
@@ -607,7 +578,7 @@ def test_normalized_dimensions_match_full_complex(chain_map_corpus, seed):
     for name, a in chain_map_corpus.items():
         if not name.startswith("corpus_"):
             continue
-        a = algebra_from_json(algebra_to_json(a if seed is None else _moved(a, seed)))
+        a = algebra_from_json(algebra_to_json(a if seed is None else moved(a, seed)))
         for m in range(5):
             if a.dim ** (2 * m + 3) > cap:
                 break
@@ -638,7 +609,7 @@ def test_hh_dim_matches_bases_and_dense_oracle(chain_map_corpus, seed):
         if key(a) in seen:
             continue
         seen.add(key(a))
-        a = algebra_from_json(algebra_to_json(a if seed is None else _moved(a, seed)))
+        a = algebra_from_json(algebra_to_json(a if seed is None else moved(a, seed)))
         for m in range(5):
             if a.dim ** (2 * m + 3) > cap:
                 break
@@ -663,10 +634,32 @@ def test_hh_dim_keeps_the_cap_of_hh_homology(c8, set_cap):
         set_cap(8**7)
 
 
+def test_hh_dim_keeps_no_dense_image(c8):
+    # cold hh_dim(C8, 3) peaked at 16.1 MiB under tracemalloc when it
+    # memoized the dense 2400 x 2744 RREF of the image of bbar_4; the
+    # streamed block ranks peak at 8.3 MiB, in the index arrays of _bar_coo
+    a = algebra_from_json(algebra_to_json(c8))
+    tracemalloc.start()
+    try:
+        assert hh_dim(a, 3) == 8
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_signature_reads_no_homology_basis_or_gram(c8):
+    # the kappa triples come from ranks, with no class basis of HH_m and
+    # no pairing gram, which kappa_nm builds
+    a = algebra_from_json(algebra_to_json(c8))
+    compute_signature(a)
+    assert not {k[0] for k in a._cache} & {"hh_homology", "pairing_gram"}
+
+
 def test_signature_builds_no_class_basis_it_does_not_read(trunc4_3):
     # for odd p no default signature entry reads a basis of HH_2, HH^2,
     # HH_3 or HH^3: their dimensions are ranks of the boundary images
-    a = _moved(trunc4_3, 1)
+    a = moved(trunc4_3, 1)
     sig = compute_signature(a)
     assert sig.entries["dim_hh_homology_3"] == sig.entries["dim_hh_cohomology_3"] == 3
     built = {k for k in a._cache if k[0] in ("hh_homology", "hh_cohomology") and k[1] in (2, 3)}
@@ -806,7 +799,7 @@ def test_cohomology_reads_no_homology(request, fixture, seed, monkeypatch):
     # one path for every algebra: a symmetrizing form does not route HH^m
     # through HH_m, in the natural basis or a random one
     a = request.getfixturevalue(fixture)
-    a = algebra_from_json(algebra_to_json(a)) if seed is None else _moved(a, seed)
+    a = algebra_from_json(algebra_to_json(a)) if seed is None else moved(a, seed)
     assert a.form is not None
     calls = []
     monkeypatch.setattr(hochschild, "hh_homology", lambda *args: calls.append(args))
@@ -884,8 +877,11 @@ def test_homology_check_copies_only_bin_columns(c8):
 
 
 def test_homology_peak_bounded_by_matmul_row_panels(c8):
-    # the B in Z check of degree 3 multiplies 3640 boundary rows by the
-    # 3648 cycle pivots; one float64 copy of that left operand is 106 MB
+    # the B in Z check of degree 3 runs one product a bin, boundary rows
+    # at the bin's cycle pivots times its cycle rows; on the normalized
+    # complex the largest is 598 x 600 @ 600 x 84, and the cold peak is
+    # 18.6 MiB.  Even one product over the whole degree would stay under
+    # this bound; test_homology_check_copies_only_bin_columns holds 20 MiB
     a = algebra_from_json(algebra_to_json(c8))
     tracemalloc.start()
     try:

@@ -249,7 +249,7 @@ def test_gf2_packed_vs_generic_rref(seed, cols):
 def test_block_helpers_match_dense_elimination(f, seed, nblocks):
     # a block-diagonal matrix with empty rows and columns, its rows and
     # columns shuffled; the helpers see only its nonzero entries
-    from derinv.linalg import _block_image, _block_kernel
+    from derinv.linalg import _block_image, _block_kernel, _block_rank
 
     rng = np.random.default_rng(seed)
     shapes = [tuple(rng.integers(1, 6, size=2)) for _ in range(nblocks)]
@@ -266,6 +266,7 @@ def test_block_helpers_match_dense_elimination(f, seed, nblocks):
     coo = (rows, cols, dense[rows, cols])
     assert _block_kernel(f, dense.shape, coo) == Mat(f, dense).kernel()
     assert _block_image(f, dense.shape, coo) == Subspace.from_rows(f, Mat(f, dense.T))
+    assert _block_rank(f, dense.shape, coo) == Mat(f, dense).rank()
 
 
 # the kinds of _rref_matrix

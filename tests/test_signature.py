@@ -1,6 +1,7 @@
 """Signature aggregation, comparison verdicts, and strict serialization."""
 
 import gc
+import hashlib
 import json
 import weakref
 
@@ -445,3 +446,37 @@ def test_dropped_algebra_is_freed_without_the_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# SHA-256 of serialize_signature(compute_signature(a)) at the default cap,
+# for the perfbench corpus algebras in their natural bases; a change to
+# any entry, marker or key of a signature document shows here
+_FROZEN_SIGNATURES = {
+    "gf2_c2xc2": "a7c1a55e10ae3dd1118b4940b3c0965d69a3f2bb264874198db6a1da52687eb9",
+    "gf2_c4": "c1eb21f83b7c41be6c4b7292f41edd105aa879d67ab0b5fcee0bbfb035d3c408",
+    "gf2_c8": "a2653058fe50153429d28733fb266cf866473d0cb604f46726c1398e5d66fad1",
+    "gf2_m2": "65fc283a970f74b033af379e0964d18180bdf32dd759c064a4039db9a1fb1e9d",
+    "gf2_s3": "49e34dab713ddd51743f6735ade913a473acfb9afb338b0c175d45f52cb34cb9",
+    "gf2_triv_ext": "ec66db99506c62242dc75345832bd9d5f104e2ccf5757683458bc68199de03e4",
+    "gf2_x1": "92aa8441ac43798e5eba7577990030b22bec728f0a631e984695ae1080453abf",
+    "gf2_x2": "30c9a7679d5d83ee8e1db3b9271af16f334151ec96054b5654763185edfb3818",
+    "gf2_x4": "83b56aab127c95c11f264448be9734157280dc409a80f6705225db22c1f7eac2",
+    "gf3_c3": "bb2f7a81d53a23ffd86ebeb7743ebb7c78d7cd61893e5872bab0eafe7e95a522",
+    "gf3_c9": "90390358ee53750a7601b933f1b1c23ce25da1194b38ca45ca6a80ac37e99fed",
+    "gf3_m2": "19e42ac8706db21eff94f93ca6ba776efced48e569839ed5ca640a3f9cd89e37",
+    "gf3_x1": "3b60cb3cb2df352032cb432bcf2fc387204776ea41e2019f30cb31d1ec9a23e8",
+    "gf3_x2": "21a03d02b105e5b677d1bc543f2ce1899bc2308a3cd25e07aafc0c1cd6daa6f9",
+    "gf3_x3": "a59a199f925f1a74f4db7193fbbac9f761be193fdcd9f71ef4b0d3430e32e673",
+    "gf3_x4": "efa494c106ff509457b9f3d1c863f04709203e49020c362b7e2dedc291611ea2",
+    "gf4_m2": "1922b554aae46fb490f5a8b9a92a122654006a30e76e2398969591d3d64e7594",
+    "gf4_x1": "df54355cc59171018e02b78bd397938bed85fdedfb9ac36d37f736cdb7545734",
+    "gf4_x2": "bc47b882159f6485ed0edbdef84790d2854570c35f2dd4b695785433a4b71a29",
+}
+
+
+def test_corpus_signature_documents_are_frozen(chain_map_corpus, set_cap):
+    set_cap(None)
+    got = {name.removeprefix("corpus_"):
+           hashlib.sha256(serialize_signature(compute_signature(a)).encode()).hexdigest()
+           for name, a in chain_map_corpus.items() if name.startswith("corpus_")}
+    assert got == _FROZEN_SIGNATURES
