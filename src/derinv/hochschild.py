@@ -86,10 +86,11 @@ Where only a dimension is read, hh_dim gives it from two ranks,
 
 with no kernel and no class basis.  With a symmetrizing form it is also
 dim HH^m, since HH^m is then the dual of HH_m (Loday, Cyclic Homology,
-1.5).  _rank memoizes each rank as an integer: it eliminates the blocks
-of bbar_m one at a time and keeps none of them, so no dense image is
-held.  Only hh_homology eliminates the image of bbar_{m+1} as a
-subspace, for the boundaries of its class basis.
+1.5).  _rank memoizes each rank as an integer: it ranks the blocks of
+bbar_m one at a time with linalg._rank_array, an echelon on bit rows
+over GF(2) and GF(3) with no reduced form, and keeps none of them, so
+no dense image is held.  Only hh_homology eliminates the image of
+bbar_{m+1} as a subspace, for the boundaries of its class basis.
 
 HH^m takes the blocks of delta for every algebra, with a form or
 without; pairing_gram then checks that the pairing of its classes with

@@ -2,24 +2,32 @@
 
 Matrices are immutable wrappers around int8 code arrays.  Row reduction
 is leftmost-pivot RREF with unit leading entries, so the reduced form of
-a row space is canonical and subspaces compare by array equality.  For
-GF(2) rows are bit-packed into 64-bit words during elimination;
-everything else runs on the generic table/modular path.  Matrix
-products go through float64 BLAS, which is exact at these sizes.
+a row space is canonical and subspaces compare by array equality.  Over
+GF(2) a matrix of at most 64 rows is eliminated with each row one Python
+int, column j its bit j, and a larger one with its rows bit-packed into
+64-bit words; everything else runs on the generic table/modular path.
+Matrix products go through float64 BLAS, which is exact at these sizes.
 
 The generic path picks its method by shape.  A matrix with more rows
 than columns and more than 64 rows is eliminated 64 rows at a time, any
-other matrix pivot by pivot over all its rows.  The GF(2) path always
-takes chunks, of as many rows as there are columns without a pivot yet
-and at least 2^17 entries' worth, so a matrix that is not tall, or is
-small, is one chunk.  Each chunk is reduced against the RREF R of the
-rows before it: with one matrix product on the generic path, and over
-GF(2) by XORing in R's packed rows wherever the chunk has a 1 at R's
-pivot columns.  That leaves each row zero on R's pivot columns, and a
-row in R's row space zero everywhere.  Such rows drop out before the
-per-pivot loop, which runs on the rows that are left, and the new pivot
-columns are cleared from R the same way.  It stops once every column
-has a pivot.  The RREF is unique, so every method gives the same array.
+other matrix pivot by pivot over all its rows.  The packed GF(2) path
+always takes chunks, of as many rows as there are columns without a
+pivot yet and at least 2^17 entries' worth, so a matrix that is not
+tall, or is small, is one chunk.  Each chunk is reduced against the
+RREF R of the rows before it: with one matrix product on the generic
+path, and over GF(2) by XORing in R's packed rows wherever the chunk
+has a 1 at R's pivot columns.  That leaves each row zero on R's pivot
+columns, and a row in R's row space zero everywhere.  Such rows drop
+out before the per-pivot loop, which runs on the rows that are left,
+and the new pivot columns are cleared from R the same way.  It stops
+once every column has a pivot.  The RREF is unique, so every method
+gives the same array.
+
+A rank needs no reduced form.  Mat.rank and _block_rank take an echelon
+of the rows or of the columns of a matrix, whichever are fewer: over
+GF(2) each row is one int, over GF(3) two, the places of its 1s and of
+its 2s, and each row is reduced by its highest bit against the row kept
+under that bit.  Other fields take the rank of the RREF.
 
 A sparse matrix given by its nonzero entries is eliminated one connected
 component of its support at a time, with the same canonical result.
@@ -141,8 +149,7 @@ class Mat:
         return Mat(self.field, out), rank, pivots
 
     def rank(self) -> int:
-        a = self.data if self.rows <= self.cols else self.data.T
-        return _rref_array(self.field, a)[1]
+        return _rank_array(self.field, self.data)
 
     def kernel(self) -> "Mat":
         """Canonical RREF basis (rows) of the right null space.
@@ -188,6 +195,63 @@ def _rref_array(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ..
     if f.p == 2 and f.e == 1:
         return _rref_gf2(a)
     return _rref_generic(f, a)
+
+
+# rows that _bit_rows packs at once
+_BIT_ROWS = 8
+# a GF(2) matrix with at most this many rows is eliminated on int rows
+_INT_ROWS = 64
+
+
+def _bit_rows(a: np.ndarray, v: int) -> Iterable[int]:
+    """Each row of a as an int with bit j set where column j holds v, _BIT_ROWS rows at a time."""
+    width = (a.shape[1] + 7) >> 3
+    for s in range(0, a.shape[0], _BIT_ROWS):
+        packed = np.packbits(a[s:s + _BIT_ROWS] == v, axis=1, bitorder="little")
+        buf = packed.tobytes()
+        for i in range(packed.shape[0]):
+            yield int.from_bytes(buf[i * width:(i + 1) * width], "little")
+
+
+def _rank_array(f: Field, a: np.ndarray) -> int:
+    """Rank of a, from an echelon of its rows or of its columns, whichever are fewer.
+
+    Over GF(2) each row is one int (_bit_rows) and over GF(3) two, the
+    places of its 1s and of its 2s.  A row is reduced by its highest set
+    bit, which int.bit_length reads without a copy, against the echelon
+    row kept under that bit, until it is zero or leads at a bit no row
+    is kept under, and then it is kept; the rank is the number kept.  No
+    reduced form is built.  Other fields take _rref_array.
+    """
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    if f.e == 1 and f.p == 2:
+        echelon: dict[int, int] = {}
+        for x in _bit_rows(a, 1):
+            while x:
+                y = echelon.get(x.bit_length())
+                if y is None:
+                    echelon[x.bit_length()] = x
+                    break
+                x ^= y
+        return len(echelon)
+    if f.e == 1 and f.p == 3:
+        # a row is kept with a 1 at its highest bit; a row with a 2 there
+        # adds it, and one with a 1 adds its negation, the two ints
+        # swapped (Boothby and Bradshaw, arXiv:0901.1413)
+        echelon3: dict[int, tuple[int, int]] = {}
+        for x1, x2 in zip(_bit_rows(a, 1), _bit_rows(a, 2)):
+            while x1 or x2:
+                top = max(x1.bit_length(), x2.bit_length())
+                y = echelon3.get(top)
+                if y is None:
+                    echelon3[top] = (x1, x2) if x1.bit_length() == top else (x2, x1)
+                    break
+                y1, y2 = y if x2.bit_length() == top else (y[1], y[0])
+                t = (x1 | y2) ^ (x2 | y1)
+                x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+        return len(echelon3)
+    return _rref_array(f, a)[1]
 
 
 # rows per chunk of the generic chunked elimination; a matrix with more
@@ -261,6 +325,52 @@ def _xor_rows(T: np.ndarray, sel: np.ndarray, S: np.ndarray) -> None:
 
 
 def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF over GF(2): on int rows with at most _INT_ROWS rows, else packed."""
+    if a.shape[0] <= _INT_ROWS:
+        return _rref_gf2_ints(a)
+    return _rref_gf2_packed(a)
+
+
+def _rref_gf2_ints(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """RREF over GF(2) with each row one int (_bit_rows).
+
+    The basis maps each pivot column j to its row, keyed by j + 1, the
+    bit_length of bit j; the row is zero at every other pivot.  A row
+    XORs in the basis row of each pivot bit it holds, the highest first;
+    if anything is left, its lowest bit is a new pivot, cleared from the
+    basis rows that hold it.  It stops once every column has a pivot.
+    Each row is a Python step, so a tall matrix, whose dependent rows
+    the packed kernel drops a chunk at a time, goes there instead.
+    """
+    r, c = a.shape
+    basis: dict[int, int] = {}
+    mask = 0
+    for x in _bit_rows(a, 1):
+        hit = x & mask
+        while hit:
+            x ^= basis[hit.bit_length()]
+            hit = x & mask
+        if not x:
+            continue
+        low = x & -x
+        for j, y in basis.items():
+            if y & low:
+                basis[j] = y ^ x
+        basis[low.bit_length()] = x
+        mask |= low
+        if len(basis) == c:
+            break
+    keys = sorted(basis)
+    out = np.zeros((r, c), dtype=CODE_DTYPE)
+    if keys:
+        width = (c + 7) >> 3
+        buf = b"".join(basis[j].to_bytes(width, "little") for j in keys)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(keys), width)
+        out[:len(keys)] = np.unpackbits(packed, axis=1, count=c, bitorder="little")
+    return out, len(keys), tuple(j - 1 for j in keys)
+
+
+def _rref_gf2_packed(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """RREF over GF(2), a chunk of rows at a time against the RREF R found so far.
 
     R is kept as packed rows.  A chunk has as many rows as R has free
@@ -530,8 +640,8 @@ def _block_image(f: Field, shape: tuple[int, int], coo) -> "Subspace":
 
 
 def _block_rank(f: Field, shape: tuple[int, int], coo) -> int:
-    """Rank of a sparse matrix, summed over its blocks; each block is dropped once eliminated."""
-    return sum(_rref_array(f, block)[1] for _, _, block in _blocks(shape, coo, transpose=True))
+    """Rank of a sparse matrix, summed over its blocks; each block is dropped once ranked."""
+    return sum(_rank_array(f, block) for _, _, block in _blocks(shape, coo, transpose=False))
 
 
 # parts narrower than this many indices share a bin with their neighbours

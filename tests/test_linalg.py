@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derinv.algebras import change_basis
+from derinv.algebras import change_basis, resolve_size_cap
 from derinv.errors import SingularForm, SingularMatrix
 from derinv.fields import GF
 from derinv.linalg import (
@@ -19,6 +19,7 @@ from derinv.linalg import (
     orthogonal_complement,
     semilinear_solve,
 )
+from conftest import moved
 from oracles import (
     all_vectors,
     oracle_kernel,
@@ -233,15 +234,16 @@ def test_semilinear_operator_laws(f):
 @given(st.integers(2, 40), st.integers(1, 6))
 @settings(max_examples=30, deadline=None)
 def test_gf2_packed_vs_generic_rref(seed, cols):
-    # the packed GF(2) path must agree with the generic path exactly
-    from derinv.linalg import _rref_generic, _rref_gf2
+    # both GF(2) kernels must agree with the generic path exactly
+    from derinv.linalg import _rref_generic, _rref_gf2_ints, _rref_gf2_packed
 
     f = GF(2)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=(int(rng.integers(1, 7)), cols)).astype(np.int8)
     g = _rref_generic(f, a)
-    p = _rref_gf2(a)
-    assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
+    for kernel in (_rref_gf2_packed, _rref_gf2_ints):
+        p = kernel(a)
+        assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
 
 
 @given(st.sampled_from([GF(2), GF(3), GF(2, 2)]), st.integers(0, 2**32 - 1), st.integers(1, 5))
@@ -354,19 +356,16 @@ def test_packed_rref_matches_all_rows_oracle(seed, kind, small):
         if small:
             mp.setattr(linalg, "_CHUNK_ENTRIES", 1)
             mp.setattr(linalg, "_GATHER", 256)
-        R, rank, pivots = linalg._rref_gf2(a)
-    want = oracle_rref_gf2(a)
-    assert R.dtype == want[0].dtype and np.array_equal(R, want[0])
-    assert rank == want[1] and pivots == want[2]
+        got = linalg._rref_gf2_packed(a)
+    _assert_oracle_rref(got, a)
 
 
 @pytest.mark.parametrize("name", ["s3_2", "c4", "klein"])
 def test_packed_rref_matches_all_rows_oracle_on_bar_blocks(name, request):
     # every block of the transposed bar boundary b_(m+1) for m <= 3, in
     # the natural basis and in two random ones
-    from derinv.algebras import resolve_size_cap
     from derinv.hochschild import _boundary_map
-    from derinv.linalg import _blocks, _rref_gf2
+    from derinv.linalg import _blocks, _rref_gf2_packed
 
     base = request.getfixturevalue(name)
     rng = np.random.default_rng(61)
@@ -380,10 +379,7 @@ def test_packed_rref_matches_all_rows_oracle_on_bar_blocks(name, request):
         for m in range(4):
             assert a.dim ** (2 * m + 3) <= resolve_size_cap()
             for _, _, block in _blocks(*_boundary_map(a, m + 1), transpose=True):
-                R, rank, pivots = _rref_gf2(block)
-                want = oracle_rref_gf2(block)
-                assert R.dtype == want[0].dtype and np.array_equal(R, want[0])
-                assert rank == want[1] and pivots == want[2]
+                _assert_oracle_rref(_rref_gf2_packed(block), block)
                 tall += block.shape[0] > max(block.shape[1], 64)
     assert tall
 
@@ -396,11 +392,11 @@ def test_packed_rref_peak_memory():
     rng = np.random.default_rng(67)
     a = f.matmul(rng.integers(0, 2, size=(16384, 64)).astype(np.int8),
                  rng.integers(0, 2, size=(64, 512)).astype(np.int8))
-    from derinv.linalg import _rref_gf2
+    from derinv.linalg import _rref_gf2_packed
 
     tracemalloc.start()
     try:
-        _, rank, _ = _rref_gf2(a)
+        _, rank, _ = _rref_gf2_packed(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,12 +404,15 @@ def test_packed_rref_peak_memory():
     assert peak < 1.5 * a.size
 
 
-@pytest.mark.parametrize("f, entered, other", [(GF(2), "_rref_gf2", "_rref_generic"),
-                                               (GF(3), "_rref_generic", "_rref_gf2")],
-                         ids=["GF(2)", "GF(3)"])
-def test_one_entry_per_elimination(f, entered, other, monkeypatch):
+@pytest.mark.parametrize("f, entered, other, rows, cols", [
+    (GF(2), "_rref_gf2", "_rref_generic", 3000, 200),
+    (GF(2), "_rref_gf2", "_rref_generic", 3000, 64),  # packed, on one word a row
+    (GF(2), "_rref_gf2", "_rref_generic", 64, 200),   # int rows
+    (GF(3), "_rref_generic", "_rref_gf2", 3000, 200),
+], ids=["GF(2)", "GF(2)-64-columns", "GF(2)-64-rows", "GF(3)"])
+def test_one_entry_per_elimination(f, entered, other, rows, cols, monkeypatch):
     # the benchmark counts eliminations by wrapping these two functions,
-    # so a tall matrix must enter one of them once, whatever it calls inside
+    # so a matrix must enter one of them once, whatever it calls inside
     from derinv import linalg
 
     calls = {entered: 0, other: 0}
@@ -423,8 +422,8 @@ def test_one_entry_per_elimination(f, entered, other, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(linalg, name, counted)
     rng = np.random.default_rng(71)
-    a = f.matmul(rng.integers(0, f.q, size=(3000, 20)).astype(np.int8),
-                 rng.integers(0, f.q, size=(20, 200)).astype(np.int8))
+    a = f.matmul(rng.integers(0, f.q, size=(rows, 20)).astype(np.int8),
+                 rng.integers(0, f.q, size=(20, cols)).astype(np.int8))
     assert Subspace.from_rows(f, a).dim == 20
     assert calls == {entered: 1, other: 0}
 
@@ -434,9 +433,120 @@ def test_one_entry_per_elimination(f, entered, other, monkeypatch):
 def test_chunked_rref_over_gf2_matches_packed(seed, kind):
     # GF(2) matrices of more than 64 rows through the generic path (chunked
     # when tall, per pivot when wide) against the packed one
-    from derinv.linalg import _rref_generic, _rref_gf2
+    from derinv.linalg import _rref_generic, _rref_gf2_packed
 
     a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
     g = _rref_generic(GF(2), a)
-    p = _rref_gf2(a)
+    p = _rref_gf2_packed(a)
     assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
+
+
+def _oracle_rank(f, a):
+    return (oracle_rref_gf2(a) if f.p == 2 and f.e == 1 else oracle_rref_generic(f, a))[1]
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(5), GF(2, 2)]), st.integers(0, 2**32 - 1),
+       st.sampled_from(KINDS))
+@settings(max_examples=60, deadline=None)
+def test_rank_array_matches_oracle(f, seed, kind):
+    # a matrix and its transpose: the rank kernel takes whichever has fewer rows
+    from derinv.linalg import _rank_array
+
+    a = _rref_matrix(f, np.random.default_rng(seed), kind)
+    assert _rank_array(f, a) == _rank_array(f, a.T) == _oracle_rank(f, a)
+
+
+def _assert_oracle_rref(got, a):
+    R, rank, pivots = got
+    want = oracle_rref_gf2(a)
+    assert R.dtype == want[0].dtype and np.array_equal(R, want[0])
+    assert rank == want[1] and pivots == want[2]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+@settings(max_examples=36, deadline=None)
+def test_int_row_rref_matches_oracle(seed, kind):
+    # the int-row kernel on every kind, tall ones too, and _rref_gf2 on
+    # the first 64 rows, which it sends there
+    from derinv.linalg import _rref_gf2, _rref_gf2_ints
+
+    a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
+    _assert_oracle_rref(_rref_gf2_ints(a), a)
+    _assert_oracle_rref(_rref_gf2(a[:64]), a[:64])
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (64, 64), (64, 65), (65, 64), (65, 65),  # either side of one word, and of the switch
+    (1, 1), (5, 13), (40, 121), (64, 200), (3, 1000),  # widths that are no multiple of 8
+    (0, 7), (0, 65), (9, 0),  # no rows, no columns
+])
+@pytest.mark.parametrize("rank", [None, 3])
+def test_int_row_rref_edges(rows, cols, rank, monkeypatch):
+    # random or of rank at most 3, with zero rows and columns; the rank
+    # kernel too, and _rref_gf2 takes the int rows up to 64 rows, the
+    # packed kernel past them
+    from derinv import linalg
+
+    rng = np.random.default_rng(rows * 1000 + cols)
+    if rank is None:
+        a = rng.integers(0, 2, size=(rows, cols)).astype(np.int8)
+    else:
+        a = GF(2).matmul(rng.integers(0, 2, size=(rows, rank)).astype(np.int8),
+                         rng.integers(0, 2, size=(rank, cols)).astype(np.int8))
+    a[rng.random(rows) < 0.2] = 0
+    a[:, rng.random(cols) < 0.2] = 0
+    _assert_oracle_rref(linalg._rref_gf2_ints(a), a)
+    for f in (GF(2), GF(3)):
+        assert linalg._rank_array(f, a) == _oracle_rank(f, a)
+    entered = []
+    for name in ("_rref_gf2_ints", "_rref_gf2_packed"):
+        def counted(b, _name=name, _fn=getattr(linalg, name)):
+            entered.append(_name)
+            return _fn(b)
+        monkeypatch.setattr(linalg, name, counted)
+    _assert_oracle_rref(linalg._rref_gf2(a), a)
+    assert entered == ["_rref_gf2_ints" if rows <= 64 else "_rref_gf2_packed"]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_block_rank_matches_oracle_on_corpus(chain_map_corpus, seed):
+    """_block_rank of every normalized b_m, 1 <= m <= 5, within the cap on
+    the perfbench corpus, against the oracle ranks of its blocks."""
+    from derinv.hochschild import _boundary_map
+    from derinv.linalg import _block_rank, _blocks
+
+    cap = resolve_size_cap()
+    for name, a in chain_map_corpus.items():
+        if not name.startswith("corpus_"):
+            continue
+        a = a if seed is None else moved(a, seed)
+        for m in range(1, 6):
+            if a.dim ** (2 * m + 1) > cap:
+                break
+            shape, coo = _boundary_map(a, m)
+            want = sum(_oracle_rank(a.field, block)
+                       for _, _, block in _blocks(shape, coo, transpose=False))
+            assert _block_rank(a.field, shape, coo) == want, (name, m)
+
+
+@pytest.mark.parametrize("name, m", [("gf2_c8", 4), ("gf3_c9", 3)])
+@pytest.mark.parametrize("seed", [None, 1])
+def test_rank_array_peak_memory(chain_map_corpus, name, m, seed):
+    # the largest block of b_m: rows are packed _BIT_ROWS at a time, the
+    # two GF(3) planes too, and the echelon keeps one int a row over
+    # GF(2) and two over GF(3), so the peak stays under a byte an entry
+    from derinv.hochschild import _boundary_map
+    from derinv.linalg import _blocks, _rank_array
+
+    a = chain_map_corpus[f"corpus_{name}"]
+    a = a if seed is None else moved(a, seed)
+    block = max((b for _, _, b in _blocks(*_boundary_map(a, m), transpose=False)),
+                key=lambda b: b.size)
+    tracemalloc.start()
+    try:
+        rank = _rank_array(a.field, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank
+    assert peak < block.size
