@@ -3,25 +3,21 @@
 Matrices are immutable wrappers around int8 code arrays.  Row reduction
 is leftmost-pivot RREF with unit leading entries, so the reduced form of
 a row space is canonical and subspaces compare by array equality.  Over
-GF(2) a matrix of at most 64 rows is eliminated with each row one Python
-int, column j its bit j, and a larger one with its rows bit-packed into
-64-bit words; everything else runs on the generic table/modular path.
-Matrix products go through float64 BLAS, which is exact at these sizes.
+GF(2) a matrix is eliminated with each row one Python int, column j its
+bit j; everything else runs on the generic table/modular path.  Matrix
+products go through float64 BLAS, which is exact at these sizes.
 
-The generic path picks its method by shape.  A matrix with more rows
-than columns and more than 64 rows is eliminated 64 rows at a time, any
-other matrix pivot by pivot over all its rows.  The packed GF(2) path
-always takes chunks, of as many rows as there are columns without a
-pivot yet and at least 2^17 entries' worth, so a matrix that is not
-tall, or is small, is one chunk.  Each chunk is reduced against the
-RREF R of the rows before it: with one matrix product on the generic
-path, and over GF(2) by XORing in R's packed rows wherever the chunk
-has a 1 at R's pivot columns.  That leaves each row zero on R's pivot
-columns, and a row in R's row space zero everywhere.  Such rows drop
-out before the per-pivot loop, which runs on the rows that are left,
-and the new pivot columns are cleared from R the same way.  It stops
-once every column has a pivot.  The RREF is unique, so every method
-gives the same array.
+The GF(2) path keeps the RREF of the rows so far as a basis keyed by
+pivot column and reduces each row against it with XORs of ints.  The
+generic path picks its method by shape.  A matrix with more rows than
+columns and more than 64 rows is eliminated 64 rows at a time, any other
+matrix pivot by pivot over all its rows.  Each chunk is reduced against
+the RREF R of the rows before it with one matrix product.  That leaves
+each row zero on R's pivot columns, and a row in R's row space zero
+everywhere.  Such rows drop out before the per-pivot loop, which runs on
+the rows that are left, and the new pivot columns are cleared from R
+with a second product.  It stops once every column has a pivot.  The
+RREF is unique, so every method gives the same array.
 
 A rank needs no reduced form.  Mat.rank and _block_rank take an echelon
 of the rows or of the columns of a matrix, whichever are fewer: over
@@ -197,10 +193,8 @@ def _rref_array(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ..
     return _rref_generic(f, a)
 
 
-# rows that _bit_rows packs at once
+# rows that _bit_rows packs, and _rref_gf2 unpacks, at once
 _BIT_ROWS = 8
-# a GF(2) matrix with at most this many rows is eliminated on int rows
-_INT_ROWS = 64
 
 
 def _bit_rows(a: np.ndarray, v: int) -> Iterable[int]:
@@ -254,84 +248,7 @@ def _rank_array(f: Field, a: np.ndarray) -> int:
     return _rref_array(f, a)[1]
 
 
-# rows per chunk of the generic chunked elimination; a matrix with more
-# rows than this and than columns is eliminated in chunks
-_CHUNK = 64
-# entries of a GF(2) matrix that one chunk holds at least
-_CHUNK_ENTRIES = 1 << 17
-# uint64 words that one gather of packed GF(2) rows copies at most
-_GATHER = 1 << 17
-# bit j & 63 of a packed word, for column j
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-
-def _pack(a: np.ndarray) -> np.ndarray:
-    """The rows of a GF(2) array as uint64 words: column j is bit j & 63 of word j >> 6."""
-    r, c = a.shape
-    packed = np.zeros((r, ((c + 63) >> 6) * 8), dtype=np.uint8)
-    packed[:, :(c + 7) >> 3] = np.packbits(a, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
-def _unpack(P: np.ndarray, c: int) -> np.ndarray:
-    """The first c columns of packed rows, as a 0/1 uint8 array."""
-    return np.unpackbits(P.view(np.uint8), axis=1, count=c, bitorder="little")
-
-
-def _gf2_pivots(P: np.ndarray) -> list[int]:
-    """RREF of the packed rows P in place, one pivot at a time; the pivot columns.
-
-    Only a column where some row has a bit can hold a pivot, so only
-    those are scanned, and the scan stops once every row has a pivot.
-    """
-    n = P.shape[0]
-    used = np.bitwise_or.reduce(P, axis=0).view(np.uint8)
-    row = 0
-    pivots: list[int] = []
-    for col in np.unpackbits(used, bitorder="little").nonzero()[0].tolist():
-        word = col >> 6
-        hits = (P[:, word] & _BITS[col & 63]).nonzero()[0]
-        k = int(hits.searchsorted(row))
-        if k == hits.size:
-            continue
-        # rows from row on are zero left of col, so only the words from
-        # word on change.  The pivot row pr clears itself with the other
-        # hits and moves to row; row, which lacks the bit like every row
-        # before pr, moves to pr.
-        pr = int(hits[k])
-        prow = P[pr, word:].copy()
-        P[hits, word:] ^= prow
-        if pr != row:
-            P[pr] = P[row]
-        P[row, word:] = prow
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return pivots
-
-
-def _xor_rows(T: np.ndarray, sel: np.ndarray, S: np.ndarray) -> None:
-    """T[i] ^= S[j] for every nonzero sel[i, j], over packed rows T and S.
-
-    The rows of S are gathered at most _GATHER words at a time.
-    """
-    i, j = np.nonzero(sel)
-    step = max(1, _GATHER // S.shape[1])
-    for s in range(0, i.size, step):
-        ii = i[s:s + step]
-        heads = np.flatnonzero(np.r_[True, ii[1:] != ii[:-1]])
-        T[ii[heads]] ^= np.bitwise_xor.reduceat(S[j[s:s + step]], heads, axis=0)
-
-
 def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """RREF over GF(2): on int rows with at most _INT_ROWS rows, else packed."""
-    if a.shape[0] <= _INT_ROWS:
-        return _rref_gf2_ints(a)
-    return _rref_gf2_packed(a)
-
-
-def _rref_gf2_ints(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """RREF over GF(2) with each row one int (_bit_rows).
 
     The basis maps each pivot column j to its row, keyed by j + 1, the
@@ -339,8 +256,8 @@ def _rref_gf2_ints(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     XORs in the basis row of each pivot bit it holds, the highest first;
     if anything is left, its lowest bit is a new pivot, cleared from the
     basis rows that hold it.  It stops once every column has a pivot.
-    Each row is a Python step, so a tall matrix, whose dependent rows
-    the packed kernel drops a chunk at a time, goes there instead.
+    The basis rows are unpacked into the result _BIT_ROWS at a time, so
+    the peak is the result's byte an entry and the ints.
     """
     r, c = a.shape
     basis: dict[int, int] = {}
@@ -362,49 +279,17 @@ def _rref_gf2_ints(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
             break
     keys = sorted(basis)
     out = np.zeros((r, c), dtype=CODE_DTYPE)
-    if keys:
-        width = (c + 7) >> 3
-        buf = b"".join(basis[j].to_bytes(width, "little") for j in keys)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(keys), width)
-        out[:len(keys)] = np.unpackbits(packed, axis=1, count=c, bitorder="little")
+    width = (c + 7) >> 3
+    for s in range(0, len(keys), _BIT_ROWS):
+        buf = b"".join(basis[j].to_bytes(width, "little") for j in keys[s:s + _BIT_ROWS])
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+        out[s:s + len(packed)] = np.unpackbits(packed, axis=1, count=c, bitorder="little")
     return out, len(keys), tuple(j - 1 for j in keys)
 
 
-def _rref_gf2_packed(a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """RREF over GF(2), a chunk of rows at a time against the RREF R found so far.
-
-    R is kept as packed rows.  A chunk has as many rows as R has free
-    columns and at least _CHUNK_ENTRIES entries' worth, so a matrix that
-    is not tall, or is small, is one chunk.  XORing R[j] into each row
-    with a 1 at R's pivot column j leaves the row zero on every pivot
-    column, and a row in R's row space zero everywhere; those rows are
-    dropped, and the per-pivot loop runs on what is left.  The new pivot
-    columns are cleared from R the same way.  It stops once every column
-    has a pivot.
-    """
-    r, c = a.shape
-    R = np.zeros((min(r, c), (c + 63) >> 6), dtype=np.uint64)
-    piv = np.zeros(c, dtype=np.int64)
-    k = start = 0
-    while start < r and k < c:
-        chunk = a[start:start + max(c - k, _CHUNK_ENTRIES // c)]
-        start += chunk.shape[0]
-        P = _pack(chunk)
-        if k:
-            _xor_rows(P, chunk[:, piv[:k]], R[:k])
-            P = P[P.any(axis=1)]
-        new = np.array(_gf2_pivots(P), dtype=np.int64)
-        if not new.size:
-            continue
-        if k:
-            bits = R[:k, new >> 6] >> (new & 63).astype(np.uint64)
-            _xor_rows(R[:k], bits & np.uint64(1), P)
-        R[k:k + new.size], piv[k:k + new.size] = P[:new.size], new
-        k += new.size
-    order = np.argsort(piv[:k])
-    out = np.zeros((r, c), dtype=CODE_DTYPE)
-    out[:k] = _unpack(R[order], c)
-    return out, k, tuple(piv[order].tolist())
+# rows per chunk of the generic chunked elimination; a matrix with more
+# rows than this and than columns is eliminated in chunks
+_CHUNK = 64
 
 
 def _rref_generic(f: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:

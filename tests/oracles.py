@@ -8,9 +8,10 @@ vectors, and homology dimensions for k[x]/(x^2) come from the small
 Two exceptions are former library paths, kept as the references for
 the code that replaced them: oracle_hh_homology is the dense elimination
 of the whole bar matrices of the full complex, which the block-wise
-hh_homology on the normalized complex replaced, and oracle_rref_generic
-and oracle_rref_gf2 are the per-pivot eliminations over every row,
-generic and bit-packed, which tall matrices no longer take.
+hh_homology on the normalized complex replaced, oracle_rref_generic is
+the per-pivot elimination over every row, which tall matrices no longer
+take, and oracle_rref_gf2 is that elimination over bit-packed rows,
+which the int-row GF(2) elimination replaced.
 oracle_bracket_kron and oracle_sigma_p_kron multiply the dense coderivation components, and
 oracle_coboundary applies the dense coboundary matrix; bracket, sigma_p
 and coboundary build neither.  oracle_coboundary_terms is that matrix

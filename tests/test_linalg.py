@@ -234,16 +234,15 @@ def test_semilinear_operator_laws(f):
 @given(st.integers(2, 40), st.integers(1, 6))
 @settings(max_examples=30, deadline=None)
 def test_gf2_packed_vs_generic_rref(seed, cols):
-    # both GF(2) kernels must agree with the generic path exactly
-    from derinv.linalg import _rref_generic, _rref_gf2_ints, _rref_gf2_packed
+    # the GF(2) kernel must agree with the generic path exactly
+    from derinv.linalg import _rref_generic, _rref_gf2
 
     f = GF(2)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=(int(rng.integers(1, 7)), cols)).astype(np.int8)
     g = _rref_generic(f, a)
-    for kernel in (_rref_gf2_packed, _rref_gf2_ints):
-        p = kernel(a)
-        assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
+    p = _rref_gf2(a)
+    assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
 
 
 @given(st.sampled_from([GF(2), GF(3), GF(2, 2)]), st.integers(0, 2**32 - 1), st.integers(1, 5))
@@ -344,28 +343,12 @@ def test_chunked_rref_ranks(f, rows, cols, inner, rank):
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_packed_rref_matches_all_rows_oracle(seed, kind, small):
-    # small chunks (as many rows as free columns) and small gathers, so
-    # that most matrices take many of both
-    from derinv import linalg
-
-    a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
-    with pytest.MonkeyPatch.context() as mp:
-        if small:
-            mp.setattr(linalg, "_CHUNK_ENTRIES", 1)
-            mp.setattr(linalg, "_GATHER", 256)
-        got = linalg._rref_gf2_packed(a)
-    _assert_oracle_rref(got, a)
-
-
 @pytest.mark.parametrize("name", ["s3_2", "c4", "klein"])
 def test_packed_rref_matches_all_rows_oracle_on_bar_blocks(name, request):
     # every block of the transposed bar boundary b_(m+1) for m <= 3, in
     # the natural basis and in two random ones
     from derinv.hochschild import _boundary_map
-    from derinv.linalg import _blocks, _rref_gf2_packed
+    from derinv.linalg import _blocks, _rref_gf2
 
     base = request.getfixturevalue(name)
     rng = np.random.default_rng(61)
@@ -379,35 +362,38 @@ def test_packed_rref_matches_all_rows_oracle_on_bar_blocks(name, request):
         for m in range(4):
             assert a.dim ** (2 * m + 3) <= resolve_size_cap()
             for _, _, block in _blocks(*_boundary_map(a, m + 1), transpose=True):
-                _assert_oracle_rref(_rref_gf2_packed(block), block)
+                _assert_oracle_rref(_rref_gf2(block), block)
                 tall += block.shape[0] > max(block.shape[1], 64)
     assert tall
 
 
 def test_packed_rref_peak_memory():
-    # 16384 x 512 of rank 64: the int8 result is one byte an entry, and
-    # the all-rows loop's copies of the whole matrix (as uint8, and its
-    # unpacked bits) bring it over two
+    # 16384 x 512 of rank 64 and a dense 1296 x 1296: the int8 result is
+    # one byte an entry and the basis ints add up to a quarter, while a
+    # copy of the whole matrix (as uint8, or its unpacked bits next to
+    # the result) would bring it over two
     f = GF(2)
     rng = np.random.default_rng(67)
-    a = f.matmul(rng.integers(0, 2, size=(16384, 64)).astype(np.int8),
-                 rng.integers(0, 2, size=(64, 512)).astype(np.int8))
-    from derinv.linalg import _rref_gf2_packed
+    tall = f.matmul(rng.integers(0, 2, size=(16384, 64)).astype(np.int8),
+                    rng.integers(0, 2, size=(64, 512)).astype(np.int8))
+    dense = rng.integers(0, 2, size=(1296, 1296)).astype(np.int8)
+    from derinv.linalg import _rref_gf2
 
-    tracemalloc.start()
-    try:
-        _, rank, _ = _rref_gf2_packed(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rank == 64
-    assert peak < 1.5 * a.size
+    for a, want in ((tall, 64), (dense, oracle_rref_gf2(dense)[1])):
+        tracemalloc.start()
+        try:
+            _, rank, _ = _rref_gf2(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == want
+        assert peak < 1.5 * a.size, a.shape
 
 
 @pytest.mark.parametrize("f, entered, other, rows, cols", [
     (GF(2), "_rref_gf2", "_rref_generic", 3000, 200),
-    (GF(2), "_rref_gf2", "_rref_generic", 3000, 64),  # packed, on one word a row
-    (GF(2), "_rref_gf2", "_rref_generic", 64, 200),   # int rows
+    (GF(2), "_rref_gf2", "_rref_generic", 3000, 64),  # tall, 64 columns
+    (GF(2), "_rref_gf2", "_rref_generic", 64, 200),   # wide, 64 rows
     (GF(3), "_rref_generic", "_rref_gf2", 3000, 200),
 ], ids=["GF(2)", "GF(2)-64-columns", "GF(2)-64-rows", "GF(3)"])
 def test_one_entry_per_elimination(f, entered, other, rows, cols, monkeypatch):
@@ -432,12 +418,12 @@ def test_one_entry_per_elimination(f, entered, other, rows, cols, monkeypatch):
 @settings(max_examples=36, deadline=None)
 def test_chunked_rref_over_gf2_matches_packed(seed, kind):
     # GF(2) matrices of more than 64 rows through the generic path (chunked
-    # when tall, per pivot when wide) against the packed one
-    from derinv.linalg import _rref_generic, _rref_gf2_packed
+    # when tall, per pivot when wide) against the GF(2) kernel
+    from derinv.linalg import _rref_generic, _rref_gf2
 
     a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
     g = _rref_generic(GF(2), a)
-    p = _rref_gf2_packed(a)
+    p = _rref_gf2(a)
     assert np.array_equal(g[0], p[0]) and g[1] == p[1] and g[2] == p[2]
 
 
@@ -464,27 +450,24 @@ def _assert_oracle_rref(got, a):
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
-@settings(max_examples=36, deadline=None)
+@settings(max_examples=96, deadline=None)
 def test_int_row_rref_matches_oracle(seed, kind):
-    # the int-row kernel on every kind, tall ones too, and _rref_gf2 on
-    # the first 64 rows, which it sends there
-    from derinv.linalg import _rref_gf2, _rref_gf2_ints
+    # the GF(2) kernel on every kind, tall ones too
+    from derinv.linalg import _rref_gf2
 
     a = _rref_matrix(GF(2), np.random.default_rng(seed), kind)
-    _assert_oracle_rref(_rref_gf2_ints(a), a)
-    _assert_oracle_rref(_rref_gf2(a[:64]), a[:64])
+    _assert_oracle_rref(_rref_gf2(a), a)
 
 
 @pytest.mark.parametrize("rows, cols", [
-    (64, 64), (64, 65), (65, 64), (65, 65),  # either side of one word, and of the switch
+    (64, 64), (64, 65), (65, 64), (65, 65),  # either side of one word
     (1, 1), (5, 13), (40, 121), (64, 200), (3, 1000),  # widths that are no multiple of 8
     (0, 7), (0, 65), (9, 0),  # no rows, no columns
 ])
 @pytest.mark.parametrize("rank", [None, 3])
-def test_int_row_rref_edges(rows, cols, rank, monkeypatch):
+def test_int_row_rref_edges(rows, cols, rank):
     # random or of rank at most 3, with zero rows and columns; the rank
-    # kernel too, and _rref_gf2 takes the int rows up to 64 rows, the
-    # packed kernel past them
+    # kernel too
     from derinv import linalg
 
     rng = np.random.default_rng(rows * 1000 + cols)
@@ -495,17 +478,9 @@ def test_int_row_rref_edges(rows, cols, rank, monkeypatch):
                          rng.integers(0, 2, size=(rank, cols)).astype(np.int8))
     a[rng.random(rows) < 0.2] = 0
     a[:, rng.random(cols) < 0.2] = 0
-    _assert_oracle_rref(linalg._rref_gf2_ints(a), a)
+    _assert_oracle_rref(linalg._rref_gf2(a), a)
     for f in (GF(2), GF(3)):
         assert linalg._rank_array(f, a) == _oracle_rank(f, a)
-    entered = []
-    for name in ("_rref_gf2_ints", "_rref_gf2_packed"):
-        def counted(b, _name=name, _fn=getattr(linalg, name)):
-            entered.append(_name)
-            return _fn(b)
-        monkeypatch.setattr(linalg, name, counted)
-    _assert_oracle_rref(linalg._rref_gf2(a), a)
-    assert entered == ["_rref_gf2_ints" if rows <= 64 else "_rref_gf2_packed"]
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
